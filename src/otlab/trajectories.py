@@ -16,6 +16,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .costs import CostSpec, cost_eval
 from .measures import (
@@ -194,8 +195,11 @@ def _compose_with_uniform_plan(side_idx: np.ndarray, masses: np.ndarray,
     auxiliary optimal plan from marginal restricted to B_4 onto
     kappa dx on B_4 redistributes each atom's mass over quadrature
     cells, and the crossing mass follows proportionally (barycentric
-    splitting).  Returns the redistributed atoms, the quadrature cell
-    volumes, and kappa.
+    splitting), as one product with the row-normalised plan matrix.
+    Crossing mass anchored at an atom outside B_4 lies beyond the
+    uniform density the composition extends into and is not carried.
+    Returns the redistributed atoms, the quadrature cell volumes, kappa
+    and the crossing mass left uncarried.
     """
     from .transport import solve_exact
 
@@ -208,35 +212,36 @@ def _compose_with_uniform_plan(side_idx: np.ndarray, masses: np.ndarray,
     target = DiscreteMeasure(quad.points, quad.weights * k4).with_mass(local.total_mass)
     aux = solve_exact(local, target, spec)
 
-    # map atom index in `marginal` to its row in the restricted measure
-    inside = np.where(np.linalg.norm(marginal.points, axis=1) < 4.0)[0]
-    row_of = {int(a): r for r, a in enumerate(inside)}
-
-    out_mass = np.zeros(quad.n_atoms)
+    # row of each atom of `marginal` in the restricted measure, -1 outside B_4
+    row_of = np.full(marginal.n_atoms, -1)
+    row_of[np.linalg.norm(marginal.points, axis=1) < 4.0] = np.arange(local.n_atoms)
+    rows = row_of[side_idx]
+    anchored = rows >= 0
+    row_mass = np.bincount(rows[anchored], weights=masses[anchored], minlength=local.n_atoms)
     row_weight = np.bincount(aux.idx_source, weights=aux.masses, minlength=local.n_atoms)
-    for eidx, m in zip(side_idx, masses):
-        r = row_of.get(int(eidx))
-        if r is None:
-            # anchored outside B_4, beyond the uniform density the
-            # composition extends into; dropped (gated instances keep
-            # every trajectory inside B_4, so this carries no mass there)
-            continue
-        sel = aux.idx_source == r
-        if not sel.any():
-            continue
-        share = aux.masses[sel] / row_weight[r]
-        np.add.at(out_mass, aux.idx_target[sel], m * share)
-    return DiscreteMeasure(quad.points, out_mass), quad.weights, k4
+    share = sparse.csr_matrix(
+        (aux.masses / row_weight[aux.idx_source], (aux.idx_source, aux.idx_target)),
+        shape=(local.n_atoms, quad.n_atoms))
+    dropped = float(masses[~anchored].sum())
+    return DiscreteMeasure(quad.points, share.T @ row_mass), quad.weights, k4, dropped
 
 
 @dataclasses.dataclass(frozen=True)
 class BoundaryApproximation:
+    """Approximated entry (f) and exit (g) data with their bookkeeping.
+
+    f_dropped/g_dropped are the crossing masses the composition could
+    not carry, because their anchor atom lies outside B_4.
+    """
+
     f_bar: BoundaryData
     g_bar: BoundaryData
     f_density_sup: float
     g_density_sup: float
     kappa_lambda: float
     kappa_mu: float
+    f_dropped: float
+    g_dropped: float
 
 
 def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
@@ -249,8 +254,10 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     density of B_4 spreads over quadrature cells; the spread measure has
     cell densities at most kappa (checked, 5 percent headroom), and its
     radial projection mollified at moll_scale is the returned g.  Entry
-    side symmetric through the sources.  Plans with no sphere-crossing
-    mass return zero histograms.
+    side symmetric through the sources.  Crossing mass anchored at an
+    atom outside B_4 is not carried and is reported as f_dropped or
+    g_dropped.  Plans with no sphere-crossing mass return zero
+    histograms.
     """
     if plan.source.dim != 2:
         raise ValueError("boundary data construction is planar")
@@ -265,8 +272,8 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
         on = np.abs(np.linalg.norm(pos, axis=1) - radius) <= _ON_SPHERE_TOL * max(radius, 1.0)
         sel = sel[on]
         if len(sel) == 0:
-            return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan
-        spread, cell_vol, k4 = _compose_with_uniform_plan(
+            return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan, 0.0
+        spread, cell_vol, k4, dropped = _compose_with_uniform_plan(
             idx[sel], plan.masses[sel], marginal, spec, resolution)
         dens = spread.weights / cell_vol
         sup = float(dens.max())
@@ -277,18 +284,26 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
         projected = radial_project(
             DiscreteMeasure(spread.points[carried], spread.weights[carried]),
             radius, n_theta) if carried.any() else BoundaryData(radius, np.zeros(n_theta))
-        return mollify_boundary(projected, moll_scale), sup, k4
+        return mollify_boundary(projected, moll_scale), sup, k4, dropped
 
-    f_bar, f_sup, k_lam = one_side(sigma, plan.idx_source, lam)
-    g_bar, g_sup, k_mu = one_side(tau, plan.idx_target, mu)
-    return BoundaryApproximation(f_bar, g_bar, f_sup, g_sup, k_lam, k_mu)
+    f_bar, f_sup, k_lam, f_drop = one_side(sigma, plan.idx_source, lam)
+    g_bar, g_sup, k_mu, g_drop = one_side(tau, plan.idx_target, mu)
+    return BoundaryApproximation(f_bar, g_bar, f_sup, g_sup, k_lam, k_mu, f_drop, g_drop)
 
 
 @dataclasses.dataclass(frozen=True)
 class RadiusSelection:
+    """Scores of the candidate radii and the selected one.
+
+    scores and components cover the candidates whose boundary data was
+    built; failed maps each other candidate to the error its
+    construction raised.
+    """
+
     selected: float
     scores: dict
     components: dict
+    failed: dict
 
     @property
     def average(self) -> float:
@@ -313,7 +328,9 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     densities.  The argmin is returned with all scores and their
     breakdown; ties break to the smallest radius.  By averaging, the
     selected score is at most the candidate mean, which the tests
-    assert.
+    assert.  A candidate whose boundary data construction raises
+    ValueError has no score: it is recorded in `failed` and left out
+    of the argmin, and the call raises when every candidate fails.
 
     `resolution` counts quadrature rings at the reference radius 4 and
     is rescaled per candidate, so every candidate is scored with the
@@ -332,7 +349,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     window = (np.linalg.norm(x, axis=1) < 3.0) | (np.linalg.norm(y, axis=1) < 3.0)
     entry_cost = np.asarray(cost_eval(spec, x - y)) * plan.masses
 
-    scores, parts = {}, {}
+    scores, parts, failed = {}, {}, {}
     for r in candidates:
         hit, sigma, tau = _plan_windows(plan, r)
         # touching the sphere: an endpoint of the crossing window sits on it
@@ -349,19 +366,22 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
             approx = approximate_boundary_data(plan, lam, mu, spec, r, n_theta,
                                                moll_scale=4.0 * math.pi / n_theta,
                                                resolution=resolution)
-            lp_mass = float(np.sum(approx.f_bar.densities ** spec.p) * approx.f_bar.bin_measure
-                            + np.sum(approx.g_bar.densities ** spec.p) * approx.g_bar.bin_measure)
-        except ValueError:
-            lp_mass = 0.0
+        except ValueError as exc:
+            failed[r] = str(exc)
+            continue
+        lp_mass = float(np.sum(approx.f_bar.densities ** spec.p) * approx.f_bar.bin_measure
+                        + np.sum(approx.g_bar.densities ** spec.p) * approx.g_bar.bin_measure)
         scores[r] = crossing + d_r + lp_mass
         parts[r] = (crossing, d_r, lp_mass)
+    if not scores:
+        raise ValueError(f"boundary data failed at every candidate radius: {failed}")
 
     # scores inside float dust of the minimum tie to the smallest radius,
     # so quadrature noise never drives the selection
     s_min = min(scores.values())
     thresh = s_min * (1.0 + 1e-9) + 1e-15
     best = min(r for r in scores if scores[r] <= thresh)
-    return RadiusSelection(best, scores, parts)
+    return RadiusSelection(best, scores, parts, failed)
 
 
 @dataclasses.dataclass(frozen=True)

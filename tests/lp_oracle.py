@@ -1,0 +1,55 @@
+"""Dense transport LP over all n * m couplings: the reference for solve_exact.
+
+This is the solver `otlab.transport.solve_exact` used before it moved to
+a sparse support grown by pricing rounds.  It assembles the marginal
+equalities over every pair, solves them with the same HiGHS call and
+tolerances, and certifies the result with the same dual check, so the
+kernel's costs and certificates can be compared against it.
+"""
+from __future__ import annotations
+
+import numpy as np
+from scipy import optimize, sparse
+
+from otlab.costs import cost_eval
+from otlab.transport import TransportPlan
+
+
+def dense_solve(lam, mu, spec) -> TransportPlan:
+    """Certified optimal plan of the full LP; raises when the certificate fails."""
+    mu = mu.with_mass(lam.total_mass)
+    cmat = np.asarray(cost_eval(spec, lam.points[:, None, :] - mu.points[None, :, :]))
+    n, m = cmat.shape
+
+    rows_i = np.repeat(np.arange(n), m)
+    cols_j = np.tile(np.arange(m), n)
+    var = np.arange(n * m)
+    a_eq = sparse.coo_matrix(
+        (np.ones(2 * n * m), (np.concatenate([rows_i, n + cols_j]), np.concatenate([var, var]))),
+        shape=(n + m, n * m),
+    ).tocsr()[:-1]  # drop one redundant equality
+    b_eq = np.concatenate([lam.weights, mu.weights])[:-1]
+
+    res = optimize.linprog(
+        cmat.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status != 0:
+        raise ArithmeticError(f"transport LP failed: {res.message}")
+
+    gamma = res.x.reshape(n, m)
+    duals = np.append(res.eqlin.marginals, 0.0)
+    u, v = duals[:n], duals[n:]
+    slack = cmat - u[:, None] - v[None, :]
+    scale = max(float(np.abs(cmat).max()), 1.0)
+    dual_infeas = max(0.0, float(-slack.min()))
+    support = gamma > 1e-12 * max(lam.weights.max(), 1e-300)
+    comp_defect = float(np.abs(slack[support]).max()) if support.any() else 0.0
+    gap = dual_infeas + comp_defect
+    if gap > 1e-9 * scale:
+        raise ArithmeticError(f"optimality certificate failed: gap {gap:.3e}")
+
+    i, j = np.nonzero(support)
+    return TransportPlan(lam, mu, i, j, gamma[support],
+                         total_cost=float(res.fun), dual_gap=gap)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from otlab import trajectories
 from otlab.costs import CostSpec
 from otlab.measures import (
     Ball,
@@ -222,6 +223,20 @@ def test_boundary_density_within_cap():
     assert rep.g_density_sup <= rep.kappa_mu * 1.05 + 1e-12
 
 
+def test_boundary_data_reports_mass_anchored_outside_b4():
+    # one trajectory leaves B_R towards a target atom outside B_4, where the
+    # uniform density the composition spreads into does not reach
+    quad = lebesgue_quadrature(Ball.at_origin(4.0), 8)
+    a, b, m = np.array([2.9, 0.0]), np.array([4.5, 0.0]), 0.05
+    lam = DiscreteMeasure(np.vstack([quad.points, a]), np.append(quad.weights, m))
+    mu = DiscreteMeasure(np.vstack([quad.points, b]), np.append(quad.weights, m))
+    plan = white_box_plan(lam, mu)
+    rep = approximate_boundary_data(plan, lam, mu, P2, 3.2, 32, 0.4, resolution=8)
+    assert rep.g_dropped == pytest.approx(m, rel=1e-12)
+    assert rep.g_bar.total_mass == 0.0
+    assert rep.f_dropped == 0.0
+
+
 def test_boundary_data_planar_only():
     lam = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
     plan = solve_exact(lam, lam, P2)
@@ -271,6 +286,33 @@ def test_select_radius_avoids_crossing_band(tmp_path):
     lines = table.read_text().splitlines()
     assert lines[0] == "R,crossing_cost,D_R,boundary_lp,score"
     assert len(lines) == 4
+
+
+def test_select_radius_skips_failed_candidates(monkeypatch):
+    cands = [2.2, 2.5, 2.8]
+    quad = lebesgue_quadrature(Ball.at_origin(4.0), 8)
+    lam = DiscreteMeasure(quad.points, quad.weights)
+    plan = solve_exact(lam, lam, P2)
+    real = trajectories.approximate_boundary_data
+
+    def fails_at_smallest(plan, lam, mu, spec, radius, *args, **kwargs):
+        if radius == cands[0]:
+            raise ValueError("construction failed")
+        return real(plan, lam, mu, spec, radius, *args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "approximate_boundary_data", fails_at_smallest)
+    sel = select_radius(plan, lam, lam, P2, candidates=cands, n_theta=32, resolution=8)
+    # every score ties at zero; the failed radius must not win the tie
+    assert sel.selected == cands[1]
+    assert sorted(sel.scores) == cands[1:] and sorted(sel.components) == cands[1:]
+    assert sel.failed == {cands[0]: "construction failed"}
+
+    def always_fails(*args, **kwargs):
+        raise ValueError("construction failed")
+
+    monkeypatch.setattr(trajectories, "approximate_boundary_data", always_fails)
+    with pytest.raises(ValueError, match="every candidate"):
+        select_radius(plan, lam, lam, P2, candidates=cands, n_theta=32, resolution=8)
 
 
 def test_select_radius_needs_three_candidates():

@@ -14,13 +14,18 @@ Frozen reference values, each derivable by hand or by an in-file oracle:
 import dataclasses
 import json
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lp_oracle import dense_solve
+from otlab import transport
 from otlab.costs import CostSpec, cost_eval
-from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature
+from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 from otlab.transport import (
     PLAIN_VOLUME,
     SCALE_INVARIANT,
@@ -46,10 +51,28 @@ from otlab.transport import (
 
 P2 = CostSpec.radial(2.0)
 SPECS = [CostSpec.radial(1.5), P2, CostSpec.radial(3.0)]
+ANISO = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)
 
 
 def uniform_cloud(rng, n, dim=2, scale=1.0):
     return DiscreteMeasure(rng.normal(size=(n, dim)) * scale, np.full(n, 1.0 / n))
+
+
+def gamma_cloud(rng, n, dim=2):
+    return DiscreteMeasure(rng.uniform(-3.0, 3.0, (n, dim)), rng.gamma(2.0, size=n))
+
+
+def counting_linprog(monkeypatch, linprog=None):
+    """Route solve_exact's LP calls through a counter; returns the call list."""
+    calls = []
+    real = linprog or transport.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "optimize", types.SimpleNamespace(linprog=counted))
+    return calls
 
 
 # ---------------------------------------------------------------- solvers
@@ -150,6 +173,166 @@ def test_marginals_conserved_and_validated():
 
     with pytest.raises(ValueError):
         TransportPlan(lam, mu, plan.idx_source, plan.idx_target, plan.masses * 1.5)
+
+
+# (n, m, dim, gamma-distributed weights, spec)
+ORACLE_BATTERY = [
+    (40, 40, 2, False, SPECS[0]),
+    (60, 60, 2, False, SPECS[1]),
+    (50, 50, 2, True, SPECS[2]),
+    (45, 80, 2, True, SPECS[0]),
+    (90, 35, 2, True, SPECS[1]),
+    (70, 55, 2, True, SPECS[2]),
+    (60, 75, 2, True, ANISO),
+    (50, 50, 2, False, ANISO),
+    (80, 60, 1, True, SPECS[1]),
+    (50, 50, 1, False, SPECS[2]),
+]
+
+
+def assert_matches_oracle(lam, mu, spec):
+    got = solve_exact(lam, mu, spec)
+    want = dense_solve(lam, mu, spec)
+    scale = max(float(np.max(cost_eval(spec, lam.points[:, None, :] - mu.points[None, :, :]))),
+                1.0)
+    assert got.total_cost == pytest.approx(want.total_cost, rel=1e-9)
+    assert got.cost_under(spec) == pytest.approx(want.total_cost, rel=1e-9)
+    assert got.dual_gap <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ORACLE_BATTERY,
+                         ids=lambda c: f"{c[0]}x{c[1]}-d{c[2]}-{'gamma' if c[3] else 'equal'}"
+                                       f"-{c[4].family}-p{c[4].p}")
+def test_solve_exact_matches_dense_oracle(case, seed):
+    n, m, dim, gamma_weights, spec = case
+    rng = np.random.default_rng(1000 + seed)
+    make = gamma_cloud if gamma_weights else (lambda r, k, d: uniform_cloud(r, k, d, 1.5))
+    lam = make(rng, n, dim)
+    mu = make(rng, m, dim).with_mass(lam.total_mass)
+    assert_matches_oracle(lam, mu, spec)
+
+
+def test_solve_exact_matches_dense_oracle_on_degenerate_quadratures():
+    # the shape of test_c2_linear_field_shifted_blob: a uniform blob against
+    # the uniform density of a larger ball, both equal-weight polar grids
+    mu = lebesgue_quadrature(Ball((0.6, 0.0), 0.9), 5).with_mass(4.0 * math.pi)
+    ball = Ball.at_origin(2.0)
+    local = restrict(mu, ball)
+    target = lebesgue_quadrature(ball, 5).with_mass(local.total_mass)
+    assert_matches_oracle(local, target, P2)
+
+
+def test_pricing_round_limit_raises(monkeypatch):
+    rng = np.random.default_rng(41)
+    lam = gamma_cloud(rng, 60)
+    mu = gamma_cloud(rng, 70).with_mass(lam.total_mass)
+    monkeypatch.setattr(transport, "_MAX_PRICING_ROUNDS", 1)
+    with pytest.raises(ArithmeticError, match="rounds"):
+        solve_exact(lam, mu, P2)
+    monkeypatch.undo()
+    assert_matches_oracle(lam, mu, P2)
+
+
+# ------------------------------------------------------- plan reuse
+
+def test_reuse_returns_equal_plan_bound_to_caller(monkeypatch):
+    rng = np.random.default_rng(51)
+    lam = gamma_cloud(rng, 30)
+    mu = gamma_cloud(rng, 40).with_mass(lam.total_mass)
+    calls = counting_linprog(monkeypatch)
+    first = solve_exact(lam, mu, P2)
+    solved = len(calls)
+    assert solved >= 1
+
+    lam2 = DiscreteMeasure(lam.points.copy(), lam.weights.copy())
+    mu2 = DiscreteMeasure(mu.points.copy(), mu.weights.copy())
+    second = solve_exact(lam2, mu2, P2)
+    assert len(calls) == solved
+    assert second.source is lam2
+    assert second.target.points is mu2.points
+    for name in ("idx_source", "idx_target", "masses"):
+        assert np.array_equal(getattr(second, name), getattr(first, name))
+    assert second.total_cost == first.total_cost
+    assert second.dual_gap == first.dual_gap
+
+
+def test_reuse_is_not_altered_by_mutating_a_result():
+    rng = np.random.default_rng(52)
+    lam = gamma_cloud(rng, 25)
+    mu = gamma_cloud(rng, 25).with_mass(lam.total_mass)
+    plan = solve_exact(lam, mu, P2)
+    want = (plan.idx_source.copy(), plan.idx_target.copy(), plan.masses.copy())
+    plan.idx_source[:] = 0
+    plan.idx_target[:] = 0
+    plan.masses[:] = 1.0
+    again = solve_exact(lam, mu, P2)
+    for got, ref in zip((again.idx_source, again.idx_target, again.masses), want):
+        assert np.array_equal(got, ref)
+
+
+def test_reuse_keys_do_not_collide(monkeypatch):
+    rng = np.random.default_rng(53)
+    lam = gamma_cloud(rng, 30)
+    mu = gamma_cloud(rng, 35).with_mass(lam.total_mass)
+    calls = counting_linprog(monkeypatch)
+    p2 = solve_exact(lam, mu, P2)
+    after_first = len(calls)
+
+    p3 = solve_exact(lam, mu, SPECS[2])
+    assert len(calls) > after_first
+    assert p3.total_cost != p2.total_cost
+
+    w = lam.weights.copy()
+    w[0] = np.nextafter(w[0], np.inf)
+    nudged = DiscreteMeasure(lam.points, w)
+    before = len(calls)
+    solve_exact(nudged, mu, P2)
+    assert len(calls) > before
+
+
+def test_failed_solve_is_not_reused(monkeypatch):
+    rng = np.random.default_rng(54)
+    lam = gamma_cloud(rng, 20)
+    mu = gamma_cloud(rng, 20).with_mass(lam.total_mass)
+    calls = counting_linprog(
+        monkeypatch, lambda *a, **k: types.SimpleNamespace(status=4, message="numerical trouble"))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="numerical trouble"):
+            solve_exact(lam, mu, P2)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert_matches_oracle(lam, mu, P2)
+
+
+def test_plan_table_survives_concurrent_callers():
+    table = transport._PlanTable(8)
+    errors = []
+
+    def worker(tid):
+        try:
+            for k in range(2000):
+                key = f"{(tid * 7 + k) % 24}"
+                table.put(key, (key,))
+                got = table.get(key)
+                if got is not None and got != (key,):
+                    errors.append((key, got))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(table._entries) == 8
 
 
 def test_dense_cap_raises():
