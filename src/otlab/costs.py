@@ -182,7 +182,7 @@ def dual_grad(spec: CostSpec, xi) -> np.ndarray:
 
     The maximizer is aligned with A^{-1} xi; its magnitude solves the
     scalar radial profile t^{p-1} m^{(p-2)/2} = 1 with m = xi . A^{-1} xi,
-    found by Newton iteration with a bisection fallback.
+    which has a closed-form root.
     """
     xi = _as_points(xi)
     if spec.family == RADIAL:
@@ -197,32 +197,15 @@ def dual_grad(spec: CostSpec, xi) -> np.ndarray:
     return t[..., None] * w
 
 
-def _radial_profile_inverse(p: float, m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Solve t^{p-1} m^{(p-2)/2} = 1 for t >= 0, elementwise in m.
+def _radial_profile_inverse(p: float, m: np.ndarray) -> np.ndarray:
+    """Root t >= 0 of t^{p-1} m^{(p-2)/2} = 1, elementwise in m.
 
-    Monotone scalar problem; Newton from t = 1 with a bracketing
-    bisection fallback when an iterate leaves (0, inf).
+    Closed form t = m^{-(p-2)/(2(p-1))}; 0 where m = 0, which the
+    caller multiplies by a zero vector.
     """
     out = np.zeros_like(m, dtype=float)
     pos = m > 0.0
-    if not pos.any():
-        return out
-    mm = m[pos]
-    a = mm ** ((p - 2.0) / 2.0)
-    t = np.ones_like(mm)
-    for _ in range(80):
-        f = a * t ** (p - 1.0) - 1.0
-        if np.all(np.abs(f) <= tol):
-            break
-        df = a * (p - 1.0) * t ** (p - 2.0)
-        step = f / df
-        tn = t - step
-        bad = ~np.isfinite(tn) | (tn <= 0.0)
-        if bad.any():
-            # bisect toward the root bracket [t/2, 2t] on the bad lanes
-            tn[bad] = np.where(f[bad] > 0.0, t[bad] * 0.5, t[bad] * 2.0)
-        t = tn
-    out[pos] = t
+    out[pos] = m[pos] ** (-(p - 2.0) / (2.0 * (p - 1.0)))
     return out
 
 

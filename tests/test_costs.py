@@ -92,6 +92,19 @@ class TestGradientInversion:
         z = rng.normal(size=(64, 2))
         assert np.allclose(dual_grad(s, cost_grad(s, z)), z, rtol=1e-10)
 
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0])
+    def test_anisotropic_inverse_round_trip_wide_range(self, p):
+        # dual_grad inverts cost_grad for every exponent, not only near
+        # p in [1.5, 4], and at covectors from 1e-3 to 1e3
+        s = CostSpec.anisotropic(p, [[1.3, 0.2], [0.2, 0.8]], 64.0)
+        rng = np.random.default_rng(3)
+        dirs = rng.normal(size=(256, 2))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        xi = dirs * np.logspace(-3.0, 3.0, 256)[:, None]
+        back = cost_grad(s, dual_grad(s, xi))
+        rel = np.linalg.norm(back - xi, axis=1) / np.linalg.norm(xi, axis=1)
+        assert rel.max() < 1e-12
+
     def test_zero_covector(self):
         for s in (CostSpec.radial(1.5), CostSpec.anisotropic(3.0, np.eye(2), 16.0)):
             assert np.all(dual_grad(s, vec(0.0, 0.0)) == 0.0)

@@ -15,10 +15,13 @@ solver tolerance 1e-9 (nodal max errors against the closed forms):
 """
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from holder_oracle import holder_product_pairs
+from otlab import neumann
 from otlab.costs import CostSpec, dual_grad
 from otlab.measures import Ball, BoundaryData, mollify_boundary
 from otlab.meshing import build_mesh
@@ -44,6 +47,42 @@ def cos_data(R, nb=2048):
 def unit_data(R, nb=2048):
     """Histogram of the constant density 1 on the circle of radius R."""
     return BoundaryData(R, np.full(nb, R * 2.0 * np.pi / nb), signed=True)
+
+
+def dense_stiffness(mesh, W=None):
+    """Independent dense P1 assembly, one 2x2 block W[t] per triangle
+    (the identity when W is None)."""
+    n = mesh.n_nodes
+    K = np.zeros((n, n))
+    for t, tri in enumerate(mesh.triangles):
+        a, b, c = mesh.nodes[tri]
+        twice = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        grads = [(b - c), (c - a), (a - b)]
+        grads = [np.array([-v[1], v[0]]) / twice for v in grads]
+        area = 0.5 * abs(twice)
+        Wt = np.eye(2) if W is None else W[t]
+        for i in range(3):
+            for j in range(3):
+                K[tri[i], tri[j]] += area * float(grads[i] @ Wt @ grads[j])
+    return K
+
+
+def harmonic_cubic(mesh):
+    """Mean-zero nodal field of x^3 - 3 x y^2 + x y / 2."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    return ScalarField.projected(mesh, x ** 3 - 3.0 * x * y ** 2 + 0.5 * x * y)
+
+
+class CountingSplu:
+    """Stand-in for the solver module's splu binding that counts calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self._splu = neumann.splu
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._splu(*args, **kwargs)
 
 
 class TestProblemConstruction:
@@ -203,16 +242,7 @@ class TestSolveOracles:
         phi = solve_neumann(prob, tol=1e-10)
 
         n = mesh.n_nodes
-        K = np.zeros((n, n))
-        for tri in mesh.triangles:
-            a, b, c = mesh.nodes[tri]
-            twice = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            grads = [(b - c), (c - a), (a - b)]
-            grads = [np.array([-v[1], v[0]]) / twice for v in grads]
-            area = 0.5 * abs(twice)
-            for i in range(3):
-                for j in range(3):
-                    K[tri[i], tri[j]] += area * float(grads[i] @ grads[j])
+        K = dense_stiffness(mesh)
         th = mesh.boundary_angles
         arcs = np.diff(np.concatenate([th, [th[0] + 2.0 * math.pi]]))
         load = np.zeros(n)
@@ -228,6 +258,15 @@ class TestSolveOracles:
         direct = np.linalg.solve(aug, rhs)[:n]
         direct -= (mass @ direct) / mass.sum()
         assert np.abs(phi.values - direct).max() < 1e-8
+
+    @pytest.mark.parametrize("h", [0.2, 0.1])
+    def test_p2_meets_tight_tolerance(self, h):
+        # the measured residual of the p = 2 solve sits at roundoff, not
+        # at the area-deficit component the bordered solve cancels
+        mesh = build_mesh(1.0, h)
+        prob = NeumannProblem(mesh, CostSpec.radial(2.0), unit_data(1.0, 1024))
+        phi = solve_neumann(prob, tol=5e-11)
+        assert np.all(np.isfinite(phi.values))
 
     def test_deterministic_resolve(self):
         mesh = build_mesh(1.0, 0.2)
@@ -257,6 +296,56 @@ class TestSolveOracles:
             solve_neumann(prob, tol=0.0)
         with pytest.raises(ValueError):
             solve_neumann(prob, max_iter=0)
+
+
+class TestMeshOperator:
+    def test_bordered_matrix_matches_dense_assembly(self):
+        mesh = build_mesh(1.0, 0.2)
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(mesh.n_triangles, 2, 2))
+        W = A + np.swapaxes(A, 1, 2)
+        n = mesh.n_nodes
+        want = np.zeros((n + 1, n + 1))
+        want[:n, :n] = dense_stiffness(mesh, W)
+        want[:n, n] = want[n, :n] = mesh.lumped_mass
+        got = neumann._operator(mesh).assemble(W).toarray()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_operator_lives_on_its_mesh(self):
+        mesh = build_mesh(1.0, 0.3)
+        op = neumann._operator(mesh)
+        assert neumann._operator(mesh) is op
+        assert neumann._operator(build_mesh(1.0, 0.3)) is not op
+
+    def test_p2_operator_factored_once_per_mesh(self, monkeypatch):
+        counter = CountingSplu()
+        monkeypatch.setattr(neumann, "splu", counter)
+        mesh = build_mesh(1.0, 0.2)
+        for g in (unit_data(1.0), cos_data(1.0)):
+            solve_neumann(NeumannProblem(mesh, CostSpec.radial(2.0), g), tol=1e-9)
+        assert counter.calls == 1
+
+    def test_newton_factorisations_use_the_module_splu(self, monkeypatch):
+        counter = CountingSplu()
+        monkeypatch.setattr(neumann, "splu", counter)
+        hessians = []
+        dual_hessian = neumann._dual_hessian
+
+        def counted(*args):
+            hessians.append(1)
+            return dual_hessian(*args)
+
+        monkeypatch.setattr(neumann, "_dual_hessian", counted)
+        mesh = build_mesh(1.0, 0.2)
+        prob = NeumannProblem(mesh, CostSpec.radial(3.0), unit_data(1.0))
+        solve_neumann(prob, tol=1e-9)
+        assert len(hessians) > 0
+        # one p = 2 factor plus one per Newton step
+        assert counter.calls == 1 + len(hessians)
+        # a warm mesh pays only for its Newton steps
+        solve_neumann(NeumannProblem(mesh, CostSpec.radial(1.5), cos_data(1.0)),
+                      tol=1e-9)
+        assert counter.calls == 1 + len(hessians)
 
 
 class TestFluxField:
@@ -417,3 +506,49 @@ class TestHolderProduct:
         with pytest.raises(ValueError):
             holder_product_check(phi, CostSpec.radial(2.0),
                                  Ball.at_origin(1e-6))
+
+    def test_no_far_pairs_rejected(self):
+        mesh = build_mesh(1.0, 0.3)
+        phi = harmonic_cubic(mesh)
+        ball = Ball.at_origin(0.35)
+        assert 0.7 < 2.0 * mesh.h
+        for check in (holder_product_check, holder_product_pairs):
+            with pytest.raises(ValueError, match="separation"):
+                check(phi, CostSpec.radial(2.0), ball)
+
+    @pytest.mark.parametrize("short_blocks", [False, True])
+    @pytest.mark.parametrize("ball", [Ball.at_origin(0.7),
+                                      Ball(np.array([0.3, -0.2]), 0.5)])
+    @pytest.mark.parametrize("spec", [
+        CostSpec.radial(1.5), CostSpec.radial(2.0), CostSpec.radial(3.0),
+        CostSpec.anisotropic(3.0, [[1.3, 0.2], [0.2, 0.8]], 64.0)])
+    @pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
+    def test_row_blocks_match_all_pairs(self, monkeypatch, h, spec, ball,
+                                        short_blocks):
+        mesh = build_mesh(1.0, h)
+        phi = harmonic_cubic(mesh)
+        if short_blocks:
+            # blocks of a few rows that do not divide the k nodes in the
+            # ball, so the last block is short
+            k = int(np.sum(np.linalg.norm(mesh.nodes - ball.center, axis=1)
+                           <= ball.radius))
+            rows = next(r for r in (7, 11, 13) if k % r)
+            monkeypatch.setattr(neumann, "_HOLDER_BLOCK", rows * k)
+        want = holder_product_pairs(phi, spec, ball)
+        got = holder_product_check(phi, spec, ball)
+        assert want > 0.0
+        assert abs(got - want) <= 1e-14 * want
+
+    def test_memory_stays_bounded(self):
+        # all pairs of the 4.6k nodes in the ball would take about 880 MB
+        mesh = build_mesh(1.0, 0.025)
+        phi = harmonic_cubic(mesh)
+        ball = Ball.at_origin(0.75)
+        tracemalloc.start()
+        try:
+            out = holder_product_check(phi, CostSpec.radial(3.0), ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(out) and out > 0.0
+        assert peak < 64 * 2 ** 20
