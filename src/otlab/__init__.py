@@ -59,7 +59,6 @@ from .transport import (
     TransportPlan,
     add_constant_check,
     benamou_brenier_action,
-    brute_force,
     c2measures_check,
     check_cyclical_monotonicity,
     compute_smallness,

@@ -209,6 +209,17 @@ def _radial_profile_inverse(p: float, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, free of under- and overflow.
+
+    Each row is scaled by the power of two of its largest entry, which
+    is exact, before it is squared, and its norm is scaled back.
+    """
+    _, e = np.frexp(np.max(np.abs(z), axis=-1))
+    r = np.ldexp(z, -e[..., None])
+    return np.ldexp(np.sqrt(np.sum(r * r, axis=-1)), e)
+
+
 def v_p(p: float, x, y) -> float | np.ndarray:
     """Convexity-defect quantity (|x|^2+|y|^2)^{(p-2)/2} |x-y|^2.
 
@@ -217,19 +228,19 @@ def v_p(p: float, x, y) -> float | np.ndarray:
     """
     x = _as_points(x)
     y = _as_points(y)
-    d2 = np.sum((x - y) ** 2, axis=-1)
-    s2 = np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)
-    w = np.where(s2 > 0.0, s2, 1.0) ** ((p - 2.0) / 2.0)
-    w = np.where(s2 > 0.0, w, 0.0)
-    return np.where(d2 > 0.0, w * d2, 0.0)
+    d = _norms(x - y)
+    s = np.hypot(_norms(x), _norms(y))
+    w = np.where(s > 0.0, s, 1.0) ** (p - 2.0)
+    w = np.where(s > 0.0, w, 0.0)
+    return np.where(d > 0.0, w * d * d, 0.0)
 
 
 def u_p(p: float, x, y) -> float | np.ndarray:
     """Growth comparison quantity (|x|+|y|)^{p-1} |x-y|."""
     x = _as_points(x)
     y = _as_points(y)
-    d = np.sqrt(np.sum((x - y) ** 2, axis=-1))
-    s = np.sqrt(np.sum(x * x, axis=-1)) + np.sqrt(np.sum(y * y, axis=-1))
+    d = _norms(x - y)
+    s = _norms(x) + _norms(y)
     w = np.where(s > 0.0, s, 1.0) ** (p - 1.0)
     w = np.where(s > 0.0, w, 0.0)
     return np.where(d > 0.0, w * d, 0.0)

@@ -310,8 +310,8 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     Stops when the weak residual, measured in the dual norm of the
     p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}); raises
     ArithmeticError with the reached residual when the iteration
-    budget runs out first.  For p = 2 the preconditioner solves the
-    problem outright and no Newton pass runs.
+    budget runs out first.  For a radial cost at p = 2 the
+    preconditioner solves the problem outright and no Newton pass runs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -351,7 +351,7 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     phi = solve_k2(lin)
 
     iters = 0
-    if abs(spec.p_prime - 2.0) > 1e-14:
+    if spec.family != RADIAL or abs(spec.p_prime - 2.0) > 1e-14:
         scale = dens_sup ** (1.0 / (spec.p - 1.0))
         budgets = (_WARM_ITER, _WARM_ITER,
                    max(_FINAL_ITER, max_iter - 2 * _WARM_ITER))

@@ -6,8 +6,7 @@ crossing times in closed form, the entry and exit measures a radius
 cuts out of a plan, the approximable boundary data built by composing
 exiting trajectories with an auxiliary plan to the uniform density, the
 scored radius selection, the sup displacement diagnostic, and the line
-integrals of mesh fields along trajectories that the pipeline ledger
-needs.
+integrals of mesh fields along trajectories.
 """
 from __future__ import annotations
 
@@ -19,15 +18,8 @@ import numpy as np
 from scipy import sparse
 
 from .costs import CostSpec, cost_eval
-from .measures import (
-    Ball,
-    BoundaryData,
-    DiscreteMeasure,
-    lebesgue_quadrature,
-    mollify_boundary,
-    radial_project,
-    restrict,
-)
+from .measures import BoundaryData, DiscreteMeasure, mollify_boundary, radial_project
+from .transport import PLAIN_VOLUME, _plan_to_uniform, data_D, energy_E
 
 __all__ = [
     "Trajectory",
@@ -47,6 +39,8 @@ __all__ = [
 
 # membership tolerance for "the point lies on the sphere"
 _ON_SPHERE_TOL = 1e-10
+# Omega_R keeps the entries with source or target in the open B_3
+_WINDOW = 3.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,46 +75,13 @@ class CrossingTimes:
             raise ValueError("need 0 <= sigma <= tau <= 1")
 
 
-def _segment_sphere_window(x: np.ndarray, y: np.ndarray, radius: float):
-    """Interval of t in [0, 1] with |X(t)| <= R, or None.
+def _windows(x: np.ndarray, y: np.ndarray, radius: float):
+    """Crossing windows of the segments from the rows of x to those of y.
 
-    |X(t)|^2 is a quadratic in t; the sub-level set is the root
-    interval, intersected with [0, 1].
+    |X(t)|^2 is a quadratic in t; the sub-level set {|X(t)| <= R} is its
+    root interval, intersected with [0, 1].  Returns (hit, sigma, tau)
+    arrays; segments missing the closed ball carry nan.
     """
-    d = y - x
-    a = float(d @ d)
-    b = 2.0 * float(x @ d)
-    c = float(x @ x) - radius * radius
-    if a == 0.0:
-        return (0.0, 1.0) if c <= 0.0 else None
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    lo = (-b - root) / (2.0 * a)
-    hi = (-b + root) / (2.0 * a)
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def crossing_times(traj: Trajectory, radius: float) -> Optional[CrossingTimes]:
-    """Entry and exit times of the closed ball, or None if missed."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    window = _segment_sphere_window(traj.x, traj.y, radius)
-    if window is None:
-        return None
-    return CrossingTimes(*window)
-
-
-def _plan_windows(plan, radius: float):
-    """Vectorized crossing windows for all plan entries.
-
-    Returns (hit, sigma, tau) arrays; non-hitting entries carry nan.
-    """
-    x, y = plan.pairs()
     d = y - x
     a = np.einsum("ij,ij->i", d, d)
     b = 2.0 * np.einsum("ij,ij->i", x, d)
@@ -143,12 +104,40 @@ def _plan_windows(plan, radius: float):
     return hit, sigma, tau
 
 
+def crossing_times(traj: Trajectory, radius: float) -> Optional[CrossingTimes]:
+    """Entry and exit times of the closed ball, or None if missed."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    hit, sigma, tau = _windows(traj.x[None], traj.y[None], radius)
+    return CrossingTimes(float(sigma[0]), float(tau[0])) if hit[0] else None
+
+
 def omega_mask(plan, radius: float) -> np.ndarray:
     """Entries of Omega_R: source or target in B_3, path meets the closed ball."""
+    hit, _, _ = _windows(*plan.pairs(), radius)
+    return plan.anchored_in(_WINDOW) & hit
+
+
+def _sphere_crossings(plan, radius: float):
+    """Omega_R entries entering and leaving through the sphere.
+
+    Returns ((entries, points), (entries, points)) for the entry side
+    X(sigma) and the exit side X(tau): the indices of the Omega_R
+    entries whose window endpoint lies on the sphere (the path did not
+    start, or end, inside) and those endpoints renormalised onto it, so
+    downstream boundary code sees exact radii.
+    """
+    sel = np.flatnonzero(omega_mask(plan, radius))
     x, y = plan.pairs()
-    window = (np.linalg.norm(x, axis=1) < 3.0) | (np.linalg.norm(y, axis=1) < 3.0)
-    hit, _, _ = _plan_windows(plan, radius)
-    return window & hit
+    _, sigma, tau = _windows(x, y, radius)
+    sides = []
+    for times in (sigma, tau):
+        t = times[sel]
+        p = (1.0 - t)[:, None] * x[sel] + t[:, None] * y[sel]
+        r = np.linalg.norm(p, axis=1)
+        on = np.abs(r - radius) <= _ON_SPHERE_TOL * max(radius, 1.0)
+        sides.append((sel[on], p[on] * (radius / r[on])[:, None]))
+    return sides
 
 
 def entry_exit_atoms(plan, radius: float):
@@ -156,24 +145,9 @@ def entry_exit_atoms(plan, radius: float):
 
     Mass of an Omega_R entry lands in the entry measure at X(sigma)
     whenever that point lies on the sphere (the trajectory did not start
-    inside), and in the exit measure at X(tau) symmetrically.  Atoms are
-    renormalized onto the sphere so downstream boundary code sees exact
-    radii.
+    inside), and in the exit measure at X(tau) symmetrically.
     """
-    hit, sigma, tau = _plan_windows(plan, radius)
-    mask = omega_mask(plan, radius)
-    x, y = plan.pairs()
-
-    def collect(times: np.ndarray) -> DiscreteMeasure:
-        sel = np.where(mask)[0]
-        t = times[sel]
-        p = (1.0 - t)[:, None] * x[sel] + t[:, None] * y[sel]
-        r = np.linalg.norm(p, axis=1)
-        on = np.abs(r - radius) <= _ON_SPHERE_TOL * max(radius, 1.0)
-        p = p[on] * (radius / r[on])[:, None]
-        return DiscreteMeasure(p.reshape(-1, plan.source.dim), plan.masses[sel][on])
-
-    return collect(sigma), collect(tau)
+    return tuple(DiscreteMeasure(p, plan.masses[k]) for k, p in _sphere_crossings(plan, radius))
 
 
 def entry_exit_measures(plan, radius: float, n_theta: int):
@@ -201,27 +175,19 @@ def _compose_with_uniform_plan(side_idx: np.ndarray, masses: np.ndarray,
     Returns the redistributed atoms, the quadrature cell volumes, kappa
     and the crossing mass left uncarried.
     """
-    from .transport import solve_exact
-
-    ball = Ball.at_origin(4.0, dim=marginal.dim)
-    local = restrict(marginal, ball)
-    k4 = local.total_mass / ball.volume
-    if k4 <= 0:
-        raise ValueError("marginal carries no mass in B_4")
-    quad = lebesgue_quadrature(ball, resolution)
-    target = DiscreteMeasure(quad.points, quad.weights * k4).with_mass(local.total_mass)
-    aux = solve_exact(local, target, spec)
+    k4, quad, aux = _plan_to_uniform(marginal, 4.0, spec, resolution)
+    n = aux.source.n_atoms
 
     # row of each atom of `marginal` in the restricted measure, -1 outside B_4
     row_of = np.full(marginal.n_atoms, -1)
-    row_of[np.linalg.norm(marginal.points, axis=1) < 4.0] = np.arange(local.n_atoms)
+    row_of[np.linalg.norm(marginal.points, axis=1) < 4.0] = np.arange(n)
     rows = row_of[side_idx]
     anchored = rows >= 0
-    row_mass = np.bincount(rows[anchored], weights=masses[anchored], minlength=local.n_atoms)
-    row_weight = np.bincount(aux.idx_source, weights=aux.masses, minlength=local.n_atoms)
+    row_mass = np.bincount(rows[anchored], weights=masses[anchored], minlength=n)
+    row_weight = np.bincount(aux.idx_source, weights=aux.masses, minlength=n)
     share = sparse.csr_matrix(
         (aux.masses / row_weight[aux.idx_source], (aux.idx_source, aux.idx_target)),
-        shape=(local.n_atoms, quad.n_atoms))
+        shape=(n, quad.n_atoms))
     dropped = float(masses[~anchored].sum())
     return DiscreteMeasure(quad.points, share.T @ row_mass), quad.weights, k4, dropped
 
@@ -261,16 +227,9 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     """
     if plan.source.dim != 2:
         raise ValueError("boundary data construction is planar")
-    hit, sigma, tau = _plan_windows(plan, radius)
-    mask = omega_mask(plan, radius)
-    x, y = plan.pairs()
+    (f_sel, _), (g_sel, _) = _sphere_crossings(plan, radius)
 
-    def one_side(times: np.ndarray, idx: np.ndarray, marginal: DiscreteMeasure):
-        sel = np.where(mask)[0]
-        t = times[sel]
-        pos = (1.0 - t)[:, None] * x[sel] + t[:, None] * y[sel]
-        on = np.abs(np.linalg.norm(pos, axis=1) - radius) <= _ON_SPHERE_TOL * max(radius, 1.0)
-        sel = sel[on]
+    def one_side(sel: np.ndarray, idx: np.ndarray, marginal: DiscreteMeasure):
         if len(sel) == 0:
             return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan, 0.0
         spread, cell_vol, k4, dropped = _compose_with_uniform_plan(
@@ -286,8 +245,8 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
             radius, n_theta) if carried.any() else BoundaryData(radius, np.zeros(n_theta))
         return mollify_boundary(projected, moll_scale), sup, k4, dropped
 
-    f_bar, f_sup, k_lam, f_drop = one_side(sigma, plan.idx_source, lam)
-    g_bar, g_sup, k_mu, g_drop = one_side(tau, plan.idx_target, mu)
+    f_bar, f_sup, k_lam, f_drop = one_side(f_sel, plan.idx_source, lam)
+    g_bar, g_sup, k_mu, g_drop = one_side(g_sel, plan.idx_target, mu)
     return BoundaryApproximation(f_bar, g_bar, f_sup, g_sup, k_lam, k_mu, f_drop, g_drop)
 
 
@@ -337,8 +296,6 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     same radial cell width and discretization error cannot bias the
     comparison across radii.
     """
-    from .transport import PLAIN_VOLUME, data_D
-
     if candidates is None:
         candidates = np.linspace(2.05, 2.95, 11)
     candidates = sorted(float(r) for r in candidates)
@@ -346,19 +303,13 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
         raise ValueError("need at least 3 candidate radii")
 
     x, y = plan.pairs()
-    window = (np.linalg.norm(x, axis=1) < 3.0) | (np.linalg.norm(y, axis=1) < 3.0)
     entry_cost = np.asarray(cost_eval(spec, x - y)) * plan.masses
 
     scores, parts, failed = {}, {}, {}
     for r in candidates:
-        hit, sigma, tau = _plan_windows(plan, r)
         # touching the sphere: an endpoint of the crossing window sits on it
-        pos_s = (1.0 - sigma)[:, None] * x + sigma[:, None] * y
-        pos_t = (1.0 - tau)[:, None] * x + tau[:, None] * y
-        on_s = np.abs(np.linalg.norm(pos_s, axis=1) - r) <= 1e-9 * r
-        on_t = np.abs(np.linalg.norm(pos_t, axis=1) - r) <= 1e-9 * r
-        touches = hit & window & (on_s | on_t)
-        crossing = float(entry_cost[touches].sum()) if touches.any() else 0.0
+        (entering, _), (leaving, _) = _sphere_crossings(plan, r)
+        crossing = float(entry_cost[np.union1d(entering, leaving)].sum())
 
         res_r = max(3, int(round(resolution * r / 4.0)))
         d_r = data_D(lam, mu, r, spec, res_r, PLAIN_VOLUME)
@@ -400,10 +351,8 @@ def linfty_displacement(plan, spec: CostSpec, resolution: int = 12) -> Displacem
     scaling family is the actual test; a single value is diagnostic
     only.
     """
-    from .transport import PLAIN_VOLUME, data_D, energy_E
-
     x, y = plan.pairs()
-    window = (np.linalg.norm(x, axis=1) < 3.0) | (np.linalg.norm(y, axis=1) < 3.0)
+    window = plan.anchored_in(_WINDOW)
     sup_disp = float(np.linalg.norm((x - y)[window], axis=1).max()) if window.any() else 0.0
     e4 = energy_E(plan, 4.0, spec, PLAIN_VOLUME)
     d4 = data_D(plan.source, plan.target, 4.0, spec, resolution, PLAIN_VOLUME)
@@ -433,11 +382,11 @@ def path_integral(traj: Trajectory, field: Callable[[np.ndarray], np.ndarray],
 
 def bound2_check(plan, samples: int = 9) -> bool:
     """Every B_3-window trajectory stays inside B_4 at sampled times."""
-    x, y = plan.pairs()
-    window = (np.linalg.norm(x, axis=1) < 3.0) | (np.linalg.norm(y, axis=1) < 3.0)
+    window = plan.anchored_in(_WINDOW)
     if not window.any():
         return True
     t = np.linspace(0.0, 1.0, samples)
+    x, y = plan.pairs()
     xs, ys = x[window], y[window]
     for ti in t:
         pos = (1.0 - ti) * xs + ti * ys

@@ -24,7 +24,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import threading
@@ -34,7 +33,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from .costs import CostSpec, cost_eval, cost_grad, dual_eval
-from .measures import Ball, DiscreteMeasure, kappa, lebesgue_quadrature, restrict
+from .measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 
 __all__ = [
     "TransportPlan",
@@ -42,7 +41,6 @@ __all__ = [
     "SCALE_INVARIANT",
     "PLAIN_VOLUME",
     "solve_exact",
-    "brute_force",
     "monotone_1d",
     "transport_cost",
     "check_cyclical_monotonicity",
@@ -131,6 +129,11 @@ class TransportPlan:
     def cost_under(self, spec: CostSpec) -> float:
         x, y = self.pairs()
         return float(np.sum(self.masses * cost_eval(spec, x - y)))
+
+    def anchored_in(self, radius: float) -> np.ndarray:
+        """Entry mask: source or target in the open ball B_radius."""
+        x, y = self.pairs()
+        return (np.linalg.norm(x, axis=1) < radius) | (np.linalg.norm(y, axis=1) < radius)
 
     def subset(self, keep: np.ndarray) -> "TransportPlan":
         """Sub-plan on a boolean entry mask; marginals are recomputed."""
@@ -375,31 +378,6 @@ def transport_cost(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) ->
     return solve_exact(lam, mu, spec).total_cost
 
 
-def brute_force(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> TransportPlan:
-    """Exact minimum over all permutations; test oracle only.
-
-    Requires equal atom counts with equal weights (plan vertices are
-    then permutation matrices) and n <= 8.  Ties break toward the
-    lexicographically first permutation.
-    """
-    n = lam.n_atoms
-    if n != mu.n_atoms or n == 0 or n > 8:
-        raise ValueError("brute force needs matching atom counts, 1 <= n <= 8")
-    if (np.ptp(lam.weights) > 1e-12 * lam.weights.max()
-            or np.ptp(mu.weights) > 1e-12 * mu.weights.max()):
-        raise ValueError("brute force needs uniform weights")
-    mu = _check_balanced(lam, mu)
-    cmat = _cost_matrix(lam, mu, spec)
-    best, best_perm = math.inf, None
-    for perm in itertools.permutations(range(n)):
-        c = cmat[np.arange(n), perm].sum()
-        if c < best - 0.0:  # strict: first minimum wins
-            best, best_perm = c, perm
-    w = lam.weights[0]
-    return TransportPlan(lam, mu, np.arange(n), np.array(best_perm),
-                         np.full(n, w), total_cost=float(best * w))
-
-
 def monotone_1d(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> TransportPlan:
     """Quantile coupling on the line, optimal for convex costs.
 
@@ -475,7 +453,7 @@ def energy_E(plan: TransportPlan, radius: float, spec: CostSpec,
     if radius <= 0:
         raise ValueError("radius must be positive")
     x, y = plan.pairs()
-    mask = (np.linalg.norm(x, axis=1) < radius) | (np.linalg.norm(y, axis=1) < radius)
+    mask = plan.anchored_in(radius)
     total = float(np.sum(plan.masses[mask] * cost_eval(spec, (x - y)[mask]))) if mask.any() else 0.0
     vol = _ball_volume(radius, plan.source.dim)
     if normalization == SCALE_INVARIANT:
@@ -485,9 +463,23 @@ def energy_E(plan: TransportPlan, radius: float, spec: CostSpec,
     raise ValueError("unknown normalization")
 
 
-def _uniform_target(ball: Ball, resolution: int, density: float) -> DiscreteMeasure:
+def _plan_to_uniform(nu: DiscreteMeasure, radius: float, spec: CostSpec,
+                     resolution: int) -> tuple[float, DiscreteMeasure, TransportPlan]:
+    """Optimal plan from nu restricted to B_R onto its uniform density.
+
+    kappa = |nu on B_R| / |B_R|; kappa dx is the Lebesgue quadrature of
+    B_R at `resolution` weighted by kappa and rescaled to the restricted
+    mass.  Returns (kappa, quadrature, plan); the plan's source is the
+    restricted measure.
+    """
+    ball = Ball.at_origin(radius, dim=nu.dim)
+    local = restrict(nu, ball)
+    k = local.total_mass / ball.volume
+    if k <= 0.0:
+        raise ValueError(f"no mass of the measure inside B_{radius:g}")
     quad = lebesgue_quadrature(ball, resolution)
-    return DiscreteMeasure(quad.points, quad.weights * density)
+    target = DiscreteMeasure(quad.points, quad.weights * k).with_mass(local.total_mass)
+    return k, quad, solve_exact(local, target, spec)
 
 
 def _data_half(nu: DiscreteMeasure, radius: float, spec: CostSpec,
@@ -498,14 +490,8 @@ def _data_half(nu: DiscreteMeasure, radius: float, spec: CostSpec,
     |B_R|; the kappa term is R^p (kappa - 1)^p / kappa^{p-1}, not
     volume-normalized, following the defining display.
     """
-    ball = Ball.at_origin(radius, dim=nu.dim)
-    local = restrict(nu, ball)
-    k = local.total_mass / ball.volume
-    if k <= 0.0:
-        raise ValueError("zero local mass inside the ball")
-    target = _uniform_target(ball, resolution, k)
-    w = transport_cost(local, target.with_mass(local.total_mass), spec)
-    w_term = w / ball.volume
+    k, _, plan = _plan_to_uniform(nu, radius, spec, resolution)
+    w_term = plan.total_cost / _ball_volume(radius, nu.dim)
     k_term = radius ** spec.p * abs(k - 1.0) ** spec.p / k ** (spec.p - 1.0)
     return w_term, k, k_term
 
@@ -688,18 +674,13 @@ def c2measures_check(xi: Callable[[np.ndarray], np.ndarray], alpha: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    ball = Ball.at_origin(radius, dim=mu.dim)
-    local = restrict(mu, ball)
-    k = local.total_mass / ball.volume
+    k, quad, plan = _plan_to_uniform(mu, radius, spec, resolution)
     if not 0.5 <= k <= 2.0:
         raise ValueError("mu must carry mass comparable to the ball")
-    quad = lebesgue_quadrature(ball, resolution)
+    local, w = plan.source, plan.total_cost
     xi_mu = np.asarray(xi(local.points), dtype=float)
     xi_quad = np.asarray(xi(quad.points), dtype=float)
     lhs = abs(float(np.sum(xi_mu * local.weights) - k * np.sum(xi_quad * quad.weights)))
-
-    target = DiscreteMeasure(quad.points, quad.weights * k)
-    w = transport_cost(local, target.with_mass(local.total_mass), spec)
 
     # grid estimate of the Holder seminorm: neighbor pairs plus a seeded
     # random batch; an underestimate, absorbed into K's padding
@@ -803,15 +784,9 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
 
     vals = []
     for r in radii:
-        ball = Ball.at_origin(r, dim=mu.dim)
-        local = restrict(mu, ball)
-        k = local.total_mass / ball.volume
-        if k <= 0.0:
-            raise ValueError("zero local mass inside a scan ball")
         res_r = max(3, int(round(resolution * r / 4.0)))
-        target = _uniform_target(ball, res_r, k)
-        w = transport_cost(local, target.with_mass(local.total_mass), spec)
-        vals.append(w + abs(k - 1.0) ** spec.p / k)
+        k, _, plan = _plan_to_uniform(mu, r, spec, res_r)
+        vals.append(plan.total_cost + abs(k - 1.0) ** spec.p / k)
     integral = float(np.trapezoid(vals, radii))
 
     w4, _, k4 = _data_half(mu, 4.0, spec, resolution)

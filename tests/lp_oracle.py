@@ -1,12 +1,17 @@
-"""Dense transport LP over all n * m couplings: the reference for solve_exact.
+"""Reference solvers for `otlab.transport.solve_exact`.
 
-This is the solver `otlab.transport.solve_exact` used before it moved to
-a sparse support grown by pricing rounds.  It assembles the marginal
-equalities over every pair, solves them with the same HiGHS call and
-tolerances, and certifies the result with the same dual check, so the
-kernel's costs and certificates can be compared against it.
+`brute_force` minimises over all permutations of small equal-weight
+clouds.  `dense_solve` is the dense LP over all n * m couplings, the
+solver `solve_exact` used before it moved to a sparse support grown by
+pricing rounds.  It assembles the marginal equalities over every pair,
+solves them with the same HiGHS call and tolerances, and certifies the
+result with the same dual check, so the kernel's costs and certificates
+can be compared against it.
 """
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 from scipy import optimize, sparse
@@ -15,10 +20,41 @@ from otlab.costs import cost_eval
 from otlab.transport import TransportPlan
 
 
+def _cost_matrix(lam, mu, spec) -> np.ndarray:
+    return np.asarray(cost_eval(spec, lam.points[:, None, :] - mu.points[None, :, :]))
+
+
+def brute_force(lam, mu, spec) -> TransportPlan:
+    """Exact minimum over all permutations.
+
+    Requires equal atom counts with equal weights (plan vertices are
+    then permutation matrices), equal total masses and n <= 8.  Ties
+    break toward the lexicographically first permutation.
+    """
+    n = lam.n_atoms
+    if n != mu.n_atoms or n == 0 or n > 8:
+        raise ValueError("brute force needs matching atom counts, 1 <= n <= 8")
+    if (np.ptp(lam.weights) > 1e-12 * lam.weights.max()
+            or np.ptp(mu.weights) > 1e-12 * mu.weights.max()):
+        raise ValueError("brute force needs uniform weights")
+    if abs(lam.total_mass - mu.total_mass) > 1e-9 * max(lam.total_mass, mu.total_mass):
+        raise ValueError("brute force needs equal masses")
+    mu = mu.with_mass(lam.total_mass)
+    cmat = _cost_matrix(lam, mu, spec)
+    best, best_perm = math.inf, None
+    for perm in itertools.permutations(range(n)):
+        c = cmat[np.arange(n), perm].sum()
+        if c < best:  # strict: first minimum wins
+            best, best_perm = c, perm
+    w = lam.weights[0]
+    return TransportPlan(lam, mu, np.arange(n), np.array(best_perm),
+                         np.full(n, w), total_cost=float(best * w))
+
+
 def dense_solve(lam, mu, spec) -> TransportPlan:
     """Certified optimal plan of the full LP; raises when the certificate fails."""
     mu = mu.with_mass(lam.total_mass)
-    cmat = np.asarray(cost_eval(spec, lam.points[:, None, :] - mu.points[None, :, :]))
+    cmat = _cost_matrix(lam, mu, spec)
     n, m = cmat.shape
 
     rows_i = np.repeat(np.arange(n), m)

@@ -283,6 +283,24 @@ class TestSolveOracles:
         assert np.all(np.isfinite(phi.values))
         assert np.all(np.isfinite(flux_field(phi, spec)))
 
+    def test_anisotropic_p2_runs_newton(self):
+        # for A != I the p = 2 Laplacian solve is not the solution
+        mesh = build_mesh(1.0, 0.25)
+        spec = CostSpec.anisotropic(2.0, [[1.3, 0.2], [0.2, 0.8]], 6.0)
+        phi = solve_neumann(NeumannProblem(mesh, spec, unit_data(1.0, 256)))
+        assert np.all(np.isfinite(phi.values))
+
+    def test_anisotropic_p2_scaled_identity(self):
+        # A = a I gives grad c*(xi) = xi / a, so the potential is a times
+        # the radial one
+        mesh = build_mesh(1.0, 0.25)
+        g = unit_data(1.0, 256)
+        a = 2.5
+        radial = solve_neumann(NeumannProblem(mesh, CostSpec.radial(2.0), g), tol=1e-10)
+        scaled = solve_neumann(
+            NeumannProblem(mesh, CostSpec.anisotropic(2.0, a * np.eye(2), 6.0), g), tol=1e-10)
+        assert np.allclose(scaled.values, a * radial.values, rtol=0.0, atol=1e-8)
+
     def test_iteration_cap_raises_with_residual(self):
         mesh = build_mesh(1.0, 0.2)
         prob = NeumannProblem(mesh, CostSpec.radial(3.0), unit_data(1.0))

@@ -49,6 +49,18 @@ def white_box_plan(lam, mu, pairing=None):
                                idx_target=idx_t, total_cost=math.nan)
 
 
+def random_pairing_plan(rng, n, radius):
+    """Equal-weight clouds on the disk of the given radius, randomly paired."""
+    def cloud():
+        r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+        th = rng.uniform(0.0, 2.0 * math.pi, n)
+        return np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+
+    w = np.full(n, 16.0 * math.pi / n)
+    lam, mu = DiscreteMeasure(cloud(), w), DiscreteMeasure(cloud(), w)
+    return white_box_plan(lam, mu, rng.permutation(n))
+
+
 # ------------------------------------------------------------- crossings
 
 def test_trajectory_parametrization():
@@ -165,6 +177,22 @@ def test_entry_exit_histograms():
     assert g.total_mass == 0.0
 
 
+@given(st.floats(-math.pi, math.pi), st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_crossings_rotate_with_the_plan(theta, seed):
+    plan = random_pairing_plan(np.random.default_rng(seed), 40, 4.5)
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    turned = dataclasses.replace(
+        plan, source=DiscreteMeasure(plan.source.points @ rot.T, plan.source.weights),
+        target=DiscreteMeasure(plan.target.points @ rot.T, plan.target.weights))
+    for r in (1.2, 2.0, 2.7):
+        assert np.array_equal(omega_mask(turned, r), omega_mask(plan, r))
+        for a, b in zip(entry_exit_atoms(plan, r), entry_exit_atoms(turned, r)):
+            assert np.array_equal(b.weights, a.weights)
+            assert np.allclose(b.points, a.points @ rot.T, rtol=0.0, atol=1e-12)
+
+
 def test_omega_mask_window():
     lam = DiscreteMeasure([[0.5, 0.0], [3.5, 0.0], [3.5, 3.5]], [1.0, 1.0, 1.0])
     mu = DiscreteMeasure([[0.6, 0.0], [0.0, 0.5], [3.5, 3.6]], [1.0, 1.0, 1.0])
@@ -235,6 +263,22 @@ def test_boundary_data_reports_mass_anchored_outside_b4():
     assert rep.g_dropped == pytest.approx(m, rel=1e-12)
     assert rep.g_bar.total_mass == 0.0
     assert rep.f_dropped == 0.0
+
+
+def test_boundary_data_carries_the_crossing_mass():
+    # every crossing entry's mass is either spread into the boundary data
+    # or reported as dropped; clouds reaching past B_4 make both happen
+    plan = random_pairing_plan(np.random.default_rng(5), 150, 4.6)
+    lam, mu = plan.source, plan.target
+    dropped = 0.0
+    for r in (1.3, 2.1, 2.5, 2.9):
+        f, g = entry_exit_atoms(plan, r)
+        assert f.n_atoms and g.n_atoms
+        rep = approximate_boundary_data(plan, lam, mu, P2, r, 48, 0.3, resolution=10)
+        assert rep.f_bar.total_mass + rep.f_dropped == pytest.approx(f.total_mass, rel=1e-12)
+        assert rep.g_bar.total_mass + rep.g_dropped == pytest.approx(g.total_mass, rel=1e-12)
+        dropped += rep.f_dropped + rep.g_dropped
+    assert dropped > 0.0
 
 
 def test_boundary_data_planar_only():

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lp_oracle import dense_solve
+from lp_oracle import brute_force, dense_solve
 from otlab import transport
 from otlab.costs import CostSpec, cost_eval
 from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
@@ -32,7 +32,6 @@ from otlab.transport import (
     TransportPlan,
     add_constant_check,
     benamou_brenier_action,
-    brute_force,
     c2measures_check,
     check_cyclical_monotonicity,
     compute_smallness,
