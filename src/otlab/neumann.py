@@ -16,15 +16,20 @@ p' > 2 and blows up there for p' < 2, so search directions come from
 the Hessian of the shifted density at |D phi|^2 + delta^2, with delta
 walked down over three stages; an Armijo test guards every step and
 falls back to the preconditioned gradient when the Newton direction
-fails to descend.
+fails to descend.  Within a stage a Hessian LU is kept for later steps
+(chord steps) while it still contracts the residual: its first step
+multiplies the residual by some c_f, and it serves on while each step
+multiplies it by at most sqrt(c_f).  A new stage or a factorisation
+that raised always starts from a fresh Hessian.
 
 Each mesh carries one bordered operator, built on the first solve and
 kept in the mesh's ``__dict__`` for the mesh's lifetime: the CSC pattern
 of [[K, m], [m^T, 0]] with the scatter of the element entries onto it,
-and the LU factor of its p = 2 instance.  Later solves on the mesh reuse
-both, so a Newton step pays for its element blocks, one bincount and
-its own factorisation.  Every factorisation goes through this module's
-``splu`` binding.
+and the LU factor of its p = 2 instance together with the COLAMD column
+order SuperLU chose for it.  The order depends only on the pattern, so
+every Hessian factorisation on the mesh permutes its columns into that
+order and skips the ordering step.  Every factorisation goes through
+this module's ``splu`` binding.
 """
 from __future__ import annotations
 
@@ -190,28 +195,31 @@ def _boundary_load(mesh: DiskMesh, g: BoundaryData) -> np.ndarray:
     Exact for the piecewise-constant histogram density: every edge arc
     is split at the bin edges it straddles and the linear hats are
     integrated piece by piece (midpoint rule, exact for linear factors).
+    Pieces are summed onto the nodes in edge order, left node first.
     """
-    load = np.zeros(mesh.n_nodes)
     nodes = mesh.boundary_nodes
-    th = mesh.boundary_angles
     m = len(nodes)
+    alpha = mesh.boundary_angles
+    beta = np.append(alpha[1:], alpha[0] + 2.0 * math.pi)
     width = 2.0 * math.pi / g.n_bins
-    dens = g.densities
-    for k in range(m):
-        alpha = th[k]
-        beta = th[k + 1] if k + 1 < m else th[0] + 2.0 * math.pi
-        span = beta - alpha
-        lo = int(math.floor(alpha / width)) + 1
-        hi = int(math.ceil(beta / width)) - 1
-        cuts = [alpha] + [j * width for j in range(lo, hi + 1)] + [beta]
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            if v <= u:
-                continue
-            mid = 0.5 * (u + v)
-            w = dens[int(mid / width) % g.n_bins] * mesh.R * (v - u)
-            load[nodes[k]] += w * (beta - mid) / span
-            load[nodes[(k + 1) % m]] += w * (mid - alpha) / span
-    return load
+    # bin edges lo * width .. hi * width cut edge k's arc
+    lo = np.floor(alpha / width).astype(np.int64) + 1
+    hi = np.ceil(beta / width).astype(np.int64) - 1
+    pieces = np.maximum(hi - lo + 1, 0) + 1
+    edge = np.repeat(np.arange(m), pieces)
+    j = np.arange(len(edge)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    cut = lo[edge] + j
+    u = np.where(j == 0, alpha[edge], (cut - 1) * width)
+    v = np.where(j == pieces[edge] - 1, beta[edge], cut * width)
+    keep = v > u
+    edge, u, v = edge[keep], u[keep], v[keep]
+    a, b = alpha[edge], beta[edge]
+    span = b - a
+    mid = 0.5 * (u + v)
+    w = g.densities[(mid / width).astype(np.int64) % g.n_bins] * mesh.R * (v - u)
+    ends = np.stack([nodes[edge], nodes[(edge + 1) % m]], axis=1)
+    shares = np.stack([w * (b - mid) / span, w * (mid - a) / span], axis=1)
+    return np.bincount(ends.ravel(), weights=shares.ravel(), minlength=mesh.n_nodes)
 
 
 def _boundary_lp(g: BoundaryData, p: float) -> float:
@@ -258,19 +266,43 @@ class _MeshOperator:
                            minlength=len(self.border)) + self.border
         return sparse.csc_array((data, self.indices, self.indptr), shape=self.shape)
 
+    @functools.cached_property
+    def _k2(self):
+        """SuperLU factor of the p = 2 instance and its column order.
+
+        COLAMD reads only the sparsity pattern, which every bordered
+        matrix of the mesh shares, so its order serves every factor.
+        """
+        lu = splu(self.assemble(_I2))
+        # perm_c[j] is the elimination position of column j
+        return lu, np.argsort(lu.perm_c)
+
     def factor(self, W: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """LU of the bordered matrix for W, returned as a solve."""
-        lu = splu(self.assemble(W))
+        """LU of the bordered matrix for W, returned as a solve.
+
+        The columns are permuted into the stored order and factored as
+        they stand, which gives the fill and the solution of a fresh
+        COLAMD factorisation without recomputing the order.
+        """
+        order = self._k2[1]
+        lu = splu(self.assemble(W)[:, order], permc_spec="NATURAL")
 
         def apply(rhs: np.ndarray) -> np.ndarray:
-            return lu.solve(np.append(rhs, 0.0))[:-1]
+            x = np.empty(len(order))
+            x[order] = lu.solve(np.append(rhs, 0.0))
+            return x[:-1]
 
         return apply
 
     @functools.cached_property
     def solve_k2(self) -> Callable[[np.ndarray], np.ndarray]:
         """Bordered p = 2 stiffness solve."""
-        return self.factor(_I2)
+        lu = self._k2[0]
+
+        def apply(rhs: np.ndarray) -> np.ndarray:
+            return lu.solve(np.append(rhs, 0.0))[:-1]
+
+        return apply
 
 
 def _operator(mesh: DiskMesh) -> _MeshOperator:
@@ -309,9 +341,13 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
 
     Stops when the weak residual, measured in the dual norm of the
     p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}); raises
-    ArithmeticError with the reached residual when the iteration
-    budget runs out first.  For a radial cost at p = 2 the
-    preconditioner solves the problem outright and no Newton pass runs.
+    ArithmeticError with the reached residual when max_iter steps run
+    out first.  Each step measures the residual once; a step factors
+    a new shifted Hessian only at the start of a stage, after a failed
+    factorisation, or when the residual ratio of the last step taken
+    with the kept LU exceeds the square root of that LU's first ratio.
+    For a radial cost at p = 2 the preconditioner solves the problem
+    outright and no Newton pass runs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -351,24 +387,39 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     phi = solve_k2(lin)
 
     iters = 0
+    rn = None  # measured residual of phi; None once a step moves phi
     if spec.family != RADIAL or abs(spec.p_prime - 2.0) > 1e-14:
         scale = dens_sup ** (1.0 / (spec.p - 1.0))
         budgets = (_WARM_ITER, _WARM_ITER,
                    max(_FINAL_ITER, max_iter - 2 * _WARM_ITER))
         for delta, budget in zip(_DELTA_LADDER, budgets):
+            newton = None  # a stage starts with a fresh Hessian
             for _ in range(budget):
                 if iters >= max_iter:
                     break
-                r = residual(phi)
-                rd = solve_k2(r)
-                if dual_norm(r, rd) <= target:
+                if rn is None:
+                    r = residual(phi)
+                    rd = solve_k2(r)
+                    rn = dual_norm(r, rd)
+                if rn <= target:
                     break
+                if newton is not None:
+                    # chord step: keep the LU while each residual ratio
+                    # is at most the square root of its first one
+                    rate = rn / rn_prev
+                    if limit is None:
+                        limit = math.sqrt(rate)
+                    if rate > limit:
+                        newton = None
                 try:
-                    H = _dual_hessian(spec, grad_of(phi), delta * scale)
-                    d = -op.factor(H)(r)
+                    if newton is None:
+                        limit = None
+                        newton = op.factor(
+                            _dual_hessian(spec, grad_of(phi), delta * scale))
+                    d = -newton(r)
                     dj = float(r @ d)
                 except RuntimeError:
-                    dj = 1.0
+                    newton, dj = None, 1.0
                 if dj >= 0.0:
                     # indefinite or failed Hessian: preconditioned descent
                     d, dj = -rd, -float(r @ rd)
@@ -382,10 +433,12 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
                         phi = phi + t * d
                         break
                     t /= 2.0
+                rn_prev, rn = rn, None
                 iters += 1
 
-    r = residual(phi)
-    rn = dual_norm(r, solve_k2(r))
+    if rn is None:
+        r = residual(phi)
+        rn = dual_norm(r, solve_k2(r))
     if rn > target:
         raise ArithmeticError(
             f"no convergence in {iters} iterations, residual {rn:.3e} "

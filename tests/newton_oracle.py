@@ -1,0 +1,119 @@
+"""Reference loops for ``otlab.neumann.solve_neumann``.
+
+``boundary_load`` integrates the histogram flux against the boundary
+hats one edge and one bin cut at a time.  ``newton_every_step`` is the
+damped Newton iteration that forms and factors the shifted Hessian on
+every step, each factorisation with SuperLU's default column order.
+Both are slow and serve only as the tests' oracles.
+"""
+import math
+
+import numpy as np
+from scipy.sparse.linalg import splu
+
+from otlab.costs import RADIAL, dual_eval, dual_grad
+from otlab.neumann import (
+    _DELTA_LADDER,
+    _FINAL_ITER,
+    _WARM_ITER,
+    _boundary_lp,
+    _dual_hessian,
+    _operator,
+)
+
+
+def boundary_load(mesh, g) -> np.ndarray:
+    load = np.zeros(mesh.n_nodes)
+    nodes = mesh.boundary_nodes
+    th = mesh.boundary_angles
+    m = len(nodes)
+    width = 2.0 * math.pi / g.n_bins
+    dens = g.densities
+    for k in range(m):
+        alpha = th[k]
+        beta = th[k + 1] if k + 1 < m else th[0] + 2.0 * math.pi
+        span = beta - alpha
+        lo = int(math.floor(alpha / width)) + 1
+        hi = int(math.ceil(beta / width)) - 1
+        cuts = [alpha] + [j * width for j in range(lo, hi + 1)] + [beta]
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            if v <= u:
+                continue
+            mid = 0.5 * (u + v)
+            w = dens[int(mid / width) % g.n_bins] * mesh.R * (v - u)
+            load[nodes[k]] += w * (beta - mid) / span
+            load[nodes[(k + 1) % m]] += w * (mid - alpha) / span
+    return load
+
+
+def _bordered_solve(matrix):
+    lu = splu(matrix)
+    return lambda rhs: lu.solve(np.append(rhs, 0.0))[:-1]
+
+
+def newton_every_step(prob, tol: float = 1e-8, max_iter: int = 100_000):
+    """Mean-zero nodal potential, or ArithmeticError at the step budget.
+
+    Same target, delta ladder, stage budgets, Armijo guard and gradient
+    fallback as ``solve_neumann``.
+    """
+    mesh, spec, g = prob.mesh, prob.cost, prob.g_boundary
+    n = mesh.n_nodes
+    dens_sup = float(np.abs(g.densities).max())
+    if dens_sup == 0.0:
+        return np.zeros(n)
+    area, G, tris = mesh.areas, mesh.shape_gradients, mesh.triangles
+    op, mass = _operator(mesh), mesh.lumped_mass
+    lin = boundary_load(mesh, g) + prob.c_R * mass
+    target = tol * (1.0 + _boundary_lp(g, spec.p) ** (1.0 / spec.p))
+
+    def grad_of(phi):
+        return np.einsum("tiv,ti->tv", G, phi[tris])
+
+    def objective(phi):
+        return float(area @ dual_eval(spec, grad_of(phi)) - lin @ phi)
+
+    def residual(phi):
+        nodal = op.weighted @ dual_grad(spec, grad_of(phi))[:, :, None]
+        return np.bincount(tris.ravel(), weights=nodal.ravel(), minlength=n) - lin
+
+    def dual_norm(r, rd):
+        return math.sqrt(abs((r - (r.sum() / mass.sum()) * mass) @ rd))
+
+    solve_k2 = _bordered_solve(op.assemble(np.eye(2)))
+    phi = solve_k2(lin)
+    iters = 0
+    if spec.family != RADIAL or abs(spec.p_prime - 2.0) > 1e-14:
+        scale = dens_sup ** (1.0 / (spec.p - 1.0))
+        budgets = (_WARM_ITER, _WARM_ITER,
+                   max(_FINAL_ITER, max_iter - 2 * _WARM_ITER))
+        for delta, budget in zip(_DELTA_LADDER, budgets):
+            for _ in range(budget):
+                if iters >= max_iter:
+                    break
+                r = residual(phi)
+                rd = solve_k2(r)
+                if dual_norm(r, rd) <= target:
+                    break
+                try:
+                    H = _dual_hessian(spec, grad_of(phi), delta * scale)
+                    d = -_bordered_solve(op.assemble(H))(r)
+                    dj = float(r @ d)
+                except RuntimeError:
+                    dj = 1.0
+                if dj >= 0.0:
+                    d, dj = -rd, -float(r @ rd)
+                t, j0 = 1.0, objective(phi)
+                while t > 1e-18:
+                    noise = abs(t * dj) <= 1e-14 * (1.0 + abs(j0))
+                    if noise or objective(phi + t * d) <= j0 + 1e-4 * t * dj:
+                        phi = phi + t * d
+                        break
+                    t /= 2.0
+                iters += 1
+
+    r = residual(phi)
+    rn = dual_norm(r, solve_k2(r))
+    if rn > target:
+        raise ArithmeticError(f"no convergence in {iters} iterations, residual {rn:.3e}")
+    return phi - (mass @ phi) / mass.sum()

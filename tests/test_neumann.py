@@ -19,8 +19,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from holder_oracle import holder_product_pairs
+from newton_oracle import boundary_load, newton_every_step
 from otlab import neumann
 from otlab.costs import CostSpec, dual_grad
 from otlab.measures import Ball, BoundaryData, mollify_boundary
@@ -74,15 +76,43 @@ def harmonic_cubic(mesh):
 
 
 class CountingSplu:
-    """Stand-in for the solver module's splu binding that counts calls."""
+    """Stand-in for the solver module's splu binding that counts calls.
 
-    def __init__(self):
+    It also logs each factorisation and each solve with the factor it
+    used, and raises RuntimeError in place of call number ``fail`` (0
+    is the first call, the p = 2 factor on a cold mesh).
+    """
+
+    def __init__(self, fail=None):
         self.calls = 0
+        self.events = []
+        self.fail = fail
         self._splu = neumann.splu
 
     def __call__(self, *args, **kwargs):
+        k = self.calls
         self.calls += 1
-        return self._splu(*args, **kwargs)
+        if k == self.fail:
+            self.events.append(("fail", k))
+            raise RuntimeError("Factor is exactly singular")
+        self.events.append(("factor", k))
+        return _LoggedLU(self._splu(*args, **kwargs), k, self.events)
+
+
+class _LoggedLU:
+    def __init__(self, lu, k, events):
+        self._lu, self._k, self._events = lu, k, events
+        self.perm_c = lu.perm_c
+
+    def solve(self, rhs):
+        self._events.append(("solve", self._k))
+        return self._lu.solve(rhs)
+
+
+def rough_data(R, nb=256, seed=3):
+    """Seeded signed histogram with independent normal bin masses."""
+    rng = np.random.default_rng(seed)
+    return BoundaryData(R, rng.normal(size=nb) * R * 2.0 * np.pi / nb, signed=True)
 
 
 class TestProblemConstruction:
@@ -358,12 +388,90 @@ class TestMeshOperator:
         prob = NeumannProblem(mesh, CostSpec.radial(3.0), unit_data(1.0))
         solve_neumann(prob, tol=1e-9)
         assert len(hessians) > 0
-        # one p = 2 factor plus one per Newton step
+        # one p = 2 factor plus one per Hessian formed
         assert counter.calls == 1 + len(hessians)
         # a warm mesh pays only for its Newton steps
         solve_neumann(NeumannProblem(mesh, CostSpec.radial(1.5), cos_data(1.0)),
                       tol=1e-9)
         assert counter.calls == 1 + len(hessians)
+
+    def test_stored_order_factor_matches_fresh_splu(self):
+        mesh = build_mesh(1.0, 0.15)
+        op = neumann._operator(mesh)
+        d = harmonic_cubic(mesh).element_gradients
+        rhs = np.random.default_rng(2).normal(size=mesh.n_nodes)
+        specs = (CostSpec.radial(1.5), CostSpec.radial(3.0),
+                 CostSpec.anisotropic(2.5, [[1.3, 0.2], [0.2, 0.8]], 6.0))
+        for spec in specs:
+            H = neumann._dual_hessian(spec, d, 1e-2)
+            want = splu(op.assemble(H)).solve(np.append(rhs, 0.0))[:-1]
+            assert op.factor(H)(rhs).tobytes() == want.tobytes()
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize("p,data", [
+        (1.5, unit_data(1.0)),
+        (3.0, unit_data(1.0)),
+        (3.0, rough_data(1.0)),
+    ])
+    def test_matches_every_step_newton(self, p, data):
+        mesh = build_mesh(1.0, 0.1)
+        prob = NeumannProblem(mesh, CostSpec.radial(p), data)
+        want = newton_every_step(prob, tol=1e-9)
+        got = solve_neumann(prob, tol=1e-9).values
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+    def test_rough_flux_reuses_factors(self, monkeypatch):
+        counter = CountingSplu()
+        monkeypatch.setattr(neumann, "splu", counter)
+        mesh = build_mesh(1.0, 0.1)
+        solve_neumann(NeumannProblem(mesh, CostSpec.radial(3.0), rough_data(1.0)),
+                      tol=1e-9)
+        # factor 0 is the p = 2 operator; a Newton step solves once with
+        # a Hessian LU, a gradient step not at all
+        hessians = sum(1 for e in counter.events if e[0] == "factor") - 1
+        newton_steps = sum(1 for e in counter.events if e[0] == "solve" and e[1] > 0)
+        assert 0 < hessians < newton_steps
+
+    @pytest.mark.parametrize("stage_start", [False, True])
+    def test_failed_factor_takes_gradient_then_refactors(self, monkeypatch,
+                                                         stage_start):
+        spec, data = CostSpec.radial(3.0), rough_data(1.0)
+        deltas = []
+        dual_hessian = neumann._dual_hessian
+
+        def logged(spec, d, delta):
+            deltas.append(delta)
+            return dual_hessian(spec, d, delta)
+
+        monkeypatch.setattr(neumann, "_dual_hessian", logged)
+        solve_neumann(NeumannProblem(build_mesh(1.0, 0.1), spec, data), tol=1e-9)
+        # fail the second Hessian, or the first of the second stage; an
+        # earlier LU exists either way
+        hessian = deltas.index(next(x for x in deltas if x != deltas[0])) \
+            if stage_start else 1
+        fail = 1 + hessian
+
+        counter = CountingSplu(fail)
+        monkeypatch.setattr(neumann, "splu", counter)
+        phi = solve_neumann(NeumannProblem(build_mesh(1.0, 0.1), spec, data), tol=1e-9)
+        assert np.all(np.isfinite(phi.values))
+        after = counter.events[counter.events.index(("fail", fail)) + 1:]
+        # the failing step solves with no LU, so it takes the
+        # preconditioned gradient; the next step measures its residual
+        # with the p = 2 factor, then factors and uses a new LU
+        assert after[:3] == [("solve", 0), ("factor", fail + 1), ("solve", fail + 1)]
+
+
+class TestBoundaryLoad:
+    @pytest.mark.parametrize("h", [0.05, 0.2])
+    @pytest.mark.parametrize("nb", [64, 128, 1024])
+    def test_matches_edge_loop(self, h, nb):
+        mesh = build_mesh(1.0, h)
+        g = rough_data(1.0, nb, seed=nb)
+        want = boundary_load(mesh, g)
+        got = neumann._boundary_load(mesh, g)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestFluxField:
