@@ -56,6 +56,7 @@ from .trajectories import (
 from .transport import (
     PLAIN_VOLUME,
     SCALE_INVARIANT,
+    LPRecord,
     TransportPlan,
     add_constant_check,
     benamou_brenier_action,

@@ -388,6 +388,7 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
 
     iters = 0
     rn = None  # measured residual of phi; None once a step moves phi
+    j = None  # J(phi), carried from the line search; None when not evaluated
     if spec.family != RADIAL or abs(spec.p_prime - 2.0) > 1e-14:
         scale = dens_sup ** (1.0 / (spec.p - 1.0))
         budgets = (_WARM_ITER, _WARM_ITER,
@@ -423,14 +424,18 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
                 if dj >= 0.0:
                     # indefinite or failed Hessian: preconditioned descent
                     d, dj = -rd, -float(r @ rd)
-                t, j0 = 1.0, objective(phi)
+                if j is None:
+                    j = objective(phi)
+                t = 1.0
                 while t > 1e-18:
                     # near the minimum the predicted decrease t |dj| ~ rn^2
                     # sinks below the float resolution of J; accept the
                     # step there and let the residual test drive the stop
-                    noise = abs(t * dj) <= 1e-14 * (1.0 + abs(j0))
-                    if noise or objective(phi + t * d) <= j0 + 1e-4 * t * dj:
-                        phi = phi + t * d
+                    noise = abs(t * dj) <= 1e-14 * (1.0 + abs(j))
+                    trial = phi + t * d
+                    j_trial = None if noise else objective(trial)
+                    if noise or j_trial <= j + 1e-4 * t * dj:
+                        phi, j = trial, j_trial
                         break
                     t /= 2.0
                 rn_prev, rn = rn, None

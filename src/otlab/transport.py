@@ -3,11 +3,12 @@
 The engine solves min <C, gamma> over couplings of two weighted atom
 clouds as a linear program and certifies optimality through the dual.
 `solve_exact` is the one LP kernel: it solves the LP on a sparse support
-grown by pricing rounds (column generation), certifies the result
-against the full cost matrix, and keeps the certified plans of recent
-inputs in a small per-process table, so an LP that a computation poses
-again (the auxiliary plans onto uniform densities, D(4) from several
-checks) is solved once.
+grown by pricing rounds (column generation), keeping one HiGHS model per
+LP whose basis warm-starts each round after the round's priced columns
+are added, certifies the result against the full cost matrix, and keeps
+the certified plans of recent inputs in a small per-process table, so
+an LP that a computation poses again (the auxiliary plans onto uniform
+densities, D(4) from several checks) is solved once.
 On top of the solver sit the quantities steering the linearization
 study: the localized transport energy E(R), the data term D(R)
 comparing each marginal with its own uniform density, a triangle-type
@@ -27,15 +28,17 @@ import hashlib
 import json
 import math
 import threading
+import time
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from .costs import CostSpec, cost_eval, cost_grad, dual_eval
 from .measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 
 __all__ = [
+    "LPRecord",
     "TransportPlan",
     "SmallnessReport",
     "SCALE_INVARIANT",
@@ -75,6 +78,39 @@ _SEED_NEIGHBOURS = 5
 # within 8 (benchmark pools) to 13 (polar quadratures against each other)
 _MAX_PRICING_ROUNDS = 100
 
+# HiGHS's incremental interface: columns added to a solved model keep its
+# basis, and the next run starts from it
+_Highs = optimize._highspy._core._Highs
+_OPTIMAL = optimize._highspy._core.HighsModelStatus.kOptimal
+_HIGHS_OPTIONS = {
+    "output_flag": False,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "simplex_strategy": 1,  # dual simplex for the cold solve
+}
+# warm solves run the primal simplex: a kept basis stays primal feasible
+# when columns join at zero, and the priced columns are exactly its dual
+# infeasibilities (fewer iterations than either simplex throughout)
+_WARM_SIMPLEX_STRATEGY = 4
+
+
+@dataclasses.dataclass(frozen=True)
+class LPRecord:
+    """What the LP kernel did for a plan.
+
+    solves counts restricted solves (pricing rounds), iterations the
+    simplex iterations summed over them, support the columns of the final
+    restricted LP, and seconds the kernel's time including the cost
+    matrix and the certificate.  reused is True when the plan came from
+    the reuse table; the counts then describe the solve that stored it.
+    """
+
+    solves: int
+    iterations: int
+    support: int
+    seconds: float
+    reused: bool = False
+
 
 @dataclasses.dataclass(frozen=True)
 class TransportPlan:
@@ -85,6 +121,7 @@ class TransportPlan:
     dual_gap records the optimality certificate (max dual infeasibility
     plus complementary slackness defect) when the plan came from the LP,
     and is nan for constructions that are optimal by other arguments.
+    lp is the kernel's record for plans from `solve_exact`, else None.
     """
 
     source: DiscreteMeasure
@@ -94,6 +131,7 @@ class TransportPlan:
     masses: np.ndarray
     total_cost: float = math.nan
     dual_gap: float = math.nan
+    lp: Optional[LPRecord] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         i = np.asarray(self.idx_source, dtype=int).ravel()
@@ -195,8 +233,8 @@ def _identical(lam: DiscreteMeasure, mu: DiscreteMeasure) -> bool:
 class _PlanTable:
     """Least-recently-used table of certified plans, keyed by input digest.
 
-    Holds (idx_source, idx_target, masses, total_cost, dual_gap) tuples
-    of private arrays; a lock serialises every access, so concurrent
+    Holds (idx_source, idx_target, masses, total_cost, dual_gap, LPRecord)
+    tuples of private arrays; a lock serialises every access, so concurrent
     solves cannot corrupt the order or the bound.
     """
 
@@ -256,30 +294,27 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return tuple(np.array(cells).T)
 
 
-def _restricted_lp(cmat: np.ndarray, cells: np.ndarray, b_eq: np.ndarray):
-    """HiGHS on the columns `cells` (flat indices into cmat); returns (res, u, v)."""
+def _add_columns(model, cmat: np.ndarray, cells: np.ndarray) -> None:
+    """Append the cells (flat indices into cmat) as columns x >= 0 of the model.
+
+    Cell (i, j) has a unit entry in source row i and in target row n + j;
+    the last target row is the equality dropped for rank, so cells of the
+    last column carry one entry.
+    """
     n, m = cmat.shape
     rows, cols = np.divmod(cells, m)
-    var = np.arange(len(cells))
-    a_eq = sparse.coo_matrix(
-        (np.ones(2 * len(cells)), (np.concatenate([rows, n + cols]), np.concatenate([var, var]))),
-        shape=(n + m, len(cells)),
-    ).tocsr()[:-1]  # drop one redundant equality
-    res = optimize.linprog(
-        cmat.ravel()[cells], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
-    if res.status == 1:
-        raise ArithmeticError("transport LP hit its iteration cap")
-    if res.status != 0:
-        raise ArithmeticError(f"transport LP failed: {res.message}")
-    duals = np.append(res.eqlin.marginals, 0.0)
-    return res, duals[:n], duals[n:]
+    index = np.stack([rows, n + cols], axis=1).ravel()
+    index = index[index < n + m - 1].astype(np.int32)
+    counts = 1 + (cols < m - 1)
+    starts = (np.cumsum(counts) - counts).astype(np.int32)
+    k = len(cells)
+    model.addCols(k, cmat.ravel()[cells], np.zeros(k), np.full(k, np.inf), len(index),
+                  starts, index, np.ones(len(index)))
 
 
 def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tuple:
     """Certified optimum by column generation; returns the table entry."""
+    t0 = time.perf_counter()
     cmat = _cost_matrix(lam, mu, spec)
     n, m = cmat.shape
     scale = max(float(np.abs(cmat).max()), 1.0)
@@ -292,12 +327,26 @@ def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tupl
     in_support[near_i.ravel(), np.tile(np.arange(m), kc)] = True
     in_support[_north_west_corner(lam.weights, mu.weights)] = True
 
+    model = _Highs()
+    for option, value in _HIGHS_OPTIONS.items():
+        model.setOptionValue(option, value)
     b_eq = np.concatenate([lam.weights, mu.weights])[:-1]
+    model.addRows(len(b_eq), b_eq, b_eq, 0, np.zeros(len(b_eq), np.int32),
+                  np.zeros(0, np.int32), np.zeros(0))
     tol = -1e-10 * scale
-    for _ in range(_MAX_PRICING_ROUNDS):
-        cells = np.flatnonzero(in_support)
-        res, u, v = _restricted_lp(cmat, cells, b_eq)
-        slack = cmat - u[:, None] - v[None, :]
+    new = cells = np.flatnonzero(in_support)
+    iterations = 0
+    for solves in range(1, _MAX_PRICING_ROUNDS + 1):
+        _add_columns(model, cmat, new)
+        model.run()
+        status = model.getModelStatus()
+        if status != _OPTIMAL:
+            raise ArithmeticError(f"transport LP failed: {model.modelStatusToString(status)}")
+        info, solution = model.getInfo(), model.getSolution()
+        iterations += info.simplex_iteration_count
+        model.setOptionValue("simplex_strategy", _WARM_SIMPLEX_STRATEGY)
+        duals = np.append(solution.row_dual, 0.0)
+        slack = cmat - duals[:n, None] - duals[None, n:]
         # price outside the support: the most violated entry of each row
         # and of each column joins it
         priced = np.where(in_support, np.inf, slack)
@@ -307,22 +356,27 @@ def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tupl
         cols = np.flatnonzero(priced[best_i, np.arange(m)] < tol)
         if len(rows) == 0 and len(cols) == 0:
             break
-        in_support[rows, best_j[rows]] = True
-        in_support[best_i[cols], cols] = True
+        new = np.unique(np.concatenate([rows * m + best_j[rows], best_i[cols] * m + cols]))
+        in_support.flat[new] = True
+        cells = np.concatenate([cells, new])
     else:
         raise ArithmeticError(
             f"transport LP not priced out after {_MAX_PRICING_ROUNDS} rounds")
 
     # certificate against the full matrix: u_i + v_j <= C_ij everywhere,
     # equality wherever the plan carries mass
+    x = np.asarray(solution.col_value)
     dual_infeas = max(0.0, float(-slack.min()))
-    carried = res.x > 1e-12 * max(lam.weights.max(), 1e-300)
-    i, j = np.divmod(cells[carried], m)
+    carried = x > 1e-12 * max(lam.weights.max(), 1e-300)
+    # entries in row-major order, whenever their columns joined
+    order = np.argsort(cells[carried])
+    i, j = np.divmod(cells[carried][order], m)
     comp_defect = float(np.abs(slack[i, j]).max()) if carried.any() else 0.0
     gap = dual_infeas + comp_defect
     if gap > 1e-9 * scale:
         raise ArithmeticError(f"optimality certificate failed: gap {gap:.3e}")
-    return i, j, res.x[carried], float(res.fun), gap
+    record = LPRecord(solves, iterations, len(cells), time.perf_counter() - t0)
+    return i, j, x[carried][order], info.objective_function_value, gap, record
 
 
 def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> TransportPlan:
@@ -330,27 +384,33 @@ def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> Tr
 
     The LP over the transportation polytope (n + m marginal equalities,
     one dropped for rank) is solved on a sparse support by column
-    generation.  The support starts from the 5 cheapest partners of
-    every atom on either side plus the north-west-corner staircase,
-    which keeps the restricted LP feasible.  Each pricing round solves
-    the restricted LP with the HiGHS dual simplex at tightened
-    feasibility tolerances, which pivots deterministically for a fixed
-    instance, prices all n * m entries with the returned duals and adds
-    the most violated entry of every row and column; rounds stop once
-    no slack is below -1e-10 of the cost scale, and a solve that is not
-    priced out within a fixed round limit raises ArithmeticError.
-    Optimality is certified against the final duals over the full cost
-    matrix: u_i + v_j <= C_ij everywhere and equality on the support, to
-    1e-9 of the cost scale, or the call raises; the certificate residual
-    is stored on the plan as dual_gap.
+    generation in one HiGHS model.  The model's rows are the n + m - 1
+    equalities and its columns the support, which starts from the 5
+    cheapest partners of every atom on either side plus the
+    north-west-corner staircase, so the restricted LP is feasible.  The
+    first solve runs the dual simplex at tightened feasibility
+    tolerances; each pricing round then prices all n * m entries with
+    the model's duals, adds the most violated entry of every row and
+    column as new columns, and re-solves with the primal simplex from
+    the basis the model kept.  Every step is deterministic for a fixed
+    instance.  Rounds stop once no slack is below -1e-10 of the cost
+    scale, and a solve that is not priced out within a fixed round
+    limit raises ArithmeticError, as does a restricted solve that HiGHS
+    does not report optimal.  Optimality is certified against the final
+    duals over the full cost matrix: u_i + v_j <= C_ij everywhere and
+    equality on the support, to 1e-9 of the cost scale, or the call
+    raises; the certificate residual is stored on the plan as dual_gap,
+    and the plan's `lp` record holds the restricted solves, simplex
+    iterations, final support size and seconds.
 
     Certified results are reused: each call is keyed by a digest of the
     spec and of lam's and mu's points and weights as given, and the most
     recent distinct keys keep their plan entries in a bounded
     per-process table.  A repeated input returns a new plan over the
     caller's own measures with copies of the stored entries, so the
-    marginal checks run again and no caller can alter a stored result.
-    Calls that raise store nothing.
+    marginal checks run again and no caller can alter a stored result;
+    its `lp` record is the stored solve's with reused set.  Calls that
+    raise store nothing.
 
     Identical inputs short-circuit to the diagonal plan, which is
     optimal for any non-negative cost vanishing at 0; this keeps
@@ -363,14 +423,15 @@ def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> Tr
         idx = np.arange(lam.n_atoms)
         keep = lam.weights > 0
         return TransportPlan(lam, mu, idx[keep], idx[keep], lam.weights[keep],
-                             total_cost=0.0, dual_gap=0.0)
+                             total_cost=0.0, dual_gap=0.0, lp=LPRecord(0, 0, 0, 0.0))
     entry = _PLANS.get(key)
-    if entry is None:
+    reused = entry is not None
+    if not reused:
         entry = _solve_lp(lam, mu, spec)
         _PLANS.put(key, entry)
-    i, j, masses, total_cost, gap = entry
-    return TransportPlan(lam, mu, i.copy(), j.copy(), masses.copy(),
-                         total_cost=total_cost, dual_gap=gap)
+    i, j, masses, total_cost, gap, record = entry
+    return TransportPlan(lam, mu, i.copy(), j.copy(), masses.copy(), total_cost=total_cost,
+                         dual_gap=gap, lp=dataclasses.replace(record, reused=reused))
 
 
 def transport_cost(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> float:
@@ -425,17 +486,15 @@ def check_cyclical_monotonicity(plan: TransportPlan, spec: CostSpec, n_tuple: in
     if k < n_tuple:
         return []
     rng = np.random.default_rng(seed)
+    sel = np.zeros((trials, n_tuple), dtype=int)
+    for t in range(trials):
+        sel[t] = rng.choice(k, size=n_tuple, replace=False)
     x, y = plan.pairs()
-    direct_all = np.asarray(cost_eval(spec, x - y))
-    violations = []
-    for _ in range(trials):
-        sel = rng.choice(k, size=n_tuple, replace=False)
-        direct = direct_all[sel].sum()
-        shifted = cost_eval(spec, x[sel] - y[np.roll(sel, -1)]).sum()
-        defect = direct - shifted
-        if defect > 1e-9:
-            violations.append({"entries": sel.tolist(), "defect": float(defect)})
-    return violations
+    direct = np.asarray(cost_eval(spec, x - y))[sel].sum(axis=1)
+    shifted = np.asarray(cost_eval(spec, x[sel] - y[np.roll(sel, -1, axis=1)])).sum(axis=1)
+    defect = direct - shifted
+    won = defect > 1e-9
+    return [{"entries": e.tolist(), "defect": float(d)} for e, d in zip(sel[won], defect[won])]
 
 
 def _ball_volume(radius: float, dim: int) -> float:

@@ -433,6 +433,23 @@ class TestFactorReuse:
         newton_steps = sum(1 for e in counter.events if e[0] == "solve" and e[1] > 0)
         assert 0 < hessians < newton_steps
 
+    @pytest.mark.parametrize("p,data", [(1.5, unit_data(1.0)), (3.0, rough_data(1.0))])
+    def test_objective_evaluated_once_per_iterate(self, monkeypatch, p, data):
+        spec = CostSpec.radial(p)
+        evals, residuals = [], []
+        dual_eval, dual_grad_ = neumann.dual_eval, neumann.dual_grad
+        monkeypatch.setattr(neumann, "dual_eval",
+                            lambda s, z: (evals.append(z.copy()), dual_eval(s, z))[1])
+        monkeypatch.setattr(neumann, "dual_grad",
+                            lambda s, z: (residuals.append(1), dual_grad_(s, z))[1])
+        solve_neumann(NeumannProblem(build_mesh(1.0, 0.1), spec, data), tol=1e-9)
+        # J of an accepted iterate is carried into the next line search,
+        # so no evaluation repeats the one before it; the line search
+        # used to evaluate J at least twice per step (22 and 50 calls
+        # here against 14 and 32 now)
+        assert not any(np.array_equal(a, b) for a, b in zip(evals, evals[1:]))
+        assert 0 < len(evals) < 2 * len(residuals)
+
     @pytest.mark.parametrize("stage_start", [False, True])
     def test_failed_factor_takes_gradient_then_refactors(self, monkeypatch,
                                                          stage_start):

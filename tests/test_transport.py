@@ -16,12 +16,13 @@ import json
 import math
 import sys
 import threading
-import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
+from cyclical_oracle import cyclical_violations
 from lp_oracle import brute_force, dense_solve
 from otlab import transport
 from otlab.costs import CostSpec, cost_eval
@@ -61,17 +62,9 @@ def gamma_cloud(rng, n, dim=2):
     return DiscreteMeasure(rng.uniform(-3.0, 3.0, (n, dim)), rng.gamma(2.0, size=n))
 
 
-def counting_linprog(monkeypatch, linprog=None):
-    """Route solve_exact's LP calls through a counter; returns the call list."""
-    calls = []
-    real = linprog or transport.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(transport, "optimize", types.SimpleNamespace(linprog=counted))
-    return calls
+def new_solves(plan):
+    """Restricted LP solves the call behind the plan ran; 0 on a reuse-table hit."""
+    return 0 if plan.lp.reused else plan.lp.solves
 
 
 # ---------------------------------------------------------------- solvers
@@ -233,21 +226,74 @@ def test_pricing_round_limit_raises(monkeypatch):
     assert_matches_oracle(lam, mu, P2)
 
 
+def test_highs_incremental_interface():
+    # the kernel drives scipy's private HiGHS binding; a scipy upgrade
+    # that moves or changes any call used here must fail loudly
+    assert transport._Highs is _Highs
+    model = _Highs()
+    for option, value in transport._HIGHS_OPTIONS.items():
+        model.setOptionValue(option, value)
+    # 2 x 3 transport LP; rows are the sources and the first two targets
+    # (the third target's equality is dropped for rank)
+    cmat = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+    b_eq = np.array([0.5, 0.5, 0.3, 0.3])
+    model.addRows(4, b_eq, b_eq, 0, np.zeros(4, np.int32), np.zeros(0, np.int32), np.zeros(0))
+
+    def add(cells, starts, index):
+        k = len(cells)
+        model.addCols(k, cmat.ravel()[cells], np.zeros(k), np.full(k, np.inf), len(index),
+                      np.array(starts, np.int32), np.array(index, np.int32),
+                      np.ones(len(index)))
+
+    def solve():
+        model.run()
+        assert model.getModelStatus() == HighsModelStatus.kOptimal
+        sol, info = model.getSolution(), model.getInfo()
+        duals = np.append(sol.row_dual, 0.0)
+        slack = cmat - duals[:2, None] - duals[None, 2:]
+        return np.asarray(sol.col_value), slack, info
+
+    # cells (0,1), (0,2), (1,0), (1,2): a feasible support with one plan
+    cells = np.array([1, 2, 3, 5])
+    add(cells, [0, 2, 3, 5], [0, 3, 0, 1, 2, 1])
+    x, slack, info = solve()
+    assert np.allclose(x, [0.3, 0.2, 0.3, 0.2], rtol=0.0, atol=1e-12)
+    assert info.objective_function_value == pytest.approx(2.5, abs=1e-12)
+    # the certificate's sign: C - u - v vanishes on the basis and prices
+    # the cheap cell (0,0) below zero (u = (3, 2), v = (1, -1, 0))
+    assert np.abs(slack.ravel()[cells]).max() <= 1e-12
+    assert slack[0, 0] == pytest.approx(-3.0, abs=1e-12)
+
+    add(np.array([0, 4]), [0, 2], [0, 2, 1, 3])
+    model.setOptionValue("simplex_strategy", transport._WARM_SIMPLEX_STRATEGY)
+    x, slack, info = solve()
+    assert info.objective_function_value == pytest.approx(1.6, abs=1e-12)
+    assert info.simplex_iteration_count >= 1
+    # columns keep the order they were added in
+    plan = np.zeros(6)
+    plan[[1, 2, 3, 5, 0, 4]] = x
+    plan = plan.reshape(2, 3)
+    assert np.allclose(plan.sum(axis=1), 0.5, rtol=0.0, atol=1e-12)
+    assert np.allclose(plan.sum(axis=0), [0.3, 0.3, 0.4], rtol=0.0, atol=1e-12)
+    assert float((plan * cmat).sum()) == pytest.approx(1.6, abs=1e-12)
+    assert slack.min() >= -1e-12
+    assert np.abs(slack[plan > 1e-12]).max() <= 1e-12
+
+
 # ------------------------------------------------------- plan reuse
 
-def test_reuse_returns_equal_plan_bound_to_caller(monkeypatch):
+def test_reuse_returns_equal_plan_bound_to_caller():
     rng = np.random.default_rng(51)
     lam = gamma_cloud(rng, 30)
     mu = gamma_cloud(rng, 40).with_mass(lam.total_mass)
-    calls = counting_linprog(monkeypatch)
     first = solve_exact(lam, mu, P2)
-    solved = len(calls)
-    assert solved >= 1
+    assert new_solves(first) >= 1
 
     lam2 = DiscreteMeasure(lam.points.copy(), lam.weights.copy())
     mu2 = DiscreteMeasure(mu.points.copy(), mu.weights.copy())
     second = solve_exact(lam2, mu2, P2)
-    assert len(calls) == solved
+    assert new_solves(second) == 0
+    assert second.lp == dataclasses.replace(first.lp, reused=True)
     assert second.source is lam2
     assert second.target.points is mu2.points
     for name in ("idx_source", "idx_target", "masses"):
@@ -270,37 +316,46 @@ def test_reuse_is_not_altered_by_mutating_a_result():
         assert np.array_equal(got, ref)
 
 
-def test_reuse_keys_do_not_collide(monkeypatch):
+def test_reuse_keys_do_not_collide():
     rng = np.random.default_rng(53)
     lam = gamma_cloud(rng, 30)
     mu = gamma_cloud(rng, 35).with_mass(lam.total_mass)
-    calls = counting_linprog(monkeypatch)
     p2 = solve_exact(lam, mu, P2)
-    after_first = len(calls)
+    assert new_solves(p2) >= 1
 
     p3 = solve_exact(lam, mu, SPECS[2])
-    assert len(calls) > after_first
+    assert new_solves(p3) >= 1
     assert p3.total_cost != p2.total_cost
 
     w = lam.weights.copy()
     w[0] = np.nextafter(w[0], np.inf)
     nudged = DiscreteMeasure(lam.points, w)
-    before = len(calls)
-    solve_exact(nudged, mu, P2)
-    assert len(calls) > before
+    assert new_solves(solve_exact(nudged, mu, P2)) >= 1
 
 
 def test_failed_solve_is_not_reused(monkeypatch):
     rng = np.random.default_rng(54)
     lam = gamma_cloud(rng, 20)
     mu = gamma_cloud(rng, 20).with_mass(lam.total_mass)
-    calls = counting_linprog(
-        monkeypatch, lambda *a, **k: types.SimpleNamespace(status=4, message="numerical trouble"))
+    runs = []
+
+    class Failing(transport._Highs):
+        """A model whose every run ends in a solve error."""
+
+        def run(self):
+            runs.append(self)
+            return super().run()
+
+        def getModelStatus(self):
+            return HighsModelStatus.kSolveError
+
+    monkeypatch.setattr(transport, "_Highs", Failing)
     for _ in range(2):
-        with pytest.raises(ArithmeticError, match="numerical trouble"):
+        with pytest.raises(ArithmeticError, match="Solve error"):
             solve_exact(lam, mu, P2)
-    assert len(calls) == 2
+    assert len(runs) == 2
     monkeypatch.undo()
+    assert new_solves(solve_exact(lam, mu, P2)) >= 1
     assert_matches_oracle(lam, mu, P2)
 
 
@@ -361,6 +416,20 @@ def test_planted_swap_is_detected():
         good, idx_target=good.idx_target[::-1].copy(), total_cost=math.nan)
     bad = check_cyclical_monotonicity(swapped, P2, 2, 400, seed=0)
     assert bad and all(v["defect"] > 1e-9 for v in bad)
+
+
+@pytest.mark.parametrize("n_tuple", range(2, 7))
+@pytest.mark.parametrize("spec", SPECS + [ANISO], ids=lambda s: f"{s.family}-p{s.p}")
+def test_batched_violations_equal_the_loop(spec, n_tuple):
+    # an arbitrary pairing of random clouds, so many tuples win
+    rng = np.random.default_rng(60 + n_tuple)
+    lam = gamma_cloud(rng, 40)
+    mu = gamma_cloud(rng, 40)
+    idx = np.arange(40)
+    plan = TransportPlan(lam, DiscreteMeasure(mu.points, lam.weights), idx, idx, lam.weights)
+    got = check_cyclical_monotonicity(plan, spec, n_tuple, 500, seed=n_tuple)
+    assert got and got == cyclical_violations(plan, spec, n_tuple, 500, seed=n_tuple)
+    assert check_cyclical_monotonicity(plan, spec, n_tuple, 0, seed=0) == []
 
 
 def test_single_entry_plan_trivially_monotone():
