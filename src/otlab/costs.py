@@ -27,6 +27,7 @@ import math
 from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "CostSpec",
@@ -166,15 +167,15 @@ def cost_grad(spec: CostSpec, z) -> np.ndarray:
 def dual_eval(spec: CostSpec, xi) -> float | np.ndarray:
     """Legendre conjugate c*(xi) = sup_x <xi, x> - c(x).
 
-    Radial family in closed form, (1/p') |xi|^{p'}; anisotropic via
-    gradient inversion and the Fenchel equality at the maximizer.
+    Closed form: (1/p') |xi|^{p'} radially and (1/p') (xi . A^{-1} xi)^{p'/2}
+    for the anisotropic family (Rockafellar, Convex Analysis, section 12).
     """
     xi = _as_points(xi)
     if spec.family == RADIAL:
         n = np.sqrt(np.sum(xi * xi, axis=-1))
         return n ** spec.p_prime / spec.p_prime
-    z = dual_grad(spec, xi)
-    return np.sum(xi * z, axis=-1) - cost_eval(spec, z)
+    m = np.einsum("...i,ij,...j->...", xi, np.linalg.inv(spec.matrix), xi)
+    return m ** (spec.p_prime / 2.0) / spec.p_prime
 
 
 def dual_grad(spec: CostSpec, xi) -> np.ndarray:
@@ -425,6 +426,23 @@ def verify_assumptions(spec: CostSpec, sample_count: int, seed: int) -> Assumpti
 
 
 _GRID_CACHE: dict = {}
+_BLOCK = 1 << 16  # row x grid entries per block of a grid sweep
+
+
+def _spans(n: int, width: int, stride: int = 1):
+    """Slices of every stride-th row below n, as many rows of ``width`` as fit a block."""
+    step = stride * max(1, _BLOCK // width)
+    return (slice(i, i + step, stride) for i in range(0, n, step))
+
+
+def _tau_gaps(e: float, fx, fg, qx, qxg, qg, tau: np.ndarray) -> np.ndarray:
+    """Gaps t f(x) + (1-t) f(g) - f(t x + (1-t) g) of f(z) = (z.Mz)^{e/2}/e.
+
+    One row per t in tau; the mixed form is expanded in x.Mx, x.Mg, g.Mg.
+    """
+    t = tau[:, None]
+    q = t * t * qx + 2.0 * t * (1.0 - t) * qxg + (1.0 - t) ** 2 * qg
+    return t * fx + (1.0 - t) * fg - np.maximum(q, 0.0) ** (e / 2.0) / e
 
 
 def _grid_constant(spec: CostSpec, which: str) -> float:
@@ -433,84 +451,75 @@ def _grid_constant(spec: CostSpec, which: str) -> float:
     Shared by the certified defaults and the derived reference values in
     verify_assumptions.  Scale invariance of every inequality lets the
     grid fix |x| = 1 and sweep the partner point over a log-radius polar
-    grid; anisotropic specs additionally sweep the base direction.
+    grid; anisotropic specs additionally sweep the base direction.  Sweeps
+    run in blocks of ``_BLOCK`` entries; ``vdiff`` is keyed on (p, d) only.
     """
-    key = (spec.family, spec.p, None if spec.matrix is None else spec.matrix.tobytes(), which)
+    d = 2 if spec.matrix is None else spec.matrix.shape[0]
+    key = (("vdiff", spec.p, d) if which == "vdiff" else
+           (spec.family, spec.p, None if spec.matrix is None else spec.matrix.tobytes(), which))
     if key in _GRID_CACHE:
         return _GRID_CACHE[key]
 
-    d = 2 if spec.matrix is None else spec.matrix.shape[0]
     th = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
     rr = np.concatenate([np.geomspace(1e-3, 1e3, 121), [1.0]])
     grid = np.stack([np.cos(th)[:, None] * rr[None, :],
                      np.sin(th)[:, None] * rr[None, :]], -1).reshape(-1, 2)
     if d == 1:
         grid = np.unique(np.concatenate([rr, -rr]))[:, None]
+    ng = np.linalg.norm(grid, axis=1)
     tau = np.linspace(0.01, 0.99, 57)
     base_dirs = [np.eye(d)[0]] if spec.family == RADIAL else [
         np.array([np.cos(a), np.sin(a)]) for a in np.linspace(0.0, np.pi, 17)
     ]
+    # dual-side constants act on the covectors of the base and grid points
+    dual = which in ("pprime_convex", "cgrowth_dual")
+    e, f = (spec.p_prime, dual_eval) if dual else (spec.p, cost_eval)
+    gg = cost_grad(spec, grid)
+    g = gg if dual else grid
+    xs = [cost_grad(spec, bd) if dual else bd for bd in base_dirs]
+    fg = f(spec, g)
 
-    val: float
+    worst = np.inf if which == "pprime_convex" else 0.0
     if which == "vdiff":
-        z1 = np.eye(d)[0]
-        v1 = v_p(spec.p, z1, grid)
-        worst = 0.0
-        for i in range(0, len(grid), 7):
-            num = np.abs(v1[i] - v1)
-            den = ((1.0 + np.linalg.norm(grid[i]) + np.linalg.norm(grid, axis=1))
-                   ** (spec.p - 1.0) * np.linalg.norm(grid[i] - grid, axis=1))
+        v1 = v_p(spec.p, np.eye(d)[0], grid)
+        for s in _spans(len(grid), len(grid), 7):
+            num = np.abs(v1[s, None] - v1)
+            den = (1.0 + ng[s, None] + ng) ** (spec.p - 1.0) * cdist(grid[s], grid)
             mm = den > 0.0
-            if mm.any():
-                worst = max(worst, float((num[mm] / den[mm]).max()))
-        val = worst
-    elif which in ("pprime_convex", "cgrowth_dual"):
-        # dual-side grids act on covectors
-        worst_lo, worst_hi = np.inf, 0.0
+            worst = max(worst, float((num[mm] / den[mm]).max()))
+    elif which in ("elliptic", "pprime_convex"):
+        # the convexity gaps sweep all tau at once, with M = A on points,
+        # A^{-1} on covectors and I for radial costs
+        m = np.eye(d) if spec.family == RADIAL else np.linalg.inv(spec.matrix) if dual else spec.matrix
+        gm = g @ m
+        qg = np.sum(gm * g, axis=1)
+        w = tau[:, None] * (1.0 - tau[:, None])
+        for x in xs:
+            vv = v_p(e, x, g)
+            k = vv > 1e-290
+            vk, fgk, qxg, qgk = vv[k], fg[k], gm[k] @ x, qg[k]
+            for c in _spans(len(vk), len(tau)):
+                gp = _tau_gaps(e, f(spec, x), fgk[c], x @ m @ x, qxg[c], qgk[c], tau)
+                if dual:
+                    worst = min(worst, float((gp / (w * vk[c])).min()))
+                elif (mm := gp > 1e-290).any():
+                    worst = max(worst, float(((w * vk[c])[mm] / gp[mm]).max()))
+    elif which == "growth":
+        mm = ng > 0.0
+        worst = max(float((fg[mm] / ng[mm] ** spec.p).max()),
+                    float((ng[mm] ** spec.p / fg[mm]).max()))
+    elif which in ("cgrowth", "cgrowth_dual"):
+        for x in xs:
+            den = u_p(e, x, g)
+            mm = den > 0.0
+            worst = max(worst, float((np.abs(f(spec, x) - fg)[mm] / den[mm]).max()))
+    elif which == "controlled":
         for bd in base_dirs:
-            xi_x = cost_grad(spec, bd)
-            xi_g = cost_grad(spec, grid)
-            dx, dg = dual_eval(spec, xi_x), dual_eval(spec, xi_g)
-            if which == "cgrowth_dual":
-                den = u_p(spec.p_prime, xi_x, xi_g)
-                mm = den > 0.0
-                worst_hi = max(worst_hi, float((np.abs(dx - dg)[mm] / den[mm]).max()))
-            else:
-                vv = v_p(spec.p_prime, xi_x, xi_g)
-                mm = vv > 1e-290
-                for t in tau:
-                    gp = t * dx + (1.0 - t) * dg - dual_eval(spec, t * xi_x + (1.0 - t) * xi_g)
-                    worst_lo = min(worst_lo, float((gp[mm] / (t * (1.0 - t) * vv[mm])).min()))
-        val = worst_lo if which == "pprime_convex" else worst_hi
+            dgn = np.linalg.norm(cost_grad(spec, bd) - gg, axis=1)
+            den = (1.0 + ng) ** (spec.p - 2.0) * np.linalg.norm(bd - grid, axis=1)
+            mm = den > 0.0
+            worst = max(worst, float((dgn[mm] / den[mm]).max()))
     else:
-        worst = 0.0
-        for bd in base_dirs:
-            cx = cost_eval(spec, bd)
-            cg = cost_eval(spec, grid)
-            ng = np.linalg.norm(grid, axis=1)
-            if which == "growth":
-                mm = ng > 0.0
-                worst = max(worst,
-                            float((cg[mm] / ng[mm] ** spec.p).max()),
-                            float((ng[mm] ** spec.p / cg[mm]).max()))
-            elif which == "cgrowth":
-                den = u_p(spec.p, bd, grid)
-                mm = den > 0.0
-                worst = max(worst, float((np.abs(cx - cg)[mm] / den[mm]).max()))
-            elif which == "controlled":
-                dgn = np.linalg.norm(cost_grad(spec, bd) - cost_grad(spec, grid), axis=1)
-                den = (1.0 + ng) ** (spec.p - 2.0) * np.linalg.norm(bd - grid, axis=1)
-                mm = den > 0.0
-                worst = max(worst, float((dgn[mm] / den[mm]).max()))
-            elif which == "elliptic":
-                vv = v_p(spec.p, bd, grid)
-                for t in tau:
-                    gp = t * cx + (1.0 - t) * cg - cost_eval(spec, t * bd + (1.0 - t) * grid)
-                    mm = (vv > 1e-290) & (gp > 1e-290)
-                    if mm.any():
-                        worst = max(worst, float((t * (1.0 - t) * vv[mm] / gp[mm]).max()))
-            else:
-                raise ValueError(which)
-        val = worst
-    _GRID_CACHE[key] = val
-    return val
+        raise ValueError(which)
+    _GRID_CACHE[key] = worst
+    return worst

@@ -6,11 +6,14 @@ refined once) run separately from the library code; the library's own
 coarse-grid estimates must reproduce them to the stated tolerance.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from grid_oracle import grid_constant_loop
+from otlab import costs
 from otlab.costs import (
     CostSpec,
     cost_eval,
@@ -111,6 +114,62 @@ class TestGradientInversion:
             assert dual_eval(s, vec(0.0, 0.0)) == 0.0
 
 
+def rotation(a):
+    return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+
+@st.composite
+def anisotropic_covectors(draw):
+    """An anisotropic cost of random exponent, eigenvalues and eigenbasis,
+    and a covector with |xi| log-uniform in [1e-3, 1e3]."""
+    p = draw(st.floats(1.2, 6.0))
+    r = rotation(draw(st.floats(0.0, math.pi)))
+    eig = [draw(st.floats(0.25, 4.0)) for _ in range(2)]
+    b = draw(st.floats(0.0, 2.0 * math.pi))
+    xi = 10.0 ** draw(st.floats(-3.0, 3.0)) * vec(math.cos(b), math.sin(b))
+    return CostSpec.anisotropic(p, r @ np.diag(eig) @ r.T, 64.0), xi
+
+
+class TestAnisotropicConjugate:
+    """Invariances of the closed-form conjugate of (z.Az)^{p/2}/p."""
+
+    @given(anisotropic_covectors())
+    @settings(max_examples=200, deadline=None)
+    def test_fenchel_young_equality_at_the_contact_covector(self, case):
+        spec, x = case
+        xi = cost_grad(spec, x)
+        pairing = float(np.dot(xi, x))
+        assert cost_eval(spec, x) + dual_eval(spec, xi) == pytest.approx(pairing, rel=1e-12)
+
+    @given(anisotropic_covectors(), st.floats(-2.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_pprime_homogeneity(self, case, log_s):
+        spec, xi = case
+        s = 10.0 ** log_s
+        want = s ** spec.p_prime * dual_eval(spec, xi)
+        assert dual_eval(spec, s * xi) == pytest.approx(want, rel=1e-12)
+
+    @given(anisotropic_covectors(), st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_rotation_covariance(self, case, angle):
+        spec, xi = case
+        r = rotation(angle)
+        turned = CostSpec.anisotropic(spec.p, r @ spec.matrix @ r.T, 64.0)
+        assert dual_eval(turned, r @ xi) == pytest.approx(dual_eval(spec, xi), rel=1e-12)
+        g, want = dual_grad(turned, r @ xi), r @ dual_grad(spec, xi)
+        assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
+
+    @given(anisotropic_covectors())
+    @settings(max_examples=200, deadline=None)
+    def test_dual_grad_is_the_gradient_of_dual_eval(self, case):
+        spec, xi = case
+        h = 1e-5 * np.linalg.norm(xi)
+        fd = np.array([(dual_eval(spec, xi + h * e) - dual_eval(spec, xi - h * e)) / (2.0 * h)
+                       for e in np.eye(2)])
+        g = dual_grad(spec, xi)
+        assert np.linalg.norm(fd - g) <= 1e-7 * np.linalg.norm(g)
+
+
 class TestComparisonQuantities:
     def test_quadratic_case_is_squared_distance(self):
         x, y = vec(1.0, 2.0), vec(-0.5, 0.25)
@@ -207,6 +266,8 @@ class TestAssumptionChecks:
         spec = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)
         rep = verify_assumptions(spec, 4096, seed=11)
         assert rep.passed
+        # the closed-form conjugate makes the contact equality a real check
+        assert rep.fenchel_young_defect < 1e-12
         # worst primal constant is the gradient one, near 8, far below 64
         assert rep.result("controlled_growth").worst_constant == pytest.approx(8.0, abs=0.1)
 
@@ -266,3 +327,50 @@ class TestConstruction:
     def test_conjugate_exponent(self):
         assert CostSpec.radial(3.0).p_prime == pytest.approx(1.5)
         assert CostSpec.radial(1.5).p_prime == pytest.approx(3.0)
+
+
+SCAN_COST = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)
+# specs on which the grid constants are compared with the loop oracle
+GRID_SPECS = {
+    **{f"radial-p{p}": CostSpec("radial", p, None, 8.0) for p in (1.2, 1.5, 2.0, 3.0, 6.0)},
+    "diag-p3.0": SCAN_COST,
+    **{f"tilted-p{p}": CostSpec.anisotropic(p, [[1.3, 0.2], [0.2, 0.8]], 64.0) for p in (1.5, 2.0)},
+}
+GRID_KINDS = ("elliptic", "growth", "cgrowth", "controlled", "pprime_convex", "vdiff",
+              "cgrowth_dual")
+
+
+class TestGridConstants:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self, monkeypatch):
+        monkeypatch.setattr(costs, "_GRID_CACHE", {})
+
+    @pytest.mark.parametrize("which", GRID_KINDS)
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_agrees_with_the_loop_oracle(self, name, which):
+        # the tau sweeps expand the mixed point's form, so their rounding
+        # differs from the loop's; the widest gap seen is 4.6e-13
+        spec = GRID_SPECS[name]
+        assert costs._grid_constant(spec, which) == pytest.approx(
+            grid_constant_loop(spec, which), rel=1e-12)
+
+    @pytest.mark.parametrize("which", GRID_KINDS)
+    def test_cold_grid_memory_is_bounded(self, which):
+        tracemalloc.start()
+        try:
+            out = costs._grid_constant(SCAN_COST, which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(out) and out > 0.0
+        assert peak < 8 * 2 ** 20
+
+    def test_vdiff_is_shared_across_families(self, monkeypatch):
+        # V_p reads neither the family nor the matrix: one grid per (p, d)
+        first = costs._grid_constant(SCAN_COST, "vdiff")
+
+        def no_grid(*args):
+            raise AssertionError("vdiff grid evaluated twice")
+
+        monkeypatch.setattr(costs, "v_p", no_grid)
+        assert costs._grid_constant(CostSpec.radial(3.0), "vdiff") == first
