@@ -66,10 +66,8 @@ from .transport import (
     data_D,
     data_restriction_check,
     energy_E,
-    load_plan,
     localisation_check,
     monotone_1d,
-    save_plan,
     solve_exact,
     transport_cost,
     triangle_check,

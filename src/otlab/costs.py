@@ -1,13 +1,18 @@
 """Strongly p-convex cost families and their convex duality.
 
-Two families are implemented, both normalized so that the conjugate is
-closed-form checkable:
+Two planar families are implemented, both of the form
 
-    radial        c(z) = |z|^p / p
-    anisotropic   c(z) = (z . A z)^{p/2} / p,  A symmetric positive definite
+    c(z) = (z . A z)^{p/2} / p
+
+with A = I (radial, c(z) = |z|^p / p) or A a symmetric positive definite
+2 x 2 matrix (anisotropic).  The family enters only through A: every
+kernel is one formula in the metric M, with M = A on points and
+M = A^{-1} on covectors, and M = I radially.  This module is the only
+one that reads the family.
 
 The module provides c, its gradient, the Legendre conjugate c* with
-gradient (∇c)^{-1}, the comparison quantities
+gradient (∇c)^{-1} and the Hessian of its shifted density, the
+comparison quantities
 
     V_p(x, y) = (|x|^2 + |y|^2)^{(p-2)/2} |x - y|^2
     U_p(x, y) = (|x| + |y|)^{p-1} |x - y|
@@ -43,6 +48,7 @@ __all__ = [
 
 RADIAL = "radial"
 ANISOTROPIC = "anisotropic"
+_I2 = np.eye(2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,41 +62,47 @@ class CostSpec:
     p : float
         Growth exponent, p > 1.
     matrix : ndarray or None
-        SPD matrix A for the anisotropic family; ignored otherwise.
+        SPD 2 x 2 matrix A for the anisotropic family; None radially
+        (a radial spec drops any matrix it is given).
     lambda_cap : float
         Ellipticity certificate Lambda >= 1.  ``verify_assumptions``
         must pass with this value; constructors fill in a certified
         default when omitted.
-    validate : bool (init-only)
-        Escape hatch for negative tests; skips the p > 1 check.
     """
 
     family: str
     p: float
     matrix: Optional[np.ndarray] = None
     lambda_cap: float = 1.0
-    validate: dataclasses.InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         if self.family not in (RADIAL, ANISOTROPIC):
             raise ValueError(f"unknown cost family {self.family!r}")
-        if validate and not self.p > 1.0:
+        if not self.p > 1.0:
             raise ValueError(f"exponent must satisfy p > 1, got {self.p}")
+        a = None
         if self.family == ANISOTROPIC:
-            a = np.asarray(self.matrix, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ValueError("anisotropy matrix must be square")
+            # a read-only copy, so the cached inverse cannot go stale
+            a = np.array(self.matrix, dtype=float)
+            a.flags.writeable = False
+            if a.shape != (2, 2):
+                raise ValueError(f"anisotropy matrix must be 2 x 2, got shape {a.shape}")
             if not np.allclose(a, a.T, atol=1e-12):
                 raise ValueError("anisotropy matrix must be symmetric")
             if np.linalg.eigvalsh(a).min() <= 0:
                 raise ValueError("anisotropy matrix must be positive definite")
-            object.__setattr__(self, "matrix", a)
-        if validate and self.lambda_cap < 1.0:
+        object.__setattr__(self, "matrix", a)
+        if self.lambda_cap < 1.0:
             raise ValueError("lambda_cap must be >= 1")
 
     @property
     def p_prime(self) -> float:
         return self.p / (self.p - 1.0)
+
+    @functools.cached_property
+    def inverse(self) -> Optional[np.ndarray]:
+        """A^{-1}, the metric on covectors; None radially."""
+        return None if self.matrix is None else np.linalg.inv(self.matrix)
 
     @classmethod
     def radial(cls, p: float, lambda_cap: Optional[float] = None) -> "CostSpec":
@@ -137,77 +149,67 @@ def _as_points(z) -> np.ndarray:
     return z
 
 
-def _quad_form(spec: CostSpec, z: np.ndarray) -> np.ndarray:
-    """|z|^2 or z.Az depending on the family."""
-    if spec.family == RADIAL:
-        return np.sum(z * z, axis=-1)
-    return np.einsum("...i,ij,...j->...", z, spec.matrix, z)
+def _metric(z: np.ndarray, m: Optional[np.ndarray]):
+    """(z M, z . M z) along the last axis; M = I, and z itself, when m is None."""
+    zm = z if m is None else z @ m
+    return zm, np.sum(zm * z, axis=-1)
 
 
 def cost_eval(spec: CostSpec, z) -> float | np.ndarray:
     """Evaluate c(z).  Accepts a single d-vector or a stack (n, d)."""
     z = _as_points(z)
-    return _quad_form(spec, z) ** (spec.p / 2.0) / spec.p
+    return _metric(z, spec.matrix)[1] ** (spec.p / 2.0) / spec.p
 
 
 def cost_grad(spec: CostSpec, z) -> np.ndarray:
-    """Evaluate the cost gradient; radial form |z|^{p-2} z.
+    """Evaluate the cost gradient (z . A z)^{(p-2)/2} A z.
 
     For p < 2 the gradient extends continuously by 0 at the origin.
     """
-    z = _as_points(z)
-    q = _quad_form(spec, z)
+    az, q = _metric(_as_points(z), spec.matrix)
     # guard 0^{negative power}; the q=0 rows are zeroed below anyway
     w = np.where(q > 0.0, q, 1.0) ** ((spec.p - 2.0) / 2.0)
     w = np.where(q > 0.0, w, 0.0)
-    az = z if spec.family == RADIAL else z @ spec.matrix
     return w[..., None] * az
 
 
 def dual_eval(spec: CostSpec, xi) -> float | np.ndarray:
     """Legendre conjugate c*(xi) = sup_x <xi, x> - c(x).
 
-    Closed form: (1/p') |xi|^{p'} radially and (1/p') (xi . A^{-1} xi)^{p'/2}
-    for the anisotropic family (Rockafellar, Convex Analysis, section 12).
+    Closed form (1/p') (xi . B xi)^{p'/2} with B = A^{-1} (Rockafellar,
+    Convex Analysis, section 12).
     """
-    xi = _as_points(xi)
-    if spec.family == RADIAL:
-        n = np.sqrt(np.sum(xi * xi, axis=-1))
-        return n ** spec.p_prime / spec.p_prime
-    m = np.einsum("...i,ij,...j->...", xi, np.linalg.inv(spec.matrix), xi)
-    return m ** (spec.p_prime / 2.0) / spec.p_prime
+    m = _metric(_as_points(xi), spec.inverse)[1]
+    return np.sqrt(m) ** spec.p_prime / spec.p_prime
 
 
 def dual_grad(spec: CostSpec, xi) -> np.ndarray:
     """Gradient of the conjugate, the inverse map of cost_grad.
 
-    The maximizer is aligned with A^{-1} xi; its magnitude solves the
-    scalar radial profile t^{p-1} m^{(p-2)/2} = 1 with m = xi . A^{-1} xi,
-    which has a closed-form root.
+    Closed form (xi . B xi)^{(p'-2)/2} B xi with B = A^{-1}, and 0 at
+    xi = 0.
     """
-    xi = _as_points(xi)
-    if spec.family == RADIAL:
-        n = np.sqrt(np.sum(xi * xi, axis=-1))
-        w = np.where(n > 0.0, n, 1.0) ** (spec.p_prime - 2.0)
-        w = np.where(n > 0.0, w, 0.0)
-        return w[..., None] * xi
-    w = xi @ np.linalg.inv(spec.matrix)
-    m = np.einsum("...i,ij,...j->...", w, spec.matrix, w)
-    t = _radial_profile_inverse(spec.p, np.atleast_1d(m))
-    t = t.reshape(np.shape(m))
-    return t[..., None] * w
+    bxi, m = _metric(_as_points(xi), spec.inverse)
+    n = np.sqrt(m)
+    w = np.where(n > 0.0, n, 1.0) ** (spec.p_prime - 2.0)
+    w = np.where(n > 0.0, w, 0.0)
+    return w[..., None] * bxi
 
 
-def _radial_profile_inverse(p: float, m: np.ndarray) -> np.ndarray:
-    """Root t >= 0 of t^{p-1} m^{(p-2)/2} = 1, elementwise in m.
+def _dual_hessian(spec: CostSpec, xi: np.ndarray, delta: float) -> np.ndarray:
+    """Hessian blocks, shape (n, 2, 2), of the delta-shifted conjugate
+    density (xi . B xi + delta^2)^{p'/2} / p' at covectors xi of shape (n, 2):
 
-    Closed form t = m^{-(p-2)/(2(p-1))}; 0 where m = 0, which the
-    caller multiplies by a zero vector.
+        (m + delta^2)^{(p'-2)/2} (B + (p'-2) B xi xi^T B / (m + delta^2))
+
+    with m = xi . B xi and B = A^{-1}.
     """
-    out = np.zeros_like(m, dtype=float)
-    pos = m > 0.0
-    out[pos] = m[pos] ** (-(p - 2.0) / (2.0 * (p - 1.0)))
-    return out
+    q = spec.p_prime
+    bxi, m = _metric(xi, spec.inverse)
+    nr2 = m + delta * delta
+    outer = bxi[:, :, None] * bxi[:, None, :] / nr2[:, None, None]
+    b = _I2 if spec.inverse is None else spec.inverse
+    return (nr2 ** ((q - 2.0) / 2.0))[:, None, None] * (b[None] + (q - 2.0) * outer)
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -299,19 +301,17 @@ class AssumptionReport:
         }
 
 
-def _sample_points(spec: CostSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """Log-uniform radii over |z| in [1e-3, 1e3] plus special directions.
 
     The inequality constants degenerate near 0 and infinity and at
     aligned configurations, so axis and diagonal directions are mixed in
     deterministically.
     """
-    d = 2 if spec.matrix is None else spec.matrix.shape[0]
     radii = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-    dirs = rng.normal(size=(n, d))
+    dirs = rng.normal(size=(n, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    special = [np.eye(d)[i] for i in range(d)] + [-np.eye(d)[i] for i in range(d)]
-    special.append(np.ones(d) / math.sqrt(d))
+    special = [_I2[0], _I2[1], -_I2[0], -_I2[1], np.ones(2) / math.sqrt(2)]
     k = len(special)
     dirs[:k] = special
     return radii[:, None] * dirs
@@ -341,8 +341,8 @@ def verify_assumptions(spec: CostSpec, sample_count: int, seed: int) -> Assumpti
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    x = _sample_points(spec, sample_count, rng)
-    y = _sample_points(spec, sample_count, rng)
+    x = _sample_points(sample_count, rng)
+    y = _sample_points(sample_count, rng)
     # aligned pairs stress the degenerate directions of the convexity gap
     n_aligned = max(1, sample_count // 16)
     y[:n_aligned] = x[:n_aligned] * 10.0 ** rng.uniform(-1.0, 1.0, size=(n_aligned, 1))
@@ -383,13 +383,6 @@ def verify_assumptions(spec: CostSpec, sample_count: int, seed: int) -> Assumpti
     den = np.where(s > 0.0, den, 0.0)
     worst, wit = _pairwise_worst(dg, den, x, y)
     results.append(InequalityResult("controlled_growth", worst, lam, worst <= lam * slack, wit))
-
-    if spec.p <= 1.0:
-        # conjugate side is degenerate (p' = inf); report it unusable and
-        # let the primal checks above carry the rejection
-        for name in ("pprime_convex", "vdiff", "cgrowth_dual"):
-            results.append(InequalityResult(name, math.nan, math.nan, False, ()))
-        return AssumptionReport(spec, sample_count, seed, tuple(results), math.nan)
 
     # p'-convexity of the conjugate: a lower constant, compared against a
     # grid-derived reference (sampled minimum can only sit above the true inf)
@@ -452,10 +445,9 @@ def _grid_constant(spec: CostSpec, which: str) -> float:
     verify_assumptions.  Scale invariance of every inequality lets the
     grid fix |x| = 1 and sweep the partner point over a log-radius polar
     grid; anisotropic specs additionally sweep the base direction.  Sweeps
-    run in blocks of ``_BLOCK`` entries; ``vdiff`` is keyed on (p, d) only.
+    run in blocks of ``_BLOCK`` entries; ``vdiff`` is keyed on p only.
     """
-    d = 2 if spec.matrix is None else spec.matrix.shape[0]
-    key = (("vdiff", spec.p, d) if which == "vdiff" else
+    key = (("vdiff", spec.p) if which == "vdiff" else
            (spec.family, spec.p, None if spec.matrix is None else spec.matrix.tobytes(), which))
     if key in _GRID_CACHE:
         return _GRID_CACHE[key]
@@ -464,11 +456,9 @@ def _grid_constant(spec: CostSpec, which: str) -> float:
     rr = np.concatenate([np.geomspace(1e-3, 1e3, 121), [1.0]])
     grid = np.stack([np.cos(th)[:, None] * rr[None, :],
                      np.sin(th)[:, None] * rr[None, :]], -1).reshape(-1, 2)
-    if d == 1:
-        grid = np.unique(np.concatenate([rr, -rr]))[:, None]
     ng = np.linalg.norm(grid, axis=1)
     tau = np.linspace(0.01, 0.99, 57)
-    base_dirs = [np.eye(d)[0]] if spec.family == RADIAL else [
+    base_dirs = [_I2[0]] if spec.matrix is None else [
         np.array([np.cos(a), np.sin(a)]) for a in np.linspace(0.0, np.pi, 17)
     ]
     # dual-side constants act on the covectors of the base and grid points
@@ -481,25 +471,24 @@ def _grid_constant(spec: CostSpec, which: str) -> float:
 
     worst = np.inf if which == "pprime_convex" else 0.0
     if which == "vdiff":
-        v1 = v_p(spec.p, np.eye(d)[0], grid)
+        v1 = v_p(spec.p, _I2[0], grid)
         for s in _spans(len(grid), len(grid), 7):
             num = np.abs(v1[s, None] - v1)
             den = (1.0 + ng[s, None] + ng) ** (spec.p - 1.0) * cdist(grid[s], grid)
             mm = den > 0.0
             worst = max(worst, float((num[mm] / den[mm]).max()))
     elif which in ("elliptic", "pprime_convex"):
-        # the convexity gaps sweep all tau at once, with M = A on points,
-        # A^{-1} on covectors and I for radial costs
-        m = np.eye(d) if spec.family == RADIAL else np.linalg.inv(spec.matrix) if dual else spec.matrix
-        gm = g @ m
-        qg = np.sum(gm * g, axis=1)
+        # the convexity gaps sweep all tau at once in the metric M of f
+        m = spec.inverse if dual else spec.matrix
+        gm, qg = _metric(g, m)
         w = tau[:, None] * (1.0 - tau[:, None])
         for x in xs:
             vv = v_p(e, x, g)
             k = vv > 1e-290
             vk, fgk, qxg, qgk = vv[k], fg[k], gm[k] @ x, qg[k]
+            qx = _metric(x, m)[1]
             for c in _spans(len(vk), len(tau)):
-                gp = _tau_gaps(e, f(spec, x), fgk[c], x @ m @ x, qxg[c], qgk[c], tau)
+                gp = _tau_gaps(e, f(spec, x), fgk[c], qx, qxg[c], qgk[c], tau)
                 if dual:
                     worst = min(worst, float((gp / (w * vk[c])).min()))
                 elif (mm := gp > 1e-290).any():

@@ -168,17 +168,6 @@ class DiskMesh:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self._node_tree.query(pts)[1]
 
-    def to_csv(self, nodes_path, triangles_path) -> None:
-        """Write the node and triangle tables as two CSV files."""
-        with open(nodes_path, "w") as fh:
-            fh.write("node_id,x,y\n")
-            for i, (x, y) in enumerate(self.nodes):
-                fh.write(f"{i},{float(x)!r},{float(y)!r}\n")
-        with open(triangles_path, "w") as fh:
-            fh.write("triangle_id,v0,v1,v2\n")
-            for t, (a, b, c) in enumerate(self.triangles):
-                fh.write(f"{t},{int(a)},{int(b)},{int(c)}\n")
-
 
 def build_mesh(R: float, target_h: float) -> DiskMesh:
     """Triangulate B_R with node spacing close to target_h.

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -44,7 +43,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 from scipy.spatial import distance
 
-from .costs import RADIAL, CostSpec, cost_eval, dual_eval, dual_grad
+from .costs import CostSpec, _dual_hessian, cost_eval, dual_eval, dual_grad
 from .measures import Ball, BoundaryData
 from .meshing import DiskMesh
 
@@ -151,12 +150,6 @@ class ScalarField:
         if (~inside).any():
             out[~inside] = self.nodal_gradients[self.mesh.nearest_node(pts[~inside])]
         return out
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("node_id,x,y,phi\n")
-            for i, ((x, y), v) in enumerate(zip(self.mesh.nodes, self.values)):
-                fh.write(f"{i},{float(x)!r},{float(y)!r},{float(v)!r}\n")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,28 +306,6 @@ def _operator(mesh: DiskMesh) -> _MeshOperator:
     return op
 
 
-def _dual_hessian(spec: CostSpec, d: np.ndarray, delta: float) -> np.ndarray:
-    """Hessian blocks of the delta-shifted dual density at gradients d."""
-    if spec.family == RADIAL:
-        q = spec.p_prime
-        nr2 = np.sum(d * d, axis=1) + delta * delta
-        outer = d[:, :, None] * d[:, None, :] / nr2[:, None, None]
-        return (nr2 ** ((q - 2.0) / 2.0))[:, None, None] * \
-            (_I2[None] + (q - 2.0) * outer)
-    # the anisotropic conjugate has no closed-form Hessian; use
-    # symmetrised central differences of its gradient, the Armijo
-    # fallback absorbs the truncation error
-    step = max(delta, 1e-7 * (1.0 + float(np.abs(d).max())))
-    cols = []
-    for a in range(2):
-        e = np.zeros(2)
-        e[a] = step
-        cols.append((dual_grad(spec, d + e) - dual_grad(spec, d - e)) /
-                    (2.0 * step))
-    H = np.stack(cols, axis=2)
-    return 0.5 * (H + np.swapaxes(H, 1, 2))
-
-
 def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
                   max_iter: int = 100_000) -> ScalarField:
     """Minimize the dual functional; see the module docstring.
@@ -346,8 +317,6 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     a new shifted Hessian only at the start of a stage, after a failed
     factorisation, or when the residual ratio of the last step taken
     with the kept LU exceeds the square root of that LU's first ratio.
-    For a radial cost at p = 2 the preconditioner solves the problem
-    outright and no Newton pass runs.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -389,57 +358,56 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     iters = 0
     rn = None  # measured residual of phi; None once a step moves phi
     j = None  # J(phi), carried from the line search; None when not evaluated
-    if spec.family != RADIAL or abs(spec.p_prime - 2.0) > 1e-14:
-        scale = dens_sup ** (1.0 / (spec.p - 1.0))
-        budgets = (_WARM_ITER, _WARM_ITER,
-                   max(_FINAL_ITER, max_iter - 2 * _WARM_ITER))
-        for delta, budget in zip(_DELTA_LADDER, budgets):
-            newton = None  # a stage starts with a fresh Hessian
-            for _ in range(budget):
-                if iters >= max_iter:
+    scale = dens_sup ** (1.0 / (spec.p - 1.0))
+    budgets = (_WARM_ITER, _WARM_ITER,
+               max(_FINAL_ITER, max_iter - 2 * _WARM_ITER))
+    for delta, budget in zip(_DELTA_LADDER, budgets):
+        newton = None  # a stage starts with a fresh Hessian
+        for _ in range(budget):
+            if iters >= max_iter:
+                break
+            if rn is None:
+                r = residual(phi)
+                rd = solve_k2(r)
+                rn = dual_norm(r, rd)
+            if rn <= target:
+                break
+            if newton is not None:
+                # chord step: keep the LU while each residual ratio
+                # is at most the square root of its first one
+                rate = rn / rn_prev
+                if limit is None:
+                    limit = math.sqrt(rate)
+                if rate > limit:
+                    newton = None
+            try:
+                if newton is None:
+                    limit = None
+                    newton = op.factor(
+                        _dual_hessian(spec, grad_of(phi), delta * scale))
+                d = -newton(r)
+                dj = float(r @ d)
+            except RuntimeError:
+                newton, dj = None, 1.0
+            if dj >= 0.0:
+                # indefinite or failed Hessian: preconditioned descent
+                d, dj = -rd, -float(r @ rd)
+            if j is None:
+                j = objective(phi)
+            t = 1.0
+            while t > 1e-18:
+                # near the minimum the predicted decrease t |dj| ~ rn^2
+                # sinks below the float resolution of J; accept the
+                # step there and let the residual test drive the stop
+                noise = abs(t * dj) <= 1e-14 * (1.0 + abs(j))
+                trial = phi + t * d
+                j_trial = None if noise else objective(trial)
+                if noise or j_trial <= j + 1e-4 * t * dj:
+                    phi, j = trial, j_trial
                     break
-                if rn is None:
-                    r = residual(phi)
-                    rd = solve_k2(r)
-                    rn = dual_norm(r, rd)
-                if rn <= target:
-                    break
-                if newton is not None:
-                    # chord step: keep the LU while each residual ratio
-                    # is at most the square root of its first one
-                    rate = rn / rn_prev
-                    if limit is None:
-                        limit = math.sqrt(rate)
-                    if rate > limit:
-                        newton = None
-                try:
-                    if newton is None:
-                        limit = None
-                        newton = op.factor(
-                            _dual_hessian(spec, grad_of(phi), delta * scale))
-                    d = -newton(r)
-                    dj = float(r @ d)
-                except RuntimeError:
-                    newton, dj = None, 1.0
-                if dj >= 0.0:
-                    # indefinite or failed Hessian: preconditioned descent
-                    d, dj = -rd, -float(r @ rd)
-                if j is None:
-                    j = objective(phi)
-                t = 1.0
-                while t > 1e-18:
-                    # near the minimum the predicted decrease t |dj| ~ rn^2
-                    # sinks below the float resolution of J; accept the
-                    # step there and let the residual test drive the stop
-                    noise = abs(t * dj) <= 1e-14 * (1.0 + abs(j))
-                    trial = phi + t * d
-                    j_trial = None if noise else objective(trial)
-                    if noise or j_trial <= j + 1e-4 * t * dj:
-                        phi, j = trial, j_trial
-                        break
-                    t /= 2.0
-                rn_prev, rn = rn, None
-                iters += 1
+                t /= 2.0
+            rn_prev, rn = rn, None
+            iters += 1
 
     if rn is None:
         r = residual(phi)
@@ -507,32 +475,6 @@ class DiagnosticsReport:
                 if math.isfinite(s) else math.nan
             out.append((r, ratio))
         return out
-
-    def to_dict(self) -> dict:
-        def clean(x):
-            return x if math.isfinite(x) else None
-        return {
-            "p": self.p,
-            "beta": self.beta,
-            "interior_radius": self.interior_radius,
-            "gradient_energy": self.gradient_energy,
-            "dual_cost_energy": self.dual_cost_energy,
-            "interior_sup": self.interior_sup,
-            "boundary_lp": self.boundary_lp,
-            "energy_ratio": clean(self.energy_ratio),
-            "dual_energy_ratio": clean(self.dual_energy_ratio),
-            "interior_ratio": clean(self.interior_ratio),
-            "fitted_exponent": clean(self.fitted_exponent),
-            "mollification": [
-                {"r": r, "gap": gap, "ratio": clean(ratio)}
-                for (r, gap), (_, ratio)
-                in zip(self.mollification, self.mollification_ratios())],
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,

@@ -268,14 +268,6 @@ class RadiusSelection:
     def average(self) -> float:
         return float(np.mean(list(self.scores.values())))
 
-    def to_csv(self, path) -> None:
-        lines = ["R,crossing_cost,D_R,boundary_lp,score"]
-        for r in sorted(self.scores):
-            cr, dr, lp = (float(v) for v in self.components[r])
-            lines.append(f"{float(r)!r},{cr!r},{dr!r},{lp!r},{float(self.scores[r])!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec,
                   candidates: Optional[Sequence[float]] = None, n_theta: int = 64,

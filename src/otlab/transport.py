@@ -57,8 +57,6 @@ __all__ = [
     "c2measures_check",
     "localisation_check",
     "data_restriction_check",
-    "save_plan",
-    "load_plan",
 ]
 
 SCALE_INVARIANT = "ScaleInvariant"
@@ -854,32 +852,3 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
         return DataRestrictionReport(integral, d4_half, math.nan, True)
     ratio = integral / d4_half if d4_half > 0 else math.inf
     return DataRestrictionReport(integral, d4_half, ratio, False)
-
-
-def save_plan(plan: TransportPlan, path: str, spec: CostSpec) -> None:
-    """Write entries as CSV rows (i, j, mass) under a JSON comment header."""
-    header = {
-        "cost": spec.to_dict(),
-        "total_cost": plan.total_cost,
-        "dual_gap": plan.dual_gap,
-        "n_source": plan.source.n_atoms,
-        "n_target": plan.target.n_atoms,
-    }
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        fh.write("i,j,mass\n")
-        for i, j, m in zip(plan.idx_source, plan.idx_target, plan.masses):
-            fh.write(f"{int(i)},{int(j)},{float(m)!r}\n")
-
-
-def load_plan(path: str, source: DiscreteMeasure, target: DiscreteMeasure) -> TransportPlan:
-    """Rebuild a plan saved by save_plan; marginals must be supplied."""
-    with open(path) as fh:
-        header = json.loads(fh.readline().lstrip("# "))
-        fh.readline()  # column row
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    i = np.array([int(r[0]) for r in rows])
-    j = np.array([int(r[1]) for r in rows])
-    m = np.array([float(r[2]) for r in rows])
-    return TransportPlan(source, target, i, j, m,
-                         total_cost=header["total_cost"], dual_gap=header["dual_gap"])

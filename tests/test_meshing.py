@@ -157,29 +157,6 @@ class TestValidation:
             DiskMesh(1.0, nodes, tris, np.array([1, 2]), 0.5)
 
 
-class TestSerialization:
-    def test_csv_pair_roundtrippable_text(self, tmp_path):
-        m = build_mesh(1.0, 0.4)
-        np_, tp = tmp_path / "nodes.csv", tmp_path / "tris.csv"
-        m.to_csv(np_, tp)
-        nlines = np_.read_text().splitlines()
-        tlines = tp.read_text().splitlines()
-        assert nlines[0] == "node_id,x,y"
-        assert tlines[0] == "triangle_id,v0,v1,v2"
-        assert len(nlines) == m.n_nodes + 1
-        assert len(tlines) == m.n_triangles + 1
-        parsed = np.array([[float(v) for v in ln.split(",")[1:]]
-                           for ln in nlines[1:]])
-        assert np.array_equal(parsed, m.nodes)
-
-    def test_csv_deterministic(self, tmp_path):
-        m = build_mesh(1.0, 0.4)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        m.to_csv(p1, tmp_path / "ta.csv")
-        m.to_csv(p2, tmp_path / "tb.csv")
-        assert p1.read_bytes() == p2.read_bytes()
-
-
 @settings(max_examples=15, deadline=None)
 @given(R=st.floats(0.5, 4.0), frac=st.floats(0.05, 0.4))
 def test_mesh_contract_properties(R, frac):

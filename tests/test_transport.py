@@ -12,7 +12,6 @@ Frozen reference values, each derivable by hand or by an in-file oracle:
     refines (midpoint rule on |x|^2/2)
 """
 import dataclasses
-import json
 import math
 import sys
 import threading
@@ -39,10 +38,8 @@ from otlab.transport import (
     data_D,
     data_restriction_check,
     energy_E,
-    load_plan,
     localisation_check,
     monotone_1d,
-    save_plan,
     solve_exact,
     transport_cost,
     triangle_check,
@@ -719,25 +716,3 @@ def test_compute_smallness_nonnegative():
     assert all(v >= 0 for v in rep.D_values.values())
     assert rep.total(4.0) == rep.E_values[4.0] + rep.D_values[4.0]
     assert rep.normalization == SCALE_INVARIANT
-
-
-def test_save_load_roundtrip_deterministic(tmp_path):
-    rng = np.random.default_rng(8)
-    lam = uniform_cloud(rng, 10)
-    mu = uniform_cloud(rng, 10)
-    plan = solve_exact(lam, mu, P2)
-
-    fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
-    save_plan(plan, fa, P2)
-    save_plan(plan, fb, P2)
-    assert fa.read_bytes() == fb.read_bytes()
-
-    back = load_plan(fa, lam, mu)
-    assert np.array_equal(back.idx_source, plan.idx_source)
-    assert np.array_equal(back.idx_target, plan.idx_target)
-    assert np.array_equal(back.masses, plan.masses)
-    assert back.total_cost == plan.total_cost
-
-    header = json.loads(fa.read_text().splitlines()[0].lstrip("# "))
-    assert header["cost"]["p"] == 2.0
-    assert "dual_gap" in header
