@@ -33,6 +33,7 @@ from .meshing import (
 from .neumann import (
     DiagnosticsReport,
     NeumannProblem,
+    NewtonRecord,
     ScalarField,
     flux_field,
     holder_product_check,

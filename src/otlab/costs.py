@@ -51,7 +51,7 @@ ANISOTROPIC = "anisotropic"
 _I2 = np.eye(2)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class CostSpec:
     """A member of the implemented cost families.
 
@@ -113,6 +113,16 @@ class CostSpec:
     @classmethod
     def anisotropic(cls, p: float, matrix, lambda_cap: float) -> "CostSpec":
         return cls(ANISOTROPIC, float(p), np.asarray(matrix, float), float(lambda_cap))
+
+    def _key(self) -> tuple:
+        m = None if self.matrix is None else tuple(self.matrix.ravel().tolist())
+        return self.family, self.p, self.lambda_cap, m
+
+    def __eq__(self, other):
+        return isinstance(other, CostSpec) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_dict(self) -> dict:
         d = {"family": self.family, "p": self.p, "lambda_cap": self.lambda_cap}

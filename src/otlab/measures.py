@@ -179,11 +179,6 @@ class BoundaryData:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def bin_angles(self) -> np.ndarray:
-        """Bin center angles; only meaningful in the plane."""
-        n = self.n_bins
-        return 2.0 * math.pi * (np.arange(n) + 0.5) / n
-
 
 def restrict(mu: DiscreteMeasure, ball: Ball) -> DiscreteMeasure:
     """Keep the atoms strictly inside the ball, masses unchanged.

@@ -10,26 +10,22 @@ minimizer satisfies -div grad c*(D phi) = c_R weakly with the flux
 boundary condition, which is the equation the transport plan's entry
 and exit data feed.
 
-Minimization runs a Newton iteration preconditioned by the p = 2
-stiffness operator.  The dual Hessian degenerates where D phi = 0 for
-p' > 2 and blows up there for p' < 2, so search directions come from
-the Hessian of the shifted density at |D phi|^2 + delta^2, with delta
-walked down over three stages; an Armijo test guards every step and
-falls back to the preconditioned gradient when the Newton direction
-fails to descend.  Within a stage a Hessian LU is kept for later steps
-(chord steps) while it still contracts the residual: its first step
-multiplies the residual by some c_f, and it serves on while each step
-multiplies it by at most sqrt(c_f).  A new stage or a factorisation
-that raised always starts from a fresh Hessian.
+Minimization runs an inexact Newton iteration.  The dual Hessian
+degenerates where D phi = 0 for p' > 2 and blows up there for p' < 2,
+so directions come from the Hessian H of the shifted density at
+|D phi|^2 + delta^2, with delta walked down over three stages.  H is
+assembled, never factored: each direction is a truncated projected PCG
+solve of [[H, m], [m^T, 0]] preconditioned by the p = 2 operator K2, a
+constraint preconditioner that keeps every iterate mean-free
+(Gould-Hribar-Nocedal 2001; Huang-Li-Liu 2007), to an Eisenstat-Walker
+forcing term.  An Armijo test guards every step and falls back to the
+preconditioned gradient when the direction fails to descend.
 
 Each mesh carries one bordered operator, built on the first solve and
 kept in the mesh's ``__dict__`` for the mesh's lifetime: the CSC pattern
 of [[K, m], [m^T, 0]] with the scatter of the element entries onto it,
-and the LU factor of its p = 2 instance together with the COLAMD column
-order SuperLU chose for it.  The order depends only on the pattern, so
-every Hessian factorisation on the mesh permutes its columns into that
-order and skips the ordering step.  Every factorisation goes through
-this module's ``splu`` binding.
+and the LU of its p = 2 instance, the mesh's one factorisation, made
+through this module's ``splu`` binding.
 """
 from __future__ import annotations
 
@@ -49,6 +45,7 @@ from .meshing import DiskMesh
 
 __all__ = [
     "ScalarField",
+    "NewtonRecord",
     "NeumannProblem",
     "net_boundary_flux",
     "solve_neumann",
@@ -63,6 +60,9 @@ _I2 = np.eye(2)
 _DELTA_LADDER = (1e-2, 1e-4, 1e-6)
 _WARM_ITER = 12
 _FINAL_ITER = 60
+# PCG per Newton direction: iteration cap and largest forcing term
+_PCG_CAP = 20
+_ETA_MAX = 0.1
 # Hoelder exponent fixed for all seminorm diagnostics
 HOLDER_BETA = 0.5
 # entries per row block of the Hoelder pair scan; a 512 KB float64
@@ -81,11 +81,30 @@ def net_boundary_flux(g: BoundaryData, f: BoundaryData) -> BoundaryData:
 
 
 @dataclasses.dataclass(frozen=True)
+class NewtonRecord:
+    """What the Newton iteration of `solve_neumann` did: Newton steps per
+    delta stage, PCG iterations summed over all directions, directions
+    stopped by the iteration cap, Armijo step halvings, steps that took
+    the preconditioned gradient, and the measured residual before each
+    step and, last, of the returned field.
+    """
+
+    stage_steps: Tuple[int, ...]
+    pcg_iterations: int
+    capped: int
+    backtracks: int
+    gradient_fallbacks: int
+    residuals: Tuple[float, ...]
+
+
+@dataclasses.dataclass(frozen=True)
 class ScalarField:
-    """Mean-zero nodal field on a disk mesh, one value per node."""
+    """Mean-zero nodal field on a disk mesh, one value per node; newton
+    is the record of the solve for fields from `solve_neumann`."""
 
     mesh: DiskMesh
     values: np.ndarray
+    newton: Optional[NewtonRecord] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
@@ -234,10 +253,11 @@ class _MeshOperator:
     """
 
     def __init__(self, mesh: DiskMesh):
-        n, tris = mesh.n_nodes, mesh.triangles
-        # area-weighted hat gradients: a K block is weighted @ W @ G^T
-        self.weighted = mesh.areas[:, None, None] * mesh.shape_gradients
-        self.grads_t = np.swapaxes(mesh.shape_gradients, 1, 2)
+        n, tris, G = mesh.n_nodes, mesh.triangles, mesh.shape_gradients
+        self.weighted = mesh.areas[:, None, None] * G
+        # a K block is sum_ab W_ab products[2a + b], one contraction; the
+        # batched 3x2 @ 2x2 @ 2x3 products ran about 3x slower
+        self.products = np.einsum("tia,tjb->abtij", self.weighted, G).reshape(4, -1, 9)
         self.shape = (n + 1, n + 1)
         border = np.arange(n)
         rows = np.concatenate([np.repeat(tris, 3, axis=1).ravel(), border,
@@ -254,43 +274,16 @@ class _MeshOperator:
 
     def assemble(self, W: np.ndarray) -> sparse.csc_array:
         """Bordered matrix for coefficient blocks W, shape (t, 2, 2) or (2, 2)."""
-        blocks = self.weighted @ W @ self.grads_t
+        w = np.broadcast_to(W, (self.products.shape[1], 2, 2)).reshape(-1, 4)
+        blocks = np.einsum("ta,ati->ti", w, self.products)
         data = np.bincount(self.slot, weights=blocks.ravel(),
                            minlength=len(self.border)) + self.border
         return sparse.csc_array((data, self.indices, self.indptr), shape=self.shape)
 
     @functools.cached_property
-    def _k2(self):
-        """SuperLU factor of the p = 2 instance and its column order.
-
-        COLAMD reads only the sparsity pattern, which every bordered
-        matrix of the mesh shares, so its order serves every factor.
-        """
-        lu = splu(self.assemble(_I2))
-        # perm_c[j] is the elimination position of column j
-        return lu, np.argsort(lu.perm_c)
-
-    def factor(self, W: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """LU of the bordered matrix for W, returned as a solve.
-
-        The columns are permuted into the stored order and factored as
-        they stand, which gives the fill and the solution of a fresh
-        COLAMD factorisation without recomputing the order.
-        """
-        order = self._k2[1]
-        lu = splu(self.assemble(W)[:, order], permc_spec="NATURAL")
-
-        def apply(rhs: np.ndarray) -> np.ndarray:
-            x = np.empty(len(order))
-            x[order] = lu.solve(np.append(rhs, 0.0))
-            return x[:-1]
-
-        return apply
-
-    @functools.cached_property
     def solve_k2(self) -> Callable[[np.ndarray], np.ndarray]:
         """Bordered p = 2 stiffness solve."""
-        lu = self._k2[0]
+        lu = splu(self.assemble(_I2))
 
         def apply(rhs: np.ndarray) -> np.ndarray:
             return lu.solve(np.append(rhs, 0.0))[:-1]
@@ -306,28 +299,50 @@ def _operator(mesh: DiskMesh) -> _MeshOperator:
     return op
 
 
+def _pcg(H: sparse.csc_array, precond: Callable[[np.ndarray], np.ndarray],
+         r: np.ndarray, rd: np.ndarray, eta: float):
+    """Truncated PCG for the bordered system H [d; l] = [-r; 0].
+
+    rd = precond(r) is the first preconditioner apply.  Stops once
+    res . precond(res) <= eta^2 r . rd, after _PCG_CAP iterations or at
+    non-positive curvature; returns the last iterate (0 if the first
+    curvature is not positive), the iterations run and whether the cap
+    stopped it.
+    """
+    d, res, p = np.zeros_like(r), -r, -rd
+    rz = rz0 = float(r @ rd)
+    for k in range(_PCG_CAP):
+        hp = (H @ np.append(p, 0.0))[:-1]
+        curv = float(p @ hp)
+        if curv <= 0.0:
+            return d, k, False
+        d, res = d + (rz / curv) * p, res - (rz / curv) * hp
+        z = precond(res)
+        rz, rz_old = float(res @ z), rz
+        if rz <= eta * eta * rz0:
+            return d, k + 1, False
+        p = z + (rz / rz_old) * p
+    return d, _PCG_CAP, True
+
+
 def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
                   max_iter: int = 100_000) -> ScalarField:
     """Minimize the dual functional; see the module docstring.
 
     Stops when the weak residual, measured in the dual norm of the
     p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}); raises
-    ArithmeticError with the reached residual when max_iter steps run
-    out first.  Each step measures the residual once; a step factors
-    a new shifted Hessian only at the start of a stage, after a failed
-    factorisation, or when the residual ratio of the last step taken
-    with the kept LU exceeds the square root of that LU's first ratio.
+    ArithmeticError with the reached residual when max_iter Newton
+    steps run out first.  Each step measures the residual once, forms
+    and assembles the shifted Hessian and runs one PCG solve, whose
+    first preconditioner apply is the residual measurement's.  The
+    result's ``newton`` record says what the iteration did.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     mesh, spec, g = prob.mesh, prob.cost, prob.g_boundary
-    n = mesh.n_nodes
     dens_sup = float(np.abs(g.densities).max())
-    if dens_sup == 0.0:
-        return ScalarField(mesh, np.zeros(n))
-
     area, G, tris = mesh.areas, mesh.shape_gradients, mesh.triangles
     op, mass = _operator(mesh), mesh.lumped_mass
     lin = _boundary_load(mesh, g) + prob.c_R * mass
@@ -341,57 +356,45 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
         return float(area @ dual_eval(spec, grad_of(phi)) - lin @ phi)
 
     def residual(phi: np.ndarray) -> np.ndarray:
-        nodal = op.weighted @ dual_grad(spec, grad_of(phi))[:, :, None]
-        return np.bincount(tris.ravel(), weights=nodal.ravel(), minlength=n) - lin
-
-    def dual_norm(r: np.ndarray, rd: np.ndarray) -> float:
-        # sqrt(r . K2^-1 r) with rd = K2^-1 r.  The polygon's area
-        # deficit leaves a component of r along the mass, which the
-        # bordered solve moves into the multiplier; it pairs with rd
-        # only through roundoff, and that roundoff, under the square
-        # root, would set the floor of the measured residual
-        return math.sqrt(abs((r - (r.sum() / mass.sum()) * mass) @ rd))
+        nodal = np.einsum("tia,ta->ti", op.weighted, dual_grad(spec, grad_of(phi)))
+        r = np.bincount(tris.ravel(), weights=nodal.ravel(), minlength=len(lin)) - lin
+        # the polygon's area deficit leaves a mass component in r that the
+        # bordered solves move into the multiplier; its roundoff pairing
+        # with their solutions would set the floor of the measured residual
+        return r - (r.sum() / mass.sum()) * mass
 
     solve_k2 = op.solve_k2
     phi = solve_k2(lin)
 
-    iters = 0
+    steps = [0] * len(_DELTA_LADDER)
+    pcg_iters = capped = backtracks = fallbacks = 0
+    history = []
     rn = None  # measured residual of phi; None once a step moves phi
     j = None  # J(phi), carried from the line search; None when not evaluated
     scale = dens_sup ** (1.0 / (spec.p - 1.0))
     budgets = (_WARM_ITER, _WARM_ITER,
                max(_FINAL_ITER, max_iter - 2 * _WARM_ITER))
-    for delta, budget in zip(_DELTA_LADDER, budgets):
-        newton = None  # a stage starts with a fresh Hessian
+    for stage, (delta, budget) in enumerate(zip(_DELTA_LADDER, budgets)):
         for _ in range(budget):
-            if iters >= max_iter:
+            if sum(steps) >= max_iter:
                 break
             if rn is None:
                 r = residual(phi)
                 rd = solve_k2(r)
-                rn = dual_norm(r, rd)
+                rn = math.sqrt(abs(r @ rd))  # sqrt(r . K2^-1 r)
+                history.append(rn)
             if rn <= target:
                 break
-            if newton is not None:
-                # chord step: keep the LU while each residual ratio
-                # is at most the square root of its first one
-                rate = rn / rn_prev
-                if limit is None:
-                    limit = math.sqrt(rate)
-                if rate > limit:
-                    newton = None
-            try:
-                if newton is None:
-                    limit = None
-                    newton = op.factor(
-                        _dual_hessian(spec, grad_of(phi), delta * scale))
-                d = -newton(r)
-                dj = float(r @ d)
-            except RuntimeError:
-                newton, dj = None, 1.0
+            # Eisenstat-Walker forcing term from the last residual ratio
+            eta = _ETA_MAX if len(history) < 2 else min(_ETA_MAX, 0.9 * (rn / history[-2]) ** 2)
+            H = op.assemble(_dual_hessian(spec, grad_of(phi), delta * scale))
+            d, k, hit_cap = _pcg(H, solve_k2, r, rd, eta)
+            pcg_iters, capped = pcg_iters + k, capped + hit_cap
+            dj = float(r @ d)
             if dj >= 0.0:
-                # indefinite or failed Hessian: preconditioned descent
+                # no descent direction: preconditioned gradient
                 d, dj = -rd, -float(r @ rd)
+                fallbacks += 1
             if j is None:
                 j = objective(phi)
             t = 1.0
@@ -406,17 +409,21 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
                     phi, j = trial, j_trial
                     break
                 t /= 2.0
-            rn_prev, rn = rn, None
-            iters += 1
+                backtracks += 1
+            rn = None
+            steps[stage] += 1
 
     if rn is None:
         r = residual(phi)
-        rn = dual_norm(r, solve_k2(r))
+        rn = math.sqrt(abs(r @ solve_k2(r)))
+        history.append(rn)
     if rn > target:
         raise ArithmeticError(
-            f"no convergence in {iters} iterations, residual {rn:.3e} "
+            f"no convergence in {sum(steps)} iterations, residual {rn:.3e} "
             f"above {target:.3e}")
-    return ScalarField.projected(mesh, phi)
+    record = NewtonRecord(tuple(steps), pcg_iters, capped, backtracks, fallbacks,
+                          tuple(history))
+    return ScalarField(mesh, phi - (mass @ phi) / mass.sum(), record)
 
 
 def flux_field(phi: ScalarField, cost: CostSpec) -> np.ndarray:

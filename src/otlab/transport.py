@@ -158,10 +158,6 @@ class TransportPlan:
         """Support points (x_k, y_k) of the plan entries."""
         return self.source.points[self.idx_source], self.target.points[self.idx_target]
 
-    def displacements(self) -> np.ndarray:
-        x, y = self.pairs()
-        return y - x
-
     def cost_under(self, spec: CostSpec) -> float:
         x, y = self.pairs()
         return float(np.sum(self.masses * cost_eval(spec, x - y)))
@@ -170,15 +166,6 @@ class TransportPlan:
         """Entry mask: source or target in the open ball B_radius."""
         x, y = self.pairs()
         return (np.linalg.norm(x, axis=1) < radius) | (np.linalg.norm(y, axis=1) < radius)
-
-    def subset(self, keep: np.ndarray) -> "TransportPlan":
-        """Sub-plan on a boolean entry mask; marginals are recomputed."""
-        i, j, m = self.idx_source[keep], self.idx_target[keep], self.masses[keep]
-        src = DiscreteMeasure(self.source.points,
-                              np.bincount(i, weights=m, minlength=self.source.n_atoms))
-        tgt = DiscreteMeasure(self.target.points,
-                              np.bincount(j, weights=m, minlength=self.target.n_atoms))
-        return TransportPlan(src, tgt, i, j, m)
 
 
 @dataclasses.dataclass(frozen=True)

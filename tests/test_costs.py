@@ -366,6 +366,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CostSpec.radial(2.0, lambda_cap=0.5)
 
+    def test_anisotropic_equality_and_hash(self):
+        # the generated comparison read the matrix as an array and raised
+        a, b = (CostSpec.anisotropic(3.0, np.eye(2), 8.0) for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        changed = np.eye(2)
+        changed[1, 1] = 2.0
+        assert a != CostSpec.anisotropic(3.0, changed, 8.0)
+        assert a != CostSpec.anisotropic(3.0, np.eye(2), 9.0)
+        assert a != CostSpec.anisotropic(2.5, np.eye(2), 8.0)
+        assert a != CostSpec("radial", 3.0, None, 8.0)
+
+    def test_radial_equality_and_hash(self):
+        assert CostSpec.radial(3.0) == CostSpec.radial(3.0)
+        assert hash(CostSpec.radial(3.0)) == hash(CostSpec.radial(3.0))
+        assert CostSpec.radial(3.0) != CostSpec.radial(1.5)
+        assert CostSpec.radial(3.0) != CostSpec.radial(3.0, lambda_cap=9.0)
+        # a radial spec drops any matrix it is given
+        assert CostSpec("radial", 3.0, np.eye(2), 4.5) == CostSpec.radial(3.0)
+        assert CostSpec.radial(3.0) != "radial"
+
     def test_certified_defaults(self):
         assert CostSpec.radial(2.0).lambda_cap == 2.0
         assert CostSpec.radial(1.5).lambda_cap == pytest.approx(3.6)

@@ -18,7 +18,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 from holder_oracle import holder_product_pairs
 from newton_oracle import boundary_load, newton_every_step
@@ -28,6 +27,7 @@ from otlab.measures import Ball, BoundaryData, mollify_boundary
 from otlab.meshing import build_mesh
 from otlab.neumann import (
     NeumannProblem,
+    NewtonRecord,
     ScalarField,
     flux_field,
     holder_product_check,
@@ -74,37 +74,15 @@ def harmonic_cubic(mesh):
 
 
 class CountingSplu:
-    """Stand-in for the solver module's splu binding that counts calls.
+    """Stand-in for the solver module's splu binding that counts calls."""
 
-    It also logs each factorisation and each solve with the factor it
-    used, and raises RuntimeError in place of call number ``fail`` (0
-    is the first call, the p = 2 factor on a cold mesh).
-    """
-
-    def __init__(self, fail=None):
+    def __init__(self):
         self.calls = 0
-        self.events = []
-        self.fail = fail
         self._splu = neumann.splu
 
     def __call__(self, *args, **kwargs):
-        k = self.calls
         self.calls += 1
-        if k == self.fail:
-            self.events.append(("fail", k))
-            raise RuntimeError("Factor is exactly singular")
-        self.events.append(("factor", k))
-        return _LoggedLU(self._splu(*args, **kwargs), k, self.events)
-
-
-class _LoggedLU:
-    def __init__(self, lu, k, events):
-        self._lu, self._k, self._events = lu, k, events
-        self.perm_c = lu.perm_c
-
-    def solve(self, rhs):
-        self._events.append(("solve", self._k))
-        return self._lu.solve(rhs)
+        return self._splu(*args, **kwargs)
 
 
 def rough_data(R, nb=256, seed=3):
@@ -213,6 +191,7 @@ class TestSolveOracles:
         g = BoundaryData(1.0, np.zeros(64), signed=True)
         phi = solve_neumann(NeumannProblem(mesh, CostSpec.radial(3.0), g))
         assert np.all(phi.values == 0.0)
+        assert sum(phi.newton.stage_steps) == 0 and phi.newton.residuals == (0.0,)
 
     def test_cosine_oracle_p2(self):
         errs = []
@@ -374,39 +353,16 @@ class TestMeshOperator:
         solve_neumann(prob, tol=1e-9)
         assert counter.calls == 1
 
-    def test_newton_factorisations_use_the_module_splu(self, monkeypatch):
+    def test_one_factorisation_per_mesh(self, monkeypatch):
+        # Hessians are assembled for PCG matvecs, never factored
         counter = CountingSplu()
         monkeypatch.setattr(neumann, "splu", counter)
-        hessians = []
-        dual_hessian = neumann._dual_hessian
-
-        def counted(*args):
-            hessians.append(1)
-            return dual_hessian(*args)
-
-        monkeypatch.setattr(neumann, "_dual_hessian", counted)
         mesh = build_mesh(1.0, 0.2)
-        prob = NeumannProblem(mesh, CostSpec.radial(3.0), unit_data(1.0))
-        solve_neumann(prob, tol=1e-9)
-        assert len(hessians) > 0
-        # one p = 2 factor plus one per Hessian formed
-        assert counter.calls == 1 + len(hessians)
-        # a warm mesh pays only for its Newton steps
-        solve_neumann(NeumannProblem(mesh, CostSpec.radial(1.5), cos_data(1.0)),
-                      tol=1e-9)
-        assert counter.calls == 1 + len(hessians)
-
-    def test_stored_order_factor_matches_fresh_splu(self):
-        mesh = build_mesh(1.0, 0.15)
-        op = neumann._operator(mesh)
-        d = harmonic_cubic(mesh).element_gradients
-        rhs = np.random.default_rng(2).normal(size=mesh.n_nodes)
-        specs = (CostSpec.radial(1.5), CostSpec.radial(3.0),
-                 CostSpec.anisotropic(2.5, [[1.3, 0.2], [0.2, 0.8]], 6.0))
-        for spec in specs:
-            H = neumann._dual_hessian(spec, d, 1e-2)
-            want = splu(op.assemble(H)).solve(np.append(rhs, 0.0))[:-1]
-            assert op.factor(H)(rhs).tobytes() == want.tobytes()
+        for spec in (CostSpec.radial(1.5), CostSpec.radial(3.0),
+                     CostSpec.anisotropic(2.5, [[1.3, 0.2], [0.2, 0.8]], 6.0)):
+            phi = solve_neumann(NeumannProblem(mesh, spec, unit_data(1.0)), tol=1e-9)
+            assert sum(phi.newton.stage_steps) > 0
+        assert counter.calls == 1
 
 
 TILTED = [[1.3, 0.2], [0.2, 0.8]]
@@ -429,18 +385,6 @@ class TestFactorReuse:
         got = solve_neumann(prob, tol=1e-9).values
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
-    def test_rough_flux_reuses_factors(self, monkeypatch):
-        counter = CountingSplu()
-        monkeypatch.setattr(neumann, "splu", counter)
-        mesh = build_mesh(1.0, 0.1)
-        solve_neumann(NeumannProblem(mesh, CostSpec.radial(3.0), rough_data(1.0)),
-                      tol=1e-9)
-        # factor 0 is the p = 2 operator; a Newton step solves once with
-        # a Hessian LU, a gradient step not at all
-        hessians = sum(1 for e in counter.events if e[0] == "factor") - 1
-        newton_steps = sum(1 for e in counter.events if e[0] == "solve" and e[1] > 0)
-        assert 0 < hessians < newton_steps
-
     @pytest.mark.parametrize("p,data", [(1.5, unit_data(1.0)), (3.0, rough_data(1.0))])
     def test_objective_evaluated_once_per_iterate(self, monkeypatch, p, data):
         spec = CostSpec.radial(p)
@@ -458,34 +402,68 @@ class TestFactorReuse:
         assert not any(np.array_equal(a, b) for a, b in zip(evals, evals[1:]))
         assert 0 < len(evals) < 2 * len(residuals)
 
-    @pytest.mark.parametrize("stage_start", [False, True])
-    def test_failed_factor_takes_gradient_then_refactors(self, monkeypatch,
-                                                         stage_start):
-        spec, data = CostSpec.radial(3.0), rough_data(1.0)
-        deltas = []
+
+PCG_SPECS = (CostSpec.radial(1.5), CostSpec.radial(3.0), CostSpec.anisotropic(2.5, TILTED, 6.0))
+
+
+class TestNewtonPCG:
+    @staticmethod
+    def bordered(mesh, spec):
+        """A shifted Hessian, a mass-free right-hand side and the p = 2
+        solve of it, as one Newton step of the solver sees them."""
+        op = neumann._operator(mesh)
+        d = harmonic_cubic(mesh).element_gradients
+        H = op.assemble(neumann._dual_hessian(spec, d, 1e-2))
+        r = np.random.default_rng(2).normal(size=mesh.n_nodes)
+        r -= (r.sum() / mesh.lumped_mass.sum()) * mesh.lumped_mass
+        return H, r, op.solve_k2
+
+    @pytest.mark.parametrize("spec", PCG_SPECS, ids=["1.5", "3.0", "tilted"])
+    def test_pcg_matches_dense_bordered_solve(self, monkeypatch, spec):
+        mesh = build_mesh(1.0, 0.3)
+        H, r, solve_k2 = self.bordered(mesh, spec)
+        want = np.linalg.solve(H.toarray(), np.append(-r, 0.0))[:-1]
+        monkeypatch.setattr(neumann, "_PCG_CAP", 10 * mesh.n_nodes)
+        d, k, capped = neumann._pcg(H, solve_k2, r, solve_k2(r), 1e-13)
+        assert not capped and 0 < k < mesh.n_nodes
+        assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()
+        assert abs(mesh.lumped_mass @ d) <= 1e-12 * np.abs(d).max()
+
+    @pytest.mark.parametrize("spec", PCG_SPECS, ids=["1.5", "3.0", "tilted"])
+    def test_pcg_meets_its_forcing_term(self, spec):
+        H, r, solve_k2 = self.bordered(build_mesh(1.0, 0.1), spec)
+        rd = solve_k2(r)
+        d, k, capped = neumann._pcg(H, solve_k2, r, rd, 0.1)
+        assert 0 < k <= neumann._PCG_CAP
+        res = -r - (H @ np.append(d, 0.0))[:-1]
+        ratio = math.sqrt(abs(res @ solve_k2(res)) / (r @ rd))
+        assert capped or ratio <= 0.1
+
+    def test_negative_curvature_takes_gradient_steps(self, monkeypatch):
         dual_hessian = neumann._dual_hessian
+        monkeypatch.setattr(neumann, "_dual_hessian",
+                            lambda spec, xi, delta: -dual_hessian(spec, xi, delta))
+        spec = CostSpec.anisotropic(2.0, TILTED, 6.0)
+        phi = solve_neumann(NeumannProblem(build_mesh(1.0, 0.25), spec, unit_data(1.0, 256)))
+        rec = phi.newton
+        steps = sum(rec.stage_steps)
+        # every first PCG curvature is negative, so no direction descends
+        assert steps > 0 and rec.gradient_fallbacks == steps
+        assert rec.pcg_iterations == 0 and rec.capped == 0
 
-        def logged(spec, d, delta):
-            deltas.append(delta)
-            return dual_hessian(spec, d, delta)
-
-        monkeypatch.setattr(neumann, "_dual_hessian", logged)
-        solve_neumann(NeumannProblem(build_mesh(1.0, 0.1), spec, data), tol=1e-9)
-        # fail the second Hessian, or the first of the second stage; an
-        # earlier LU exists either way
-        hessian = deltas.index(next(x for x in deltas if x != deltas[0])) \
-            if stage_start else 1
-        fail = 1 + hessian
-
-        counter = CountingSplu(fail)
-        monkeypatch.setattr(neumann, "splu", counter)
-        phi = solve_neumann(NeumannProblem(build_mesh(1.0, 0.1), spec, data), tol=1e-9)
-        assert np.all(np.isfinite(phi.values))
-        after = counter.events[counter.events.index(("fail", fail)) + 1:]
-        # the failing step solves with no LU, so it takes the
-        # preconditioned gradient; the next step measures its residual
-        # with the p = 2 factor, then factors and uses a new LU
-        assert after[:3] == [("solve", 0), ("factor", fail + 1), ("solve", fail + 1)]
+    def test_rough_flux_record(self):
+        mesh = build_mesh(1.0, 0.1)
+        prob = NeumannProblem(mesh, CostSpec.radial(3.0), rough_data(1.0))
+        rec = solve_neumann(prob, tol=1e-9).newton
+        assert isinstance(rec, NewtonRecord)
+        steps = sum(rec.stage_steps)
+        assert len(rec.stage_steps) == len(neumann._DELTA_LADDER)
+        assert 0 < rec.pcg_iterations < neumann._PCG_CAP * steps
+        assert rec.capped < steps and rec.gradient_fallbacks < steps
+        # one measured residual before each step and one of the result
+        assert len(rec.residuals) == steps + 1
+        g_lp = neumann._boundary_lp(prob.g_boundary, 3.0) ** (1.0 / 3.0)
+        assert rec.residuals[-1] <= 1e-9 * (1.0 + g_lp) < min(rec.residuals[:-1])
 
 
 class TestBoundaryLoad:
