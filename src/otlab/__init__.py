@@ -68,7 +68,6 @@ from .transport import (
     data_restriction_check,
     energy_E,
     localisation_check,
-    monotone_1d,
     solve_exact,
     transport_cost,
     triangle_check,

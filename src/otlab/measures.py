@@ -40,7 +40,7 @@ __all__ = [
 ANNULUS_EPS = 0.1
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Non-negative weighted atoms in dimension 1 or 2.
 
@@ -98,7 +98,7 @@ class DiscreteMeasure:
         return DiscreteMeasure(np.zeros((0, dim)), np.zeros(0))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Ball:
     center: np.ndarray
     radius: float
@@ -125,7 +125,7 @@ class Ball:
         return Ball(np.zeros(dim), float(radius))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BoundaryData:
     """Angular mass histogram on the sphere of a given radius.
 
@@ -178,6 +178,10 @@ class BoundaryData:
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
+
+    def lp_mass(self, p: float) -> float:
+        """int |g|^p over the sphere, exact for the histogram density."""
+        return float(np.sum(np.abs(self.densities) ** p) * self.bin_measure)
 
 
 def restrict(mu: DiscreteMeasure, ball: Ball) -> DiscreteMeasure:
@@ -327,8 +331,7 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
         raise ValueError("support leaves the admissible annulus")
 
     unit = g.scaled(1.0 / radius)
-    bd = radial_project(unit, 1.0, n_theta)
-    middle = float(np.sum(bd.densities ** p) * bd.bin_measure)
+    middle = radial_project(unit, 1.0, n_theta).lp_mass(p)
     mass = unit.total_mass
     lower = middle * (2.0 * math.pi) ** (p - 1.0) / mass ** p
 

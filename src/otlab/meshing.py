@@ -39,7 +39,7 @@ def _ring_radii(R: float, h: float) -> np.ndarray:
     return np.asarray(radii[::-1])
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DiskMesh:
     """Conforming triangulation of B_R centred at the origin.
 

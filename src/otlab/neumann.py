@@ -13,9 +13,13 @@ and exit data feed.
 Minimization runs an inexact Newton iteration.  The dual Hessian
 degenerates where D phi = 0 for p' > 2 and blows up there for p' < 2,
 so directions come from the Hessian H of the shifted density at
-|D phi|^2 + delta^2, with delta walked down over three stages.  H is
-assembled, never factored: each direction is a truncated projected PCG
-solve of [[H, m], [m^T, 0]] preconditioned by the p = 2 operator K2, a
+|D phi|^2 + delta^2.  As the Levenberg-Marquardt shift of Fan-Yuan
+(2005) does, delta follows the residual: each step takes the residual
+it measured relative to 1 + |g|_{L^p}, clipped to [1e-6, 1e-2], times
+the data scale |g|_inf^{1/(p-1)}, so the shift is large far from the
+minimizer and sits at its floor near it.  H is assembled, never
+factored: each direction is a truncated projected PCG solve of
+[[H, m], [m^T, 0]] preconditioned by the p = 2 operator K2, a
 constraint preconditioner that keeps every iterate mean-free
 (Gould-Hribar-Nocedal 2001; Huang-Li-Liu 2007), to an Eisenstat-Walker
 forcing term.  An Armijo test guards every step and falls back to the
@@ -56,10 +60,8 @@ __all__ = [
 ]
 
 _I2 = np.eye(2)
-# continuation shifts relative to the data scale, coarse to fine
-_DELTA_LADDER = (1e-2, 1e-4, 1e-6)
-_WARM_ITER = 12
-_FINAL_ITER = 60
+# bounds on the Hessian shift relative to the data scale
+_DELTA_MIN, _DELTA_MAX = 1e-6, 1e-2
 # PCG per Newton direction: iteration cap and largest forcing term
 _PCG_CAP = 20
 _ETA_MAX = 0.1
@@ -82,14 +84,14 @@ def net_boundary_flux(g: BoundaryData, f: BoundaryData) -> BoundaryData:
 
 @dataclasses.dataclass(frozen=True)
 class NewtonRecord:
-    """What the Newton iteration of `solve_neumann` did: Newton steps per
-    delta stage, PCG iterations summed over all directions, directions
-    stopped by the iteration cap, Armijo step halvings, steps that took
-    the preconditioned gradient, and the measured residual before each
-    step and, last, of the returned field.
+    """What the Newton iteration of `solve_neumann` did: Newton steps,
+    PCG iterations summed over all directions, directions stopped by the
+    iteration cap, Armijo step halvings, steps that took the
+    preconditioned gradient, and the measured residual before each step
+    and, last, of the returned field.
     """
 
-    stage_steps: Tuple[int, ...]
+    steps: int
     pcg_iterations: int
     capped: int
     backtracks: int
@@ -97,14 +99,14 @@ class NewtonRecord:
     residuals: Tuple[float, ...]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ScalarField:
     """Mean-zero nodal field on a disk mesh, one value per node; newton
     is the record of the solve for fields from `solve_neumann`."""
 
     mesh: DiskMesh
     values: np.ndarray
-    newton: Optional[NewtonRecord] = dataclasses.field(default=None, compare=False)
+    newton: Optional[NewtonRecord] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
@@ -171,7 +173,7 @@ class ScalarField:
         return out
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class NeumannProblem:
     """Mesh, cost and signed boundary flux of one dual solve.
 
@@ -232,11 +234,6 @@ def _boundary_load(mesh: DiskMesh, g: BoundaryData) -> np.ndarray:
     ends = np.stack([nodes[edge], nodes[(edge + 1) % m]], axis=1)
     shares = np.stack([w * (b - mid) / span, w * (mid - a) / span], axis=1)
     return np.bincount(ends.ravel(), weights=shares.ravel(), minlength=mesh.n_nodes)
-
-
-def _boundary_lp(g: BoundaryData, p: float) -> float:
-    """int |g|^p ds over the circle, exact for the histogram density."""
-    return float(np.sum(np.abs(g.densities) ** p) * g.bin_measure)
 
 
 class _MeshOperator:
@@ -332,10 +329,12 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     Stops when the weak residual, measured in the dual norm of the
     p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}); raises
     ArithmeticError with the reached residual when max_iter Newton
-    steps run out first.  Each step measures the residual once, forms
-    and assembles the shifted Hessian and runs one PCG solve, whose
-    first preconditioner apply is the residual measurement's.  The
-    result's ``newton`` record says what the iteration did.
+    steps run out first.  Each step measures the residual rn once,
+    assembles the Hessian shifted by
+    delta = clip(rn / (1 + |g|_{L^p}), 1e-6, 1e-2) |g|_inf^{1/(p-1)}
+    and runs one PCG solve, whose first preconditioner apply is the
+    residual measurement's.  The result's ``newton`` record says what
+    the iteration did.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -346,7 +345,7 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     area, G, tris = mesh.areas, mesh.shape_gradients, mesh.triangles
     op, mass = _operator(mesh), mesh.lumped_mass
     lin = _boundary_load(mesh, g) + prob.c_R * mass
-    g_lp = _boundary_lp(g, spec.p) ** (1.0 / spec.p)
+    g_lp = g.lp_mass(spec.p) ** (1.0 / spec.p)
     target = tol * (1.0 + g_lp)
 
     def grad_of(phi: np.ndarray) -> np.ndarray:
@@ -366,63 +365,49 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     solve_k2 = op.solve_k2
     phi = solve_k2(lin)
 
-    steps = [0] * len(_DELTA_LADDER)
     pcg_iters = capped = backtracks = fallbacks = 0
     history = []
-    rn = None  # measured residual of phi; None once a step moves phi
     j = None  # J(phi), carried from the line search; None when not evaluated
     scale = dens_sup ** (1.0 / (spec.p - 1.0))
-    budgets = (_WARM_ITER, _WARM_ITER,
-               max(_FINAL_ITER, max_iter - 2 * _WARM_ITER))
-    for stage, (delta, budget) in enumerate(zip(_DELTA_LADDER, budgets)):
-        for _ in range(budget):
-            if sum(steps) >= max_iter:
-                break
-            if rn is None:
-                r = residual(phi)
-                rd = solve_k2(r)
-                rn = math.sqrt(abs(r @ rd))  # sqrt(r . K2^-1 r)
-                history.append(rn)
-            if rn <= target:
-                break
-            # Eisenstat-Walker forcing term from the last residual ratio
-            eta = _ETA_MAX if len(history) < 2 else min(_ETA_MAX, 0.9 * (rn / history[-2]) ** 2)
-            H = op.assemble(_dual_hessian(spec, grad_of(phi), delta * scale))
-            d, k, hit_cap = _pcg(H, solve_k2, r, rd, eta)
-            pcg_iters, capped = pcg_iters + k, capped + hit_cap
-            dj = float(r @ d)
-            if dj >= 0.0:
-                # no descent direction: preconditioned gradient
-                d, dj = -rd, -float(r @ rd)
-                fallbacks += 1
-            if j is None:
-                j = objective(phi)
-            t = 1.0
-            while t > 1e-18:
-                # near the minimum the predicted decrease t |dj| ~ rn^2
-                # sinks below the float resolution of J; accept the
-                # step there and let the residual test drive the stop
-                noise = abs(t * dj) <= 1e-14 * (1.0 + abs(j))
-                trial = phi + t * d
-                j_trial = None if noise else objective(trial)
-                if noise or j_trial <= j + 1e-4 * t * dj:
-                    phi, j = trial, j_trial
-                    break
-                t /= 2.0
-                backtracks += 1
-            rn = None
-            steps[stage] += 1
-
-    if rn is None:
+    for steps in range(max_iter + 1):
         r = residual(phi)
-        rn = math.sqrt(abs(r @ solve_k2(r)))
+        rd = solve_k2(r)
+        rn = math.sqrt(abs(r @ rd))  # sqrt(r . K2^-1 r)
         history.append(rn)
+        if rn <= target or steps == max_iter:
+            break
+        # Eisenstat-Walker forcing term from the last residual ratio
+        eta = _ETA_MAX if steps == 0 else min(_ETA_MAX, 0.9 * (rn / history[-2]) ** 2)
+        delta = min(max(rn / (1.0 + g_lp), _DELTA_MIN), _DELTA_MAX) * scale
+        H = op.assemble(_dual_hessian(spec, grad_of(phi), delta))
+        d, k, hit_cap = _pcg(H, solve_k2, r, rd, eta)
+        pcg_iters, capped = pcg_iters + k, capped + hit_cap
+        dj = float(r @ d)
+        if dj >= 0.0:
+            # no descent direction: preconditioned gradient
+            d, dj = -rd, -float(r @ rd)
+            fallbacks += 1
+        if j is None:
+            j = objective(phi)
+        t = 1.0
+        while t > 1e-18:
+            # near the minimum the predicted decrease t |dj| ~ rn^2
+            # sinks below the float resolution of J; accept the
+            # step there and let the residual test drive the stop
+            noise = abs(t * dj) <= 1e-14 * (1.0 + abs(j))
+            trial = phi + t * d
+            j_trial = None if noise else objective(trial)
+            if noise or j_trial <= j + 1e-4 * t * dj:
+                phi, j = trial, j_trial
+                break
+            t /= 2.0
+            backtracks += 1
+
     if rn > target:
         raise ArithmeticError(
-            f"no convergence in {sum(steps)} iterations, residual {rn:.3e} "
+            f"no convergence in {steps} iterations, residual {rn:.3e} "
             f"above {target:.3e}")
-    record = NewtonRecord(tuple(steps), pcg_iters, capped, backtracks, fallbacks,
-                          tuple(history))
+    record = NewtonRecord(steps, pcg_iters, capped, backtracks, fallbacks, tuple(history))
     return ScalarField(mesh, phi - (mass @ phi) / mass.sum(), record)
 
 
@@ -524,7 +509,7 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
         gradient_energy=float(mesh.areas @ gnorm_q),
         dual_cost_energy=float(mesh.areas @ cost_eval(spec, flux)),
         interior_sup=float(gnorm_q[inner].max()) if inner.any() else 0.0,
-        boundary_lp=_boundary_lp(prob.g_boundary, spec.p),
+        boundary_lp=prob.g_boundary.lp_mass(spec.p),
         mollification=tuple(gaps),
         fitted_exponent=fitted,
     )

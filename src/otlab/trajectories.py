@@ -43,7 +43,7 @@ _ON_SPHERE_TOL = 1e-10
 _WINDOW = 3.0
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Trajectory:
     x: np.ndarray
     y: np.ndarray
@@ -192,7 +192,7 @@ def _compose_with_uniform_plan(side_idx: np.ndarray, masses: np.ndarray,
     return DiscreteMeasure(quad.points, share.T @ row_mass), quad.weights, k4, dropped
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BoundaryApproximation:
     """Approximated entry (f) and exit (g) data with their bookkeeping.
 
@@ -312,8 +312,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
         except ValueError as exc:
             failed[r] = str(exc)
             continue
-        lp_mass = float(np.sum(approx.f_bar.densities ** spec.p) * approx.f_bar.bin_measure
-                        + np.sum(approx.g_bar.densities ** spec.p) * approx.g_bar.bin_measure)
+        lp_mass = approx.f_bar.lp_mass(spec.p) + approx.g_bar.lp_mass(spec.p)
         scores[r] = crossing + d_r + lp_mass
         parts[r] = (crossing, d_r, lp_mass)
     if not scores:

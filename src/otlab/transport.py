@@ -44,7 +44,6 @@ __all__ = [
     "SCALE_INVARIANT",
     "PLAIN_VOLUME",
     "solve_exact",
-    "monotone_1d",
     "transport_cost",
     "check_cyclical_monotonicity",
     "energy_E",
@@ -110,7 +109,7 @@ class LPRecord:
     reused: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TransportPlan:
     """A coupling of two discrete measures with certified bookkeeping.
 
@@ -129,7 +128,7 @@ class TransportPlan:
     masses: np.ndarray
     total_cost: float = math.nan
     dual_gap: float = math.nan
-    lp: Optional[LPRecord] = dataclasses.field(default=None, compare=False)
+    lp: Optional[LPRecord] = None
 
     def __post_init__(self):
         i = np.asarray(self.idx_source, dtype=int).ravel()
@@ -422,38 +421,6 @@ def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> Tr
 def transport_cost(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> float:
     """W_c(lam, mu), the optimal transport cost."""
     return solve_exact(lam, mu, spec).total_cost
-
-
-def monotone_1d(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> TransportPlan:
-    """Quantile coupling on the line, optimal for convex costs.
-
-    Classic two-pointer sweep over the sorted atoms, splitting masses
-    where the cumulative distributions cross.
-    """
-    if lam.dim != 1 or mu.dim != 1:
-        raise ValueError("monotone coupling is one-dimensional")
-    mu = _check_balanced(lam, mu)
-    order_l = np.argsort(lam.points[:, 0], kind="stable")
-    order_m = np.argsort(mu.points[:, 0], kind="stable")
-    wl = lam.weights[order_l].copy()
-    wm = mu.weights[order_m].copy()
-    ii, jj, mm = [], [], []
-    a = b = 0
-    while a < len(wl) and b < len(wm):
-        if wl[a] <= 0.0:
-            a += 1
-            continue
-        if wm[b] <= 0.0:
-            b += 1
-            continue
-        take = min(wl[a], wm[b])
-        ii.append(order_l[a])
-        jj.append(order_m[b])
-        mm.append(take)
-        wl[a] -= take
-        wm[b] -= take
-    plan = TransportPlan(lam, mu, np.array(ii, int), np.array(jj, int), np.array(mm))
-    return dataclasses.replace(plan, total_cost=plan.cost_under(spec))
 
 
 def check_cyclical_monotonicity(plan: TransportPlan, spec: CostSpec, n_tuple: int,

@@ -1,15 +1,17 @@
 """Reference solvers for `otlab.transport.solve_exact`.
 
 `brute_force` minimises over all permutations of small equal-weight
-clouds.  `dense_solve` is the dense LP over all n * m couplings, the
-solver `solve_exact` used before it moved to a sparse support grown by
-pricing rounds.  It assembles the marginal equalities over every pair,
-solves them with the same HiGHS call and tolerances, and certifies the
-result with the same dual check, so the kernel's costs and certificates
-can be compared against it.
+clouds, and `monotone_1d` is the quantile coupling on the line.
+`dense_solve` is the dense LP over all n * m couplings, the solver
+`solve_exact` used before it moved to a sparse support grown by pricing
+rounds.  It assembles the marginal equalities over every pair, solves
+them with the same HiGHS call and tolerances, and certifies the result
+with the same dual check, so the kernel's costs and certificates can be
+compared against it.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -17,7 +19,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from otlab.costs import cost_eval
-from otlab.transport import TransportPlan
+from otlab.transport import TransportPlan, _check_balanced
 
 
 def _cost_matrix(lam, mu, spec) -> np.ndarray:
@@ -89,3 +91,35 @@ def dense_solve(lam, mu, spec) -> TransportPlan:
     i, j = np.nonzero(support)
     return TransportPlan(lam, mu, i, j, gamma[support],
                          total_cost=float(res.fun), dual_gap=gap)
+
+
+def monotone_1d(lam, mu, spec) -> TransportPlan:
+    """Quantile coupling on the line, optimal for convex costs.
+
+    Classic two-pointer sweep over the sorted atoms, splitting masses
+    where the cumulative distributions cross.
+    """
+    if lam.dim != 1 or mu.dim != 1:
+        raise ValueError("monotone coupling is one-dimensional")
+    mu = _check_balanced(lam, mu)
+    order_l = np.argsort(lam.points[:, 0], kind="stable")
+    order_m = np.argsort(mu.points[:, 0], kind="stable")
+    wl = lam.weights[order_l].copy()
+    wm = mu.weights[order_m].copy()
+    ii, jj, mm = [], [], []
+    a = b = 0
+    while a < len(wl) and b < len(wm):
+        if wl[a] <= 0.0:
+            a += 1
+            continue
+        if wm[b] <= 0.0:
+            b += 1
+            continue
+        take = min(wl[a], wm[b])
+        ii.append(order_l[a])
+        jj.append(order_m[b])
+        mm.append(take)
+        wl[a] -= take
+        wm[b] -= take
+    plan = TransportPlan(lam, mu, np.array(ii, int), np.array(jj, int), np.array(mm))
+    return dataclasses.replace(plan, total_cost=plan.cost_under(spec))

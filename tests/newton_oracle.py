@@ -4,7 +4,10 @@
 hats one edge and one bin cut at a time.  ``newton_every_step`` is the
 damped Newton iteration that forms and factors the shifted Hessian on
 every step, each factorisation with SuperLU's default column order.
-Both are slow and serve only as the tests' oracles.
+Its shift walks down a fixed ladder of three stages instead of
+following the residual as ``solve_neumann``'s does, so the two reach
+the same minimizer along different paths.  Both are slow and serve
+only as the tests' oracles.
 """
 import math
 
@@ -12,14 +15,13 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from otlab.costs import RADIAL, dual_eval, dual_grad
-from otlab.neumann import (
-    _DELTA_LADDER,
-    _FINAL_ITER,
-    _WARM_ITER,
-    _boundary_lp,
-    _dual_hessian,
-    _operator,
-)
+from otlab.neumann import _dual_hessian, _operator
+
+# Hessian shifts relative to the data scale, coarse to fine, with the
+# step budgets of the first two stages and the floor of the last
+DELTA_LADDER = (1e-2, 1e-4, 1e-6)
+WARM_ITER = 12
+FINAL_ITER = 60
 
 
 def boundary_load(mesh, g) -> np.ndarray:
@@ -54,8 +56,9 @@ def _bordered_solve(matrix):
 def newton_every_step(prob, tol: float = 1e-8, max_iter: int = 100_000):
     """Mean-zero nodal potential, or ArithmeticError at the step budget.
 
-    Same target, delta ladder, stage budgets, Armijo guard and gradient
-    fallback as ``solve_neumann``.
+    Same target, Armijo guard and gradient fallback as ``solve_neumann``;
+    delta follows DELTA_LADDER with stage budgets WARM_ITER, WARM_ITER
+    and max(FINAL_ITER, max_iter - 2 WARM_ITER).
     """
     mesh, spec, g = prob.mesh, prob.cost, prob.g_boundary
     n = mesh.n_nodes
@@ -65,7 +68,7 @@ def newton_every_step(prob, tol: float = 1e-8, max_iter: int = 100_000):
     area, G, tris = mesh.areas, mesh.shape_gradients, mesh.triangles
     op, mass = _operator(mesh), mesh.lumped_mass
     lin = boundary_load(mesh, g) + prob.c_R * mass
-    target = tol * (1.0 + _boundary_lp(g, spec.p) ** (1.0 / spec.p))
+    target = tol * (1.0 + g.lp_mass(spec.p) ** (1.0 / spec.p))
 
     def grad_of(phi):
         return np.einsum("tiv,ti->tv", G, phi[tris])
@@ -85,9 +88,8 @@ def newton_every_step(prob, tol: float = 1e-8, max_iter: int = 100_000):
     iters = 0
     if spec.family != RADIAL or abs(spec.p_prime - 2.0) > 1e-14:
         scale = dens_sup ** (1.0 / (spec.p - 1.0))
-        budgets = (_WARM_ITER, _WARM_ITER,
-                   max(_FINAL_ITER, max_iter - 2 * _WARM_ITER))
-        for delta, budget in zip(_DELTA_LADDER, budgets):
+        budgets = (WARM_ITER, WARM_ITER, max(FINAL_ITER, max_iter - 2 * WARM_ITER))
+        for delta, budget in zip(DELTA_LADDER, budgets):
             for _ in range(budget):
                 if iters >= max_iter:
                     break

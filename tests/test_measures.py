@@ -248,3 +248,11 @@ class TestValidation:
             BoundaryData(1.0, [-0.5, 1.0])
         with pytest.raises(ValueError):
             BoundaryData(1.0, [1.0, 2.0, 3.0], dim=1)
+
+    def test_identity_equality_and_hash(self):
+        # array fields make value equality ambiguous; equality is identity
+        for make in (lambda: DiscreteMeasure([[0.0, 0.0]], [1.0]),
+                     lambda: Ball.at_origin(1.0),
+                     lambda: BoundaryData(1.0, [1.0, 2.0])):
+            a, b = make(), make()
+            assert a == a and a != b and len({a, b}) == 2

@@ -134,6 +134,14 @@ class TestPointLocation:
 
 
 class TestValidation:
+    def test_mesh_is_an_identity_dict_key(self):
+        a, b = build_mesh(1.0, 0.4), build_mesh(1.0, 0.4)
+        table = {a: "a", b: "b"}
+        key = hash(a)
+        assert a.lumped_mass.sum() > 0.0  # caching state on the mesh keeps its key
+        assert a == a and a != b
+        assert hash(a) == key and table[a] == "a" and table[b] == "b"
+
     def test_degenerate_triangle_rejected(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="degenerate"):

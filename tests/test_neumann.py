@@ -146,6 +146,13 @@ class TestNetFlux:
 
 
 class TestScalarField:
+    def test_identity_equality_and_hash(self):
+        mesh = build_mesh(1.0, 0.4)
+        for make in (lambda: ScalarField.projected(mesh, mesh.nodes[:, 0]),
+                     lambda: NeumannProblem(mesh, CostSpec.radial(3.0), unit_data(1.0))):
+            a, b = make(), make()
+            assert a == a and a != b and len({a, b}) == 2
+
     def test_mean_zero_enforced(self):
         mesh = build_mesh(1.0, 0.4)
         with pytest.raises(ValueError, match="zero"):
@@ -191,7 +198,7 @@ class TestSolveOracles:
         g = BoundaryData(1.0, np.zeros(64), signed=True)
         phi = solve_neumann(NeumannProblem(mesh, CostSpec.radial(3.0), g))
         assert np.all(phi.values == 0.0)
-        assert sum(phi.newton.stage_steps) == 0 and phi.newton.residuals == (0.0,)
+        assert phi.newton.steps == 0 and phi.newton.residuals == (0.0,)
 
     def test_cosine_oracle_p2(self):
         errs = []
@@ -361,7 +368,7 @@ class TestMeshOperator:
         for spec in (CostSpec.radial(1.5), CostSpec.radial(3.0),
                      CostSpec.anisotropic(2.5, [[1.3, 0.2], [0.2, 0.8]], 6.0)):
             phi = solve_neumann(NeumannProblem(mesh, spec, unit_data(1.0)), tol=1e-9)
-            assert sum(phi.newton.stage_steps) > 0
+            assert phi.newton.steps > 0
         assert counter.calls == 1
 
 
@@ -446,7 +453,7 @@ class TestNewtonPCG:
         spec = CostSpec.anisotropic(2.0, TILTED, 6.0)
         phi = solve_neumann(NeumannProblem(build_mesh(1.0, 0.25), spec, unit_data(1.0, 256)))
         rec = phi.newton
-        steps = sum(rec.stage_steps)
+        steps = rec.steps
         # every first PCG curvature is negative, so no direction descends
         assert steps > 0 and rec.gradient_fallbacks == steps
         assert rec.pcg_iterations == 0 and rec.capped == 0
@@ -456,14 +463,31 @@ class TestNewtonPCG:
         prob = NeumannProblem(mesh, CostSpec.radial(3.0), rough_data(1.0))
         rec = solve_neumann(prob, tol=1e-9).newton
         assert isinstance(rec, NewtonRecord)
-        steps = sum(rec.stage_steps)
-        assert len(rec.stage_steps) == len(neumann._DELTA_LADDER)
+        steps = rec.steps
         assert 0 < rec.pcg_iterations < neumann._PCG_CAP * steps
         assert rec.capped < steps and rec.gradient_fallbacks < steps
         # one measured residual before each step and one of the result
         assert len(rec.residuals) == steps + 1
-        g_lp = neumann._boundary_lp(prob.g_boundary, 3.0) ** (1.0 / 3.0)
+        g_lp = prob.g_boundary.lp_mass(3.0) ** (1.0 / 3.0)
         assert rec.residuals[-1] <= 1e-9 * (1.0 + g_lp) < min(rec.residuals[:-1])
+
+    def test_shift_follows_the_residual(self, monkeypatch):
+        deltas = []
+        dual_hessian = neumann._dual_hessian
+        monkeypatch.setattr(neumann, "_dual_hessian",
+                            lambda spec, xi, delta: (deltas.append(delta),
+                                                     dual_hessian(spec, xi, delta))[1])
+        prob = NeumannProblem(build_mesh(1.0, 0.1), CostSpec.radial(3.0), rough_data(1.0))
+        rec = solve_neumann(prob, tol=1e-9).newton
+        g = prob.g_boundary
+        g_lp = g.lp_mass(3.0) ** (1.0 / 3.0)
+        scale = float(np.abs(g.densities).max()) ** 0.5
+        rel = np.clip(np.array(rec.residuals[:-1]) / (1.0 + g_lp),
+                      neumann._DELTA_MIN, neumann._DELTA_MAX)
+        # one shift per step, each the clipped relative residual the
+        # step measured, and the walk reaches both bounds
+        assert deltas == list(rel * scale)
+        assert rel.max() == neumann._DELTA_MAX and rel.min() == neumann._DELTA_MIN
 
 
 class TestBoundaryLoad:

@@ -213,6 +213,17 @@ def test_boundary_data_quiet_plan_zero():
     assert rep.g_bar.total_mass == 0.0
 
 
+def test_identity_equality_and_hash():
+    quad = lebesgue_quadrature(Ball.at_origin(4.0), 8)
+    lam = DiscreteMeasure(quad.points, quad.weights)
+    plan = solve_exact(lam, lam, P2)
+    for make in (lambda: Trajectory((0.0, 0.0), (1.0, 0.0), 1.0),
+                 lambda: approximate_boundary_data(plan, lam, lam, P2, 2.5, 32, 0.4,
+                                                   resolution=8)):
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b}) == 2
+
+
 def test_boundary_data_identity_composition():
     # mu equals the uniform quadrature, so the auxiliary plan is the identity
     # and the exit data is exactly the mollified projection of X(tau) itself

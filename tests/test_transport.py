@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from cyclical_oracle import cyclical_violations
-from lp_oracle import brute_force, dense_solve
+from lp_oracle import brute_force, dense_solve, monotone_1d
 from otlab import transport
 from otlab.costs import CostSpec, cost_eval
 from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
@@ -39,7 +39,6 @@ from otlab.transport import (
     data_restriction_check,
     energy_E,
     localisation_check,
-    monotone_1d,
     solve_exact,
     transport_cost,
     triangle_check,
@@ -434,6 +433,13 @@ def test_single_entry_plan_trivially_monotone():
     mu = DiscreteMeasure([[1.0, 0.0]], [1.0])
     plan = solve_exact(lam, mu, P2)
     assert check_cyclical_monotonicity(plan, P2, 2, 100, seed=0) == []
+
+
+def test_plan_identity_equality_and_hash():
+    lam = DiscreteMeasure([[0.0, 0.0]], [1.0])
+    mu = DiscreteMeasure([[1.0, 0.0]], [1.0])
+    a, b = solve_exact(lam, mu, P2), solve_exact(lam, mu, P2)
+    assert a == a and a != b and len({a, b}) == 2
 
 
 # ----------------------------------------------------- E and D
