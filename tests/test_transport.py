@@ -178,27 +178,50 @@ ORACLE_BATTERY = [
 ]
 
 
+def cost_scale(lam, mu, spec):
+    """The kernel's certificate scale: the largest cost, at least 1."""
+    return max(float(np.max(cost_eval(spec, lam.points[:, None, :] - mu.points[None, :, :]))),
+               1.0)
+
+
 def assert_matches_oracle(lam, mu, spec):
     got = solve_exact(lam, mu, spec)
     want = dense_solve(lam, mu, spec)
-    scale = max(float(np.max(cost_eval(spec, lam.points[:, None, :] - mu.points[None, :, :]))),
-                1.0)
     assert got.total_cost == pytest.approx(want.total_cost, rel=1e-9)
     assert got.cost_under(spec) == pytest.approx(want.total_cost, rel=1e-9)
-    assert got.dual_gap <= 1e-9 * scale
+    assert got.dual_gap <= 1e-9 * cost_scale(lam, mu, spec)
+    return got
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("case", ORACLE_BATTERY,
-                         ids=lambda c: f"{c[0]}x{c[1]}-d{c[2]}-{'gamma' if c[3] else 'equal'}"
-                                       f"-{c[4].family}-p{c[4].p}")
-def test_solve_exact_matches_dense_oracle(case, seed):
+def battery_case(case, seed):
     n, m, dim, gamma_weights, spec = case
     rng = np.random.default_rng(1000 + seed)
     make = gamma_cloud if gamma_weights else (lambda r, k, d: uniform_cloud(r, k, d, 1.5))
     lam = make(rng, n, dim)
-    mu = make(rng, m, dim).with_mass(lam.total_mass)
-    assert_matches_oracle(lam, mu, spec)
+    return lam, make(rng, m, dim).with_mass(lam.total_mass), spec
+
+
+battery = pytest.mark.parametrize(
+    "case", ORACLE_BATTERY,
+    ids=lambda c: f"{c[0]}x{c[1]}-d{c[2]}-{'gamma' if c[3] else 'equal'}-{c[4].family}-p{c[4].p}")
+
+
+@pytest.mark.parametrize("seed", range(3))
+@battery
+def test_solve_exact_matches_dense_oracle(case, seed):
+    assert_matches_oracle(*battery_case(case, seed))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@battery
+def test_pricing_rounds_match_dense_oracle(case, seed, monkeypatch):
+    # a one-partner seed leaves every battery LP short of its optimal
+    # support, so the warm primal re-solves run on each case
+    monkeypatch.setattr(transport, "_SEED_NEIGHBOURS", 1)
+    monkeypatch.setattr(transport, "_PLANS", transport._PlanTable(transport._REUSE_ENTRIES))
+    plan = assert_matches_oracle(*battery_case(case, seed))
+    assert not plan.lp.reused
+    assert plan.lp.solves > 1
 
 
 def test_solve_exact_matches_dense_oracle_on_degenerate_quadratures():
@@ -215,11 +238,30 @@ def test_pricing_round_limit_raises(monkeypatch):
     rng = np.random.default_rng(41)
     lam = gamma_cloud(rng, 60)
     mu = gamma_cloud(rng, 70).with_mass(lam.total_mass)
+    # a one-partner seed needs a second round whatever the default seed size
+    monkeypatch.setattr(transport, "_SEED_NEIGHBOURS", 1)
     monkeypatch.setattr(transport, "_MAX_PRICING_ROUNDS", 1)
     with pytest.raises(ArithmeticError, match="rounds"):
         solve_exact(lam, mu, P2)
     monkeypatch.undo()
     assert_matches_oracle(lam, mu, P2)
+
+
+def test_matching_lp_prices_out_from_its_seed():
+    # held out from the benchmark pools: 600 uniform atoms on B_4 against
+    # the 600-atom polar quadrature of B_4 at p = 3; the 12-partner seed
+    # prices out in its first solve, where a 5-partner seed takes 5
+    quad = lebesgue_quadrature(Ball.at_origin(4.0), 10)
+    rng = np.random.default_rng(1)
+    r = 4.0 * np.sqrt(rng.uniform(0.0, 1.0, 600))
+    theta = rng.uniform(0.0, 2.0 * math.pi, 600)
+    lam = DiscreteMeasure(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1),
+                          np.full(600, quad.total_mass / 600))
+    spec = CostSpec.radial(3.0)
+    plan = solve_exact(lam, quad, spec)
+    assert not plan.lp.reused
+    assert plan.lp.solves <= 2
+    assert plan.dual_gap <= 1e-9 * cost_scale(lam, quad, spec)
 
 
 def test_highs_incremental_interface():
