@@ -401,9 +401,10 @@ def verify_assumptions(spec: CostSpec, sample_count: int, seed: int) -> Assumpti
     dgap = tau * d1 + (1.0 - tau) * d2 - dual_eval(spec, tau[:, None] * xi1 + (1.0 - tau[:, None]) * xi2)
     vpp = v_p(spec.p_prime, xi1, xi2)
     m = vpp > 1e-290
-    cobs = float(np.min(np.where(m, dgap / np.where(m, tau * (1.0 - tau) * vpp, 1.0), np.inf)))
+    quot = np.where(m, dgap / np.where(m, tau * (1.0 - tau) * vpp, 1.0), np.inf)
+    i5 = int(np.argmin(quot))
+    cobs = float(quot[i5])
     ref = _grid_constant(spec, "pprime_convex")
-    i5 = int(np.argmin(np.where(m, dgap / np.where(m, tau * (1.0 - tau) * vpp, 1.0), np.inf)))
     results.append(InequalityResult("pprime_convex", cobs, ref,
                                     cobs >= 0.8 * ref and cobs > 0.0, (xi1[i5], xi2[i5], tau[i5])))
 

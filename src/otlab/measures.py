@@ -120,6 +120,10 @@ class Ball:
         # omega_1 = 2, omega_2 = pi
         return (2.0 if self.dim == 1 else math.pi) * self.radius ** self.dim
 
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the points in the open ball; its sphere lies outside."""
+        return np.linalg.norm(points - self.center, axis=1) < self.radius
+
     @staticmethod
     def at_origin(radius: float, dim: int = 2) -> "Ball":
         return Ball(np.zeros(dim), float(radius))
@@ -190,7 +194,7 @@ def restrict(mu: DiscreteMeasure, ball: Ball) -> DiscreteMeasure:
     Atoms landing exactly on the boundary are dropped; downstream code
     relies on restricted supports staying clear of the sphere.
     """
-    keep = np.linalg.norm(mu.points - ball.center, axis=1) < ball.radius
+    keep = ball.contains(mu.points)
     return DiscreteMeasure(mu.points[keep], mu.weights[keep])
 
 

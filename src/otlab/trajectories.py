@@ -11,6 +11,7 @@ integrals of mesh fields along trajectories.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .costs import CostSpec, cost_eval
-from .measures import BoundaryData, DiscreteMeasure, mollify_boundary, radial_project
+from .measures import Ball, BoundaryData, DiscreteMeasure, mollify_boundary, radial_project
 from .transport import PLAIN_VOLUME, _plan_to_uniform, data_D, energy_E
 
 __all__ = [
@@ -41,6 +42,8 @@ __all__ = [
 _ON_SPHERE_TOL = 1e-10
 # Omega_R keeps the entries with source or target in the open B_3
 _WINDOW = 3.0
+# 8-point Gauss-Legendre rule on [-1, 1] for path_integral
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -127,9 +130,10 @@ def _sphere_crossings(plan, radius: float):
     start, or end, inside) and those endpoints renormalised onto it, so
     downstream boundary code sees exact radii.
     """
-    sel = np.flatnonzero(omega_mask(plan, radius))
     x, y = plan.pairs()
-    _, sigma, tau = _windows(x, y, radius)
+    hit, sigma, tau = _windows(x, y, radius)
+    # omega_mask, from the same window solve
+    sel = np.flatnonzero(plan.anchored_in(_WINDOW) & hit)
     sides = []
     for times in (sigma, tau):
         t = times[sel]
@@ -160,36 +164,23 @@ def entry_exit_measures(plan, radius: float, n_theta: int):
     return f, g
 
 
-def _compose_with_uniform_plan(side_idx: np.ndarray, masses: np.ndarray,
-                               marginal: DiscreteMeasure,
-                               spec: CostSpec, resolution: int):
-    """Push crossing mass through an auxiliary plan to the uniform density.
+def _uniform_composition(marginal: DiscreteMeasure, spec: CostSpec, resolution: int):
+    """Radius-independent half of the boundary data, for one marginal.
 
-    side_idx maps each crossing entry to its atom in `marginal`; the
-    auxiliary optimal plan from marginal restricted to B_4 onto
-    kappa dx on B_4 redistributes each atom's mass over quadrature
-    cells, and the crossing mass follows proportionally (barycentric
-    splitting), as one product with the row-normalised plan matrix.
-    Crossing mass anchored at an atom outside B_4 lies beyond the
-    uniform density the composition extends into and is not carried.
-    Returns the redistributed atoms, the quadrature cell volumes, kappa
-    and the crossing mass left uncarried.
+    The auxiliary optimal plan from the marginal restricted to B_4 onto
+    kappa dx on B_4, row-normalised into a sparse share matrix from the
+    marginal's atoms onto the quadrature cells; an atom outside B_4 has
+    an empty row.  Returns (share, mask of the atoms inside B_4,
+    quadrature with the cell volumes as weights, kappa).
     """
     k4, quad, aux = _plan_to_uniform(marginal, 4.0, spec, resolution)
-    n = aux.source.n_atoms
-
-    # row of each atom of `marginal` in the restricted measure, -1 outside B_4
-    row_of = np.full(marginal.n_atoms, -1)
-    row_of[np.linalg.norm(marginal.points, axis=1) < 4.0] = np.arange(n)
-    rows = row_of[side_idx]
-    anchored = rows >= 0
-    row_mass = np.bincount(rows[anchored], weights=masses[anchored], minlength=n)
-    row_weight = np.bincount(aux.idx_source, weights=aux.masses, minlength=n)
+    anchored = Ball.at_origin(4.0, dim=marginal.dim).contains(marginal.points)
+    atom = np.flatnonzero(anchored)  # marginal atom of each row of the plan's source
+    row_weight = np.bincount(aux.idx_source, weights=aux.masses, minlength=len(atom))
     share = sparse.csr_matrix(
-        (aux.masses / row_weight[aux.idx_source], (aux.idx_source, aux.idx_target)),
-        shape=(n, quad.n_atoms))
-    dropped = float(masses[~anchored].sum())
-    return DiscreteMeasure(quad.points, share.T @ row_mass), quad.weights, k4, dropped
+        (aux.masses / row_weight[aux.idx_source], (atom[aux.idx_source], aux.idx_target)),
+        shape=(marginal.n_atoms, quad.n_atoms))
+    return share, anchored, quad, k4
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -210,6 +201,39 @@ class BoundaryApproximation:
     g_dropped: float
 
 
+def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
+                            moll_scale: float, compositions) -> BoundaryApproximation:
+    """Per-radius half of the boundary data: compose one radius's crossings.
+
+    crossings is `_sphere_crossings(plan, radius)`; compositions holds
+    two zero-argument callables returning the `_uniform_composition` of
+    lam and of mu, called only for a side with crossing entries.  The
+    crossing mass follows its anchor atom's share (barycentric
+    splitting); mass anchored outside B_4 is not carried but dropped.
+    """
+    def one_side(sel: np.ndarray, idx: np.ndarray, composition):
+        if len(sel) == 0:
+            return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan, 0.0
+        share, anchored, cells, k4 = composition()
+        atoms, masses = idx[sel], plan.masses[sel]
+        spread = share.T @ np.bincount(atoms, weights=masses, minlength=share.shape[0])
+        dropped = float(masses[~anchored[atoms]].sum())
+        sup = float((spread / cells.weights).max())
+        if sup > k4 * 1.05 + 1e-12:
+            raise ArithmeticError(
+                f"composed boundary density {sup:.4g} exceeds kappa {k4:.4g}")
+        carried = spread > 0
+        projected = radial_project(
+            DiscreteMeasure(cells.points[carried], spread[carried]),
+            radius, n_theta) if carried.any() else BoundaryData(radius, np.zeros(n_theta))
+        return mollify_boundary(projected, moll_scale), sup, k4, dropped
+
+    (f_sel, _), (g_sel, _) = crossings
+    f_bar, f_sup, k_lam, f_drop = one_side(f_sel, plan.idx_source, compositions[0])
+    g_bar, g_sup, k_mu, g_drop = one_side(g_sel, plan.idx_target, compositions[1])
+    return BoundaryApproximation(f_bar, g_bar, f_sup, g_sup, k_lam, k_mu, f_drop, g_drop)
+
+
 def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
                               spec: CostSpec, radius: float, n_theta: int,
                               moll_scale: float, resolution: int = 16) -> BoundaryApproximation:
@@ -227,42 +251,18 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     """
     if plan.source.dim != 2:
         raise ValueError("boundary data construction is planar")
-    (f_sel, _), (g_sel, _) = _sphere_crossings(plan, radius)
-
-    def one_side(sel: np.ndarray, idx: np.ndarray, marginal: DiscreteMeasure):
-        if len(sel) == 0:
-            return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan, 0.0
-        spread, cell_vol, k4, dropped = _compose_with_uniform_plan(
-            idx[sel], plan.masses[sel], marginal, spec, resolution)
-        dens = spread.weights / cell_vol
-        sup = float(dens.max())
-        if sup > k4 * 1.05 + 1e-12:
-            raise ArithmeticError(
-                f"composed boundary density {sup:.4g} exceeds kappa {k4:.4g}")
-        carried = spread.weights > 0
-        projected = radial_project(
-            DiscreteMeasure(spread.points[carried], spread.weights[carried]),
-            radius, n_theta) if carried.any() else BoundaryData(radius, np.zeros(n_theta))
-        return mollify_boundary(projected, moll_scale), sup, k4, dropped
-
-    f_bar, f_sup, k_lam, f_drop = one_side(f_sel, plan.idx_source, lam)
-    g_bar, g_sup, k_mu, g_drop = one_side(g_sel, plan.idx_target, mu)
-    return BoundaryApproximation(f_bar, g_bar, f_sup, g_sup, k_lam, k_mu, f_drop, g_drop)
+    return _boundary_approximation(
+        plan, radius, _sphere_crossings(plan, radius), n_theta, moll_scale,
+        [functools.partial(_uniform_composition, m, spec, resolution) for m in (lam, mu)])
 
 
 @dataclasses.dataclass(frozen=True)
 class RadiusSelection:
-    """Scores of the candidate radii and the selected one.
-
-    scores and components cover the candidates whose boundary data was
-    built; failed maps each other candidate to the error its
-    construction raised.
-    """
+    """Scores of the candidate radii and the selected one."""
 
     selected: float
     scores: dict
     components: dict
-    failed: dict
 
     @property
     def average(self) -> float:
@@ -279,9 +279,9 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     densities.  The argmin is returned with all scores and their
     breakdown; ties break to the smallest radius.  By averaging, the
     selected score is at most the candidate mean, which the tests
-    assert.  A candidate whose boundary data construction raises
-    ValueError has no score: it is recorded in `failed` and left out
-    of the argmin, and the call raises when every candidate fails.
+    assert.  Each marginal's composition with its uniform density on B_4
+    does not depend on the radius and is built at most once per call;
+    every error of the construction is radius-independent and propagates.
 
     `resolution` counts quadrature rings at the reference radius 4 and
     is rescaled per candidate, so every candidate is scored with the
@@ -293,37 +293,35 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     candidates = sorted(float(r) for r in candidates)
     if len(candidates) < 3:
         raise ValueError("need at least 3 candidate radii")
+    if plan.source.dim != 2:
+        raise ValueError("boundary data construction is planar")
 
     x, y = plan.pairs()
     entry_cost = np.asarray(cost_eval(spec, x - y)) * plan.masses
+    compositions = [functools.cache(functools.partial(_uniform_composition, m, spec, resolution))
+                    for m in (lam, mu)]
 
-    scores, parts, failed = {}, {}, {}
+    scores, parts = {}, {}
     for r in candidates:
         # touching the sphere: an endpoint of the crossing window sits on it
-        (entering, _), (leaving, _) = _sphere_crossings(plan, r)
+        crossings = _sphere_crossings(plan, r)
+        (entering, _), (leaving, _) = crossings
         crossing = float(entry_cost[np.union1d(entering, leaving)].sum())
 
         res_r = max(3, int(round(resolution * r / 4.0)))
         d_r = data_D(lam, mu, r, spec, res_r, PLAIN_VOLUME)
-        try:
-            approx = approximate_boundary_data(plan, lam, mu, spec, r, n_theta,
-                                               moll_scale=4.0 * math.pi / n_theta,
-                                               resolution=resolution)
-        except ValueError as exc:
-            failed[r] = str(exc)
-            continue
+        approx = _boundary_approximation(plan, r, crossings, n_theta,
+                                         4.0 * math.pi / n_theta, compositions)
         lp_mass = approx.f_bar.lp_mass(spec.p) + approx.g_bar.lp_mass(spec.p)
         scores[r] = crossing + d_r + lp_mass
         parts[r] = (crossing, d_r, lp_mass)
-    if not scores:
-        raise ValueError(f"boundary data failed at every candidate radius: {failed}")
 
     # scores inside float dust of the minimum tie to the smallest radius,
     # so quadrature noise never drives the selection
     s_min = min(scores.values())
     thresh = s_min * (1.0 + 1e-9) + 1e-15
     best = min(r for r in scores if scores[r] <= thresh)
-    return RadiusSelection(best, scores, parts, failed)
+    return RadiusSelection(best, scores, parts)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -354,10 +352,10 @@ def linfty_displacement(plan, spec: CostSpec, resolution: int = 12) -> Displacem
 
 
 def path_integral(traj: Trajectory, field: Callable[[np.ndarray], np.ndarray],
-                  t0: float, t1: float, order: int = 8) -> float:
-    """Gauss-Legendre integral of field(X(t)) over [t0, t1].
+                  t0: float, t1: float) -> float:
+    """8-point Gauss-Legendre integral of field(X(t)) over [t0, t1].
 
-    Exact for fields polynomial of degree < 2 * order along the path;
+    Exact for fields polynomial of degree < 16 along the path;
     the field callable receives an (n, d) array of path points and any
     out-of-domain failure it raises propagates.
     """
@@ -365,22 +363,19 @@ def path_integral(traj: Trajectory, field: Callable[[np.ndarray], np.ndarray],
         raise ValueError("need 0 <= t0 <= t1 <= 1")
     if t0 == t1:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    t = 0.5 * (t1 - t0) * nodes + 0.5 * (t0 + t1)
+    t = 0.5 * (t1 - t0) * _GAUSS_NODES + 0.5 * (t0 + t1)
     vals = np.asarray(field(traj.at(t)), dtype=float)
-    return float(0.5 * (t1 - t0) * np.sum(weights * vals))
+    return float(0.5 * (t1 - t0) * np.sum(_GAUSS_WEIGHTS * vals))
 
 
-def bound2_check(plan, samples: int = 9) -> bool:
-    """Every B_3-window trajectory stays inside B_4 at sampled times."""
+def bound2_check(plan) -> bool:
+    """Every B_3-window trajectory stays inside the closed B_4.
+
+    |X(t)| is convex along a straight path, so its maximum over [0, 1]
+    sits at an endpoint: testing both endpoints of every window entry
+    is exact.
+    """
     window = plan.anchored_in(_WINDOW)
-    if not window.any():
-        return True
-    t = np.linspace(0.0, 1.0, samples)
     x, y = plan.pairs()
-    xs, ys = x[window], y[window]
-    for ti in t:
-        pos = (1.0 - ti) * xs + ti * ys
-        if np.any(np.linalg.norm(pos, axis=1) > 4.0):
-            return False
-    return True
+    ends = np.concatenate([x[window], y[window]])
+    return not np.any(np.linalg.norm(ends, axis=1) > 4.0)

@@ -337,31 +337,51 @@ def test_select_radius_avoids_crossing_band():
     assert sel.components[2.8][0] == 0.0
 
 
-def test_select_radius_skips_failed_candidates(monkeypatch):
-    cands = [2.2, 2.5, 2.8]
-    quad = lebesgue_quadrature(Ball.at_origin(4.0), 8)
-    lam = DiscreteMeasure(quad.points, quad.weights)
-    plan = solve_exact(lam, lam, P2)
-    real = trajectories.approximate_boundary_data
+def crossing_plan():
+    """Random pairing on B_3.6 with crossing mass on both sides at every radius."""
+    return random_pairing_plan(np.random.default_rng(3), 80, 3.6)
 
-    def fails_at_smallest(plan, lam, mu, spec, radius, *args, **kwargs):
-        if radius == cands[0]:
-            raise ValueError("construction failed")
-        return real(plan, lam, mu, spec, radius, *args, **kwargs)
 
-    monkeypatch.setattr(trajectories, "approximate_boundary_data", fails_at_smallest)
-    sel = select_radius(plan, lam, lam, P2, candidates=cands, n_theta=32, resolution=8)
-    # every score ties at zero; the failed radius must not win the tie
-    assert sel.selected == cands[1]
-    assert sorted(sel.scores) == cands[1:] and sorted(sel.components) == cands[1:]
-    assert sel.failed == {cands[0]: "construction failed"}
+def test_select_radius_scores_the_public_boundary_data():
+    plan = crossing_plan()
+    lam, mu = plan.source, plan.target
+    cands, n_theta = [2.2, 2.5, 2.8], 32
+    sel = select_radius(plan, lam, mu, P2, candidates=cands, n_theta=n_theta, resolution=8)
+    for r in cands:
+        f, g = entry_exit_atoms(plan, r)
+        assert f.n_atoms and g.n_atoms
+        rep = approximate_boundary_data(plan, lam, mu, P2, r, n_theta,
+                                        moll_scale=4.0 * math.pi / n_theta, resolution=8)
+        assert sel.components[r][2] == rep.f_bar.lp_mass(2.0) + rep.g_bar.lp_mass(2.0)
 
-    def always_fails(*args, **kwargs):
-        raise ValueError("construction failed")
 
-    monkeypatch.setattr(trajectories, "approximate_boundary_data", always_fails)
-    with pytest.raises(ValueError, match="every candidate"):
-        select_radius(plan, lam, lam, P2, candidates=cands, n_theta=32, resolution=8)
+def test_select_radius_composes_each_marginal_once(monkeypatch):
+    plan = crossing_plan()
+    lam, mu = plan.source, plan.target
+    real = trajectories._plan_to_uniform
+    calls = []
+
+    def counted(nu, radius, *args):
+        if radius == 4.0:
+            calls.append(nu)
+        return real(nu, radius, *args)
+
+    monkeypatch.setattr(trajectories, "_plan_to_uniform", counted)
+    select_radius(plan, lam, mu, P2, candidates=[2.2, 2.5, 2.8], n_theta=32, resolution=8)
+    assert sum(nu is lam for nu in calls) == 1
+    assert sum(nu is mu for nu in calls) == 1
+    assert len(calls) == 2
+
+
+def test_select_radius_raises_for_a_side_without_mass_in_b4():
+    # the entry at (4.8, 0) crosses the sphere of radius 4.5 inwards, and
+    # lam has no mass in B_4 to spread it over; at 5 and 5.5 nothing crosses
+    lam = DiscreteMeasure([[4.8, 0.0], [0.0, 4.2]], [1.0, 1.0])
+    mu = DiscreteMeasure([[1.0, 0.0], [0.0, 4.2]], [1.0, 1.0])
+    plan = white_box_plan(lam, mu)
+    with pytest.raises(ValueError, match="no mass"):
+        select_radius(plan, lam, mu, P2, candidates=[4.5, 5.0, 5.5], n_theta=32,
+                      resolution=8)
 
 
 def test_select_radius_needs_three_candidates():
