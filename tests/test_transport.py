@@ -468,6 +468,28 @@ def test_batched_violations_equal_the_loop(spec, n_tuple):
     got = check_cyclical_monotonicity(plan, spec, n_tuple, 500, seed=n_tuple)
     assert got and got == cyclical_violations(plan, spec, n_tuple, 500, seed=n_tuple)
     assert check_cyclical_monotonicity(plan, spec, n_tuple, 0, seed=0) == []
+    # exactly n_tuple entries: every draw is a permutation of all of them
+    few = TransportPlan(DiscreteMeasure(lam.points[:n_tuple], lam.weights[:n_tuple]),
+                        DiscreteMeasure(mu.points[:n_tuple], lam.weights[:n_tuple]),
+                        idx[:n_tuple], idx[:n_tuple], lam.weights[:n_tuple])
+    assert (check_cyclical_monotonicity(few, spec, n_tuple, 500, seed=n_tuple)
+            == cyclical_violations(few, spec, n_tuple, 500, seed=n_tuple))
+
+
+def choice_loop(k, n_tuple, trials, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(k, size=n_tuple, replace=False) for _ in range(trials)])
+
+
+@pytest.mark.parametrize("k, n_tuple", [(2, 2), (6, 6), (7, 6), (50, 2), (330, 3), (12000, 5),
+                                        (3_000_000_000, 4)])
+def test_tuple_draws_equal_the_choice_loop(k, n_tuple):
+    # at k = 3e9 about 30 % of the bounded draws would be rejected and
+    # redrawn, so the batch falls back to the loop
+    for seed in range(5):
+        got = transport._draw_tuples(k, n_tuple, 200, seed)
+        assert got.shape == (200, n_tuple)
+        assert np.array_equal(got, choice_loop(k, n_tuple, 200, seed))
 
 
 def test_single_entry_plan_trivially_monotone():
