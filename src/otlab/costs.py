@@ -162,7 +162,7 @@ def _as_points(z) -> np.ndarray:
 def _metric(z: np.ndarray, m: Optional[np.ndarray]):
     """(z M, z . M z) along the last axis; M = I, and z itself, when m is None."""
     if m is None:
-        return z, np.sum(z * z, axis=-1)
+        return z, np.einsum("...i,...i->...", z, z)
     # z @ m raises ValueError on points that are not planar; the quadratic
     # form is unrolled, bit-identical to np.sum(zm * z, axis=-1) at about an
     # eighth of its cost

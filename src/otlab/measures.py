@@ -19,7 +19,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "DiscreteMeasure",
@@ -278,7 +277,10 @@ def mollify_boundary(b: BoundaryData, r: float) -> BoundaryData:
     off = np.arange(-k, k + 1) * b.bin_width
     kern = 1.0 + np.cos(math.pi * off / r)
     kern /= kern.sum()
-    out = ndimage.convolve1d(b.masses, kern, mode="wrap")
+    # wrapped taps summed in symmetric pairs, outermost first
+    out = b.masses * kern[k]
+    for j in range(k, 0, -1):
+        out += (np.roll(b.masses, j) + np.roll(b.masses, -j)) * kern[k - j]
     if not b.signed:
         # convolution of non-negative data is non-negative up to roundoff
         out = np.maximum(out, 0.0)

@@ -177,16 +177,14 @@ class ScalarField:
 class NeumannProblem:
     """Mesh, cost and signed boundary flux of one dual solve.
 
-    c_R is the volume source balancing the boundary flux; the
+    c_R is the volume source balancing the boundary flux: the
     divergence theorem for -div grad c*(D phi) = c_R with outward flux
-    g forces c_R = -|B_R|^{-1} int g.  Construction fills it in when
-    not given and rejects an explicit value that does not balance.
+    g forces c_R = -|B_R|^{-1} int g.
     """
 
     mesh: DiskMesh
     cost: CostSpec
     g_boundary: BoundaryData
-    c_R: Optional[float] = None
 
     def __post_init__(self):
         g = self.g_boundary
@@ -194,13 +192,10 @@ class NeumannProblem:
             raise ValueError("planar boundary data required")
         if abs(g.radius - self.mesh.R) > 1e-12 * self.mesh.R:
             raise ValueError("boundary data radius must match the mesh")
-        volume = math.pi * self.mesh.R ** 2
-        if self.c_R is None:
-            object.__setattr__(self, "c_R", -g.total_mass / volume)
-        slack = g.total_mass + self.c_R * volume
-        if abs(slack) > 1e-10 * max(1.0, abs(g.total_mass)):
-            raise ValueError(
-                f"incompatible data: flux balance off by {slack:.3e}")
+
+    @property
+    def c_R(self) -> float:
+        return -self.g_boundary.total_mass / (math.pi * self.mesh.R ** 2)
 
 
 def _boundary_load(mesh: DiskMesh, g: BoundaryData) -> np.ndarray:

@@ -236,7 +236,7 @@ def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
 
 def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
                               spec: CostSpec, radius: float, n_theta: int,
-                              moll_scale: float, resolution: int = 16) -> BoundaryApproximation:
+                              moll_scale: float, resolution: int = 12) -> BoundaryApproximation:
     """Build the approximable boundary data from crossing trajectories.
 
     Exit side: every trajectory leaving through the sphere hands its
@@ -247,7 +247,8 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     side symmetric through the sources.  Crossing mass anchored at an
     atom outside B_4 is not carried and is reported as f_dropped or
     g_dropped.  Plans with no sphere-crossing mass return zero
-    histograms.
+    histograms.  The default `resolution` is `select_radius`'s, so with
+    both defaults the data at a selected radius are the ones it scored.
     """
     if plan.source.dim != 2:
         raise ValueError("boundary data construction is planar")

@@ -350,13 +350,14 @@ def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tupl
         duals = np.append(solution.row_dual, 0.0)
         slack = cmat - duals[:n, None] - duals[None, n:]
         # price outside the support: the most violated entry of each row
-        # and of each column joins it
-        priced = slack.copy()
-        priced.flat[cells] = np.inf
-        best_j = priced.argmin(axis=1)
-        rows = np.flatnonzero(priced[np.arange(n), best_j] < tol)
-        best_i = priced.argmin(axis=0)
-        cols = np.flatnonzero(priced[best_i, np.arange(m)] < tol)
+        # and of each column joins it; the support's own slacks are kept
+        # in `on`, in cell order, for the certificate
+        on = slack.flat[cells]
+        slack.flat[cells] = np.inf
+        best_j = slack.argmin(axis=1)
+        rows = np.flatnonzero(slack[np.arange(n), best_j] < tol)
+        best_i = slack.argmin(axis=0)
+        cols = np.flatnonzero(slack[best_i, np.arange(m)] < tol)
         if len(rows) == 0 and len(cols) == 0:
             break
         new = np.unique(np.concatenate([rows * m + best_j[rows], best_i[cols] * m + cols]))
@@ -368,12 +369,12 @@ def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tupl
     # certificate against the full matrix: u_i + v_j <= C_ij everywhere,
     # equality wherever the plan carries mass
     x = np.asarray(solution.col_value)
-    dual_infeas = max(0.0, float(-slack.min()))
+    dual_infeas = max(0.0, float(-min(slack.min(), on.min())))
     carried = x > 1e-12 * max(lam.weights.max(), 1e-300)
     # entries in row-major order, whenever their columns joined
     order = np.argsort(cells[carried])
     i, j = np.divmod(cells[carried][order], m)
-    comp_defect = float(np.abs(slack[i, j]).max()) if carried.any() else 0.0
+    comp_defect = float(np.abs(on[carried]).max()) if carried.any() else 0.0
     gap = dual_infeas + comp_defect
     if gap > 1e-9 * scale:
         raise ArithmeticError(f"optimality certificate failed: gap {gap:.3e}")
@@ -444,41 +445,18 @@ def transport_cost(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) ->
 
 
 def _draw_tuples(k: int, n_tuple: int, trials: int, seed: int) -> np.ndarray:
-    """Rows of `default_rng(seed).choice(k, n_tuple, replace=False)`, drawn in one batch.
+    """`trials` rows of n_tuple distinct indices in [0, k), each a uniform ordered draw.
 
-    For n_tuple <= 6 and k < 2**32, `Generator.choice` runs Floyd's
-    algorithm with one Lemire bounded draw from a 32-bit word for each
-    bound j = k - n_tuple ... k - 1 (a bound of 0 takes no word), then
-    shuffles with one more draw for each bound i = n_tuple - 1 ... 1.  All
-    trials' words come from one `integers` call and are replayed as
-    arrays; should any draw be one that Lemire's method rejects and
-    redraws, the per-trial `choice` loop runs instead.  Matched with that
-    loop entry for entry on numpy 2.4.6.
+    Column s draws d_s uniformly on [0, k - s), all in one call on
+    `default_rng(seed)`; the row's s-th index is then its d_s-th index
+    not yet taken, found by stepping past its earlier picks in ascending
+    order.
     """
-    if k < 2**32:
-        floyd = np.arange(k - n_tuple, k)
-        bounds = np.concatenate([floyd, np.arange(n_tuple - 1, 0, -1)])
-        span = bounds[bounds > 0].astype(np.uint64) + np.uint64(1)
-        words = np.random.default_rng(seed).integers(
-            0, 2**32, size=(trials, len(span)), dtype=np.uint32)
-        scaled = words * span
-        if not ((scaled & np.uint64(2**32 - 1)) < (np.uint64(2**32) - span) % span).any():
-            draws = np.zeros((trials, len(bounds)), dtype=np.int64)
-            draws[:, bounds > 0] = scaled >> np.uint64(32)
-            sel = np.empty((trials, n_tuple), dtype=np.int64)
-            for s, j in enumerate(floyd):
-                seen = (sel[:, :s] == draws[:, s, None]).any(axis=1)
-                sel[:, s] = np.where(seen, j, draws[:, s])
-            rows = np.arange(trials)
-            for i, jj in zip(range(n_tuple - 1, 0, -1), draws[:, n_tuple:].T):
-                held = sel[rows, jj]
-                sel[rows, jj] = sel[:, i]
-                sel[:, i] = held
-            return sel
-    rng = np.random.default_rng(seed)
-    sel = np.zeros((trials, n_tuple), dtype=int)
-    for t in range(trials):
-        sel[t] = rng.choice(k, size=n_tuple, replace=False)
+    sel = np.random.default_rng(seed).integers(0, k - np.arange(n_tuple),
+                                               size=(trials, n_tuple))
+    for s in range(1, n_tuple):
+        for taken in np.sort(sel[:, :s], axis=1).T:
+            sel[:, s] += sel[:, s] >= taken
     return sel
 
 
@@ -489,10 +467,9 @@ def check_cyclical_monotonicity(plan: TransportPlan, spec: CostSpec, n_tuple: in
     For each trial, n_tuple distinct entries (x_i, y_i) are drawn and
     sum c(x_i - y_i) is compared with sum c(x_i - y_{i+1}); tuples
     beating the plan by more than 1e-9 are returned with their defect.
-    An optimal plan must return an empty list.  The draws are those of
-    `Generator.choice(k, n_tuple, replace=False)` called once per trial
-    on `default_rng(seed)`, made in one batch (`_draw_tuples`, matched on
-    numpy 2.4.6).
+    An optimal plan must return an empty list.  Each trial's tuple is
+    uniform over ordered tuples of distinct entries, and all are drawn
+    from `default_rng(seed)` in one batch.
     """
     if not 2 <= n_tuple <= 6:
         raise ValueError("tuple size must be between 2 and 6")
@@ -749,23 +726,16 @@ def c2measures_check(xi: Callable[[np.ndarray], np.ndarray], alpha: float,
     xi_quad = np.asarray(xi(quad.points), dtype=float)
     lhs = abs(float(np.sum(xi_mu * local.weights) - k * np.sum(xi_quad * quad.weights)))
 
-    # grid estimate of the Holder seminorm: neighbor pairs plus a random
-    # batch drawn with seed 0; an underestimate, absorbed into K's padding
-    rng = np.random.default_rng(0)
+    # grid estimate of the Holder seminorm over neighbor pairs and a batch
+    # of distinct pairs drawn with seed 0; an underestimate, absorbed into
+    # K's padding
     pts = quad.points
     n = len(pts)
-    ia = rng.integers(0, n, size=min(4000, n * (n - 1) // 2))
-    ib = rng.integers(0, n, size=len(ia))
-    keep = ia != ib
-    ia, ib = ia[keep], ib[keep]
-    num = np.abs(xi_quad[ia] - xi_quad[ib])
-    den = np.linalg.norm(pts[ia] - pts[ib], axis=1) ** alpha
-    sem = float((num / den).max()) if len(num) else 0.0
-    if n > 1:
-        shift = np.roll(np.arange(n), 1)
-        sem = max(sem, float(np.max(
-            np.abs(xi_quad - xi_quad[shift])
-            / np.linalg.norm(pts - pts[shift], axis=1) ** alpha)))
+    ia, ib = _draw_tuples(n, 2, min(4000, n * (n - 1) // 2), 0).T
+    ia = np.concatenate([ia, np.arange(n)])
+    ib = np.concatenate([ib, np.roll(np.arange(n), 1)])
+    sem = float(np.max(np.abs(xi_quad[ia] - xi_quad[ib])
+                       / np.linalg.norm(pts[ia] - pts[ib], axis=1) ** alpha))
 
     rhs = sem * w ** (alpha / spec.p) * radius ** (2.0 * mu.dim * (spec.p - alpha) / spec.p)
     mass = local.total_mass

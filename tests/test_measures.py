@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from otlab.measures import (
     ANNULUS_EPS,
@@ -167,6 +168,23 @@ class TestMollification:
         assert out.total_mass == pytest.approx(b.total_mass, abs=1e-12)
         assert np.all(out.masses >= 0.0)
         assert out.densities.max() <= b.densities.max() * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n, bins", [(5, 9.5), (7, 1.0), (16, 3.0), (32, 4.2), (64, 12.7)])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_wrapped_ndimage_convolution(self, n, bins, signed):
+        # the kernel has 2 floor(bins) + 1 taps, so (5, 9.5) wraps it
+        # around the histogram more than once
+        rng = np.random.default_rng(n)
+        masses = rng.normal(size=n) if signed else rng.uniform(0.0, 3.0, n)
+        b = BoundaryData(1.0, masses, signed=signed)
+        r = bins * b.bin_width
+        k = int(math.floor(r / b.bin_width))
+        kern = 1.0 + np.cos(math.pi * np.arange(-k, k + 1) * b.bin_width / r)
+        want = ndimage.convolve1d(masses, kern / kern.sum(), mode="wrap")
+        if not signed:
+            want = np.maximum(want, 0.0)
+        got = mollify_boundary(b, r).masses
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(masses).max()
 
     def test_linearity(self):
         rng = np.random.default_rng(9)

@@ -106,14 +106,8 @@ class TestProblemConstruction:
     def test_explicit_consistent_c_r_accepted(self):
         mesh = build_mesh(1.0, 0.4)
         g = unit_data(1.0)
-        prob = NeumannProblem(mesh, CostSpec.radial(2.0), g,
-                              c_R=-g.total_mass / math.pi)
-        assert prob.c_R < 0.0
-
-    def test_incompatible_c_r_rejected(self):
-        mesh = build_mesh(1.0, 0.4)
-        with pytest.raises(ValueError, match="incompatible"):
-            NeumannProblem(mesh, CostSpec.radial(2.0), unit_data(1.0), c_R=0.0)
+        prob = NeumannProblem(mesh, CostSpec.radial(2.0), g)
+        assert prob.c_R == -g.total_mass / math.pi < 0.0
 
     def test_radius_mismatch_rejected(self):
         mesh = build_mesh(1.0, 0.4)

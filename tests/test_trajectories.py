@@ -346,13 +346,15 @@ def test_select_radius_scores_the_public_boundary_data():
     plan = crossing_plan()
     lam, mu = plan.source, plan.target
     cands, n_theta = [2.2, 2.5, 2.8], 32
-    sel = select_radius(plan, lam, mu, P2, candidates=cands, n_theta=n_theta, resolution=8)
-    for r in cands:
-        f, g = entry_exit_atoms(plan, r)
-        assert f.n_atoms and g.n_atoms
-        rep = approximate_boundary_data(plan, lam, mu, P2, r, n_theta,
-                                        moll_scale=4.0 * math.pi / n_theta, resolution=8)
-        assert sel.components[r][2] == rep.f_bar.lp_mass(2.0) + rep.g_bar.lp_mass(2.0)
+    # an explicit resolution, then both functions' defaults
+    for res in ({"resolution": 8}, {}):
+        sel = select_radius(plan, lam, mu, P2, candidates=cands, n_theta=n_theta, **res)
+        for r in cands:
+            f, g = entry_exit_atoms(plan, r)
+            assert f.n_atoms and g.n_atoms
+            rep = approximate_boundary_data(plan, lam, mu, P2, r, n_theta,
+                                            moll_scale=4.0 * math.pi / n_theta, **res)
+            assert sel.components[r][2] == rep.f_bar.lp_mass(2.0) + rep.g_bar.lp_mass(2.0)
 
 
 def test_select_radius_composes_each_marginal_once(monkeypatch):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
-from cyclical_oracle import cyclical_violations
+from cyclical_oracle import cyclical_violations, popped_tuples
 from lp_oracle import brute_force, dense_solve, monotone_1d
 from otlab import transport
 from otlab.costs import CostSpec, cost_eval
@@ -476,20 +476,28 @@ def test_batched_violations_equal_the_loop(spec, n_tuple):
             == cyclical_violations(few, spec, n_tuple, 500, seed=n_tuple))
 
 
-def choice_loop(k, n_tuple, trials, seed):
-    rng = np.random.default_rng(seed)
-    return np.array([rng.choice(k, size=n_tuple, replace=False) for _ in range(trials)])
-
-
-@pytest.mark.parametrize("k, n_tuple", [(2, 2), (6, 6), (7, 6), (50, 2), (330, 3), (12000, 5),
-                                        (3_000_000_000, 4)])
-def test_tuple_draws_equal_the_choice_loop(k, n_tuple):
-    # at k = 3e9 about 30 % of the bounded draws would be rejected and
-    # redrawn, so the batch falls back to the loop
+@pytest.mark.parametrize("k, n_tuple", [(2, 2), (6, 6), (7, 6), (50, 2), (330, 3), (12000, 5)])
+def test_tuple_draws_equal_the_popping_loop(k, n_tuple):
     for seed in range(5):
         got = transport._draw_tuples(k, n_tuple, 200, seed)
         assert got.shape == (200, n_tuple)
-        assert np.array_equal(got, choice_loop(k, n_tuple, 200, seed))
+        assert np.array_equal(got, popped_tuples(k, n_tuple, 200, seed))
+
+
+def test_tuple_draws_are_uniform_and_distinct():
+    # every ordered triple of 7 indices, each within 6 standard deviations
+    # of its binomial mean
+    trials, n_perm = 200_000, 7 * 6 * 5
+    rows, counts = np.unique(transport._draw_tuples(7, 3, trials, 11), axis=0,
+                             return_counts=True)
+    assert len(rows) == n_perm
+    assert np.all([len(set(r)) == 3 for r in rows.tolist()])
+    mean = trials / n_perm
+    assert np.abs(counts - mean).max() <= 6.0 * math.sqrt(mean)
+    # indices past 2**32 stay distinct and in range
+    big = transport._draw_tuples(3_000_000_000, 4, 2000, 0)
+    assert big.min() >= 0 and big.max() < 3_000_000_000
+    assert (np.sort(big, axis=1)[:, 1:] != np.sort(big, axis=1)[:, :-1]).all()
 
 
 def test_single_entry_plan_trivially_monotone():
@@ -574,6 +582,26 @@ def test_data_kappa_terms_analytic(spec):
     want = 2.0 ** spec.p * delta ** spec.p / (1.0 + delta) ** (spec.p - 1.0)
     got = data_D(lam, mu, 2.0, spec, 12, PLAIN_VOLUME)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(SPECS + [ANISO]), st.floats(1.5, 3.0))
+def test_data_D_is_invariant_under_reflection(seed, spec, radius):
+    # x2 -> -x2 maps B_R, its polar quadrature and both costs onto
+    # themselves, so each half's LP value is unchanged; each certified
+    # plan costs at most 1e-9 * scale * mass above its LP's optimum
+    rng = np.random.default_rng(seed)
+    lam, mu = (DiscreteMeasure(rng.normal(size=(25, 2)), rng.gamma(2.0, size=25))
+               for _ in range(2))
+    flip = np.array([1.0, -1.0])
+    got = data_D(lam, mu, radius, spec, 6)
+    mirrored = data_D(DiscreteMeasure(lam.points * flip, lam.weights),
+                      DiscreteMeasure(mu.points * flip, mu.weights), radius, spec, 6)
+    top = 4.0 if spec is ANISO else 1.0  # largest eigenvalue of the cost's matrix
+    scale = max((top * (2.0 * radius) ** 2) ** (spec.p / 2.0) / spec.p, 1.0)
+    mass = lam.total_mass + mu.total_mass
+    tol = 1e-9 * scale * mass / (math.pi * radius ** 2 * radius ** spec.p)
+    assert abs(got - mirrored) <= tol + 1e-12 * abs(got)
 
 
 def test_data_point_vs_uniform_1d():
