@@ -360,8 +360,8 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
     ang = np.arctan2(unit.points[:, 1], unit.points[:, 0]) % (2.0 * math.pi)
     ia = np.minimum((ang / dth).astype(int), n_theta - 1)
     ir = np.minimum(((rr - rmin) / dr).astype(int), n_r - 1)
-    cell_mass = np.zeros((n_r, n_theta))
-    np.add.at(cell_mass, (ir, ia), unit.weights)
+    cell_mass = np.bincount(ir * n_theta + ia, weights=unit.weights,
+                            minlength=n_r * n_theta).reshape(n_r, n_theta)
     r_mid = rmin + (np.arange(n_r) + 0.5) * dr
     cell_area = (r_mid * dr * dth)[:, None]
     sup_density = float((cell_mass / cell_area).max())

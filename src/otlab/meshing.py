@@ -120,10 +120,9 @@ class DiskMesh:
     @functools.cached_property
     def lumped_mass(self) -> np.ndarray:
         """Nodal weights of the lumped mass matrix (a third per vertex)."""
-        mass = np.zeros(self.n_nodes)
-        for k in range(3):
-            np.add.at(mass, self.triangles[:, k], self.areas / 3.0)
-        return mass
+        # corner-major, so each node sums its triangles corner by corner
+        return np.bincount(self.triangles.T.ravel(), weights=np.tile(self.areas / 3.0, 3),
+                           minlength=self.n_nodes)
 
     @functools.cached_property
     def boundary_nodes(self) -> np.ndarray:

@@ -41,9 +41,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
-from scipy.spatial import distance
 
-from .costs import CostSpec, _dual_hessian, cost_eval, dual_eval, dual_grad
+from .costs import CostSpec, _dual_hessian, _holder_maxima, cost_eval, dual_eval, dual_grad
 from .measures import Ball, BoundaryData
 from .meshing import DiskMesh
 
@@ -67,10 +66,6 @@ _PCG_CAP = 20
 _ETA_MAX = 0.1
 # Hoelder exponent fixed for all seminorm diagnostics
 HOLDER_BETA = 0.5
-# entries per row block of the Hoelder pair scan; a 512 KB float64
-# temporary stays in cache (4 MB blocks ran about 1.4x slower on a
-# 2-core Xeon for 1.1k nodes)
-_HOLDER_BLOCK = 1 << 16
 
 
 def net_boundary_flux(g: BoundaryData, f: BoundaryData) -> BoundaryData:
@@ -136,13 +131,11 @@ class ScalarField:
     def nodal_gradients(self) -> np.ndarray:
         """Area-weighted average of the incident element gradients."""
         mesh = self.mesh
-        num = np.zeros((mesh.n_nodes, 2))
-        den = np.zeros(mesh.n_nodes)
-        weighted = mesh.areas[:, None] * self.element_gradients
-        for k in range(3):
-            np.add.at(num, mesh.triangles[:, k], weighted)
-            np.add.at(den, mesh.triangles[:, k], mesh.areas)
-        return num / den[:, None]
+        # corner-major, so each node sums its triangles corner by corner
+        cols = np.column_stack([mesh.areas[:, None] * self.element_gradients, mesh.areas])
+        sums = np.stack([np.bincount(mesh.triangles.T.ravel(), weights=np.tile(w, 3),
+                                     minlength=mesh.n_nodes) for w in cols.T], axis=1)
+        return sums[:, :2] / sums[:, 2:]
 
     def evaluate(self, points) -> np.ndarray:
         """P1 interpolation; outside the mesh, the nearest node value."""
@@ -519,10 +512,9 @@ def holder_product_check(phi: ScalarField, cost: CostSpec, ball: Ball) -> float:
     piecewise-gradient jumps dominate the quotients.  Returns
     lhs / (sup |D phi|^{p'-1} [D phi]); 0 when both sides vanish.
 
-    Pairs are scanned in row blocks of max(1, 2^16 // k) rows for the
-    k nodes in the ball, so beyond its O(k) node arrays the check holds
-    a few temporaries of about 2^16 entries (512 KB of float64) each,
-    whatever k is; only k > 2^16 widens a one-row block to k entries.
+    Pairs are swept by `costs._holder_maxima`, so beyond its O(k) node
+    arrays the check holds a few temporaries of about 2^16 entries
+    (512 KB of float64) each, however many nodes the ball holds.
     """
     if ball.dim != 2:
         raise ValueError("planar ball required")
@@ -533,22 +525,10 @@ def holder_product_check(phi: ScalarField, cost: CostSpec, ball: Ball) -> float:
     x = mesh.nodes[sel]
     dg = phi.nodal_gradients[sel]
     s = (dual_eval(cost, dg) + cost_eval(cost, dual_grad(cost, dg)))[:, None]
-
-    # full rows hold each pair twice; the maxima are those over i < j
-    rows = max(1, _HOLDER_BLOCK // len(x))
-    lhs = grad_semi = 0.0
-    found = False
-    for a in range(0, len(x), rows):
-        b = slice(a, a + rows)
-        dist = distance.cdist(x[b], x)
-        far = dist >= 2.0 * mesh.h
-        found = found or bool(far.any())
-        # pairs closer than 2h get an infinite weight and quotient 0
-        w = np.where(far, dist, np.inf) ** HOLDER_BETA
-        lhs = max(lhs, float(np.max(distance.cdist(s[b], s, "cityblock") / w)))
-        grad_semi = max(grad_semi, float(np.max(distance.cdist(dg[b], dg) / w)))
-    if not found:
+    maxima = _holder_maxima(x, (s, dg), HOLDER_BETA, 2.0 * mesh.h)
+    if maxima is None:
         raise ValueError("no node pairs at separation 2h in the ball")
+    lhs, grad_semi = maxima
     sup_d = float(np.linalg.norm(dg, axis=1).max())
     if grad_semi <= 1e-10 * max(1.0, sup_d):
         # constant gradient at working precision: both sides are roundoff

@@ -16,7 +16,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .costs import CostSpec, cost_eval
 from .measures import Ball, BoundaryData, DiscreteMeasure, mollify_boundary, radial_project
@@ -156,31 +155,24 @@ def entry_exit_atoms(plan, radius: float):
 
 def entry_exit_measures(plan, radius: float, n_theta: int):
     """Entry and exit measures binned as boundary histograms."""
-    f_atoms, g_atoms = entry_exit_atoms(plan, radius)
-    empty = BoundaryData(radius, np.zeros(n_theta), dim=plan.source.dim) \
-        if plan.source.dim == 2 else BoundaryData(radius, np.zeros(2), dim=1)
-    f = radial_project(f_atoms, radius, n_theta) if f_atoms.n_atoms else empty
-    g = radial_project(g_atoms, radius, n_theta) if g_atoms.n_atoms else empty
-    return f, g
+    return tuple(radial_project(atoms, radius, n_theta) for atoms in entry_exit_atoms(plan, radius))
 
 
 def _uniform_composition(marginal: DiscreteMeasure, spec: CostSpec, resolution: int):
     """Radius-independent half of the boundary data, for one marginal.
 
-    The auxiliary optimal plan from the marginal restricted to B_4 onto
-    kappa dx on B_4, row-normalised into a sparse share matrix from the
-    marginal's atoms onto the quadrature cells; an atom outside B_4 has
-    an empty row.  Returns (share, mask of the atoms inside B_4,
+    The entries of the auxiliary optimal plan from the marginal
+    restricted to B_4 onto kappa dx on B_4: per entry, the marginal's
+    atom, the quadrature cell and the share of the atom's mass the entry
+    carries.  Returns (atom, cell, share, mask of the atoms inside B_4,
     quadrature with the cell volumes as weights, kappa).
     """
     k4, quad, aux = _plan_to_uniform(marginal, 4.0, spec, resolution)
     anchored = Ball.at_origin(4.0, dim=marginal.dim).contains(marginal.points)
     atom = np.flatnonzero(anchored)  # marginal atom of each row of the plan's source
     row_weight = np.bincount(aux.idx_source, weights=aux.masses, minlength=len(atom))
-    share = sparse.csr_matrix(
-        (aux.masses / row_weight[aux.idx_source], (atom[aux.idx_source], aux.idx_target)),
-        shape=(marginal.n_atoms, quad.n_atoms))
-    return share, anchored, quad, k4
+    share = aux.masses / row_weight[aux.idx_source]
+    return atom[aux.idx_source], aux.idx_target, share, anchored, quad, k4
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -214,9 +206,10 @@ def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
     def one_side(sel: np.ndarray, idx: np.ndarray, composition):
         if len(sel) == 0:
             return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan, 0.0
-        share, anchored, cells, k4 = composition()
+        atom, cell, share, anchored, cells, k4 = composition()
         atoms, masses = idx[sel], plan.masses[sel]
-        spread = share.T @ np.bincount(atoms, weights=masses, minlength=share.shape[0])
+        crossing = np.bincount(atoms, weights=masses, minlength=len(anchored))
+        spread = np.bincount(cell, weights=share * crossing[atom], minlength=cells.n_atoms)
         dropped = float(masses[~anchored[atoms]].sum())
         sup = float((spread / cells.weights).max())
         if sup > k4 * 1.05 + 1e-12:
@@ -224,8 +217,7 @@ def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
                 f"composed boundary density {sup:.4g} exceeds kappa {k4:.4g}")
         carried = spread > 0
         projected = radial_project(
-            DiscreteMeasure(cells.points[carried], spread[carried]),
-            radius, n_theta) if carried.any() else BoundaryData(radius, np.zeros(n_theta))
+            DiscreteMeasure(cells.points[carried], spread[carried]), radius, n_theta)
         return mollify_boundary(projected, moll_scale), sup, k4, dropped
 
     (f_sel, _), (g_sel, _) = crossings

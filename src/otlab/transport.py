@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from .costs import CostSpec, cost_eval, cost_grad, dual_eval
+from .costs import CostSpec, _holder_maxima, cost_eval, cost_grad, dual_eval
 from .measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 
 __all__ = [
@@ -552,14 +552,12 @@ def data_D(lam: DiscreteMeasure, mu: DiscreteMeasure, radius: float, spec: CostS
     by |B_R|) plus R^p (kappa - 1)^p / kappa^{p-1}.  The scale invariant
     form divides the whole sum by R^p.
     """
+    if normalization not in (SCALE_INVARIANT, PLAIN_VOLUME):
+        raise ValueError("unknown normalization")
     wl, _, kl = _data_half(lam, radius, spec, resolution)
     wm, _, km = _data_half(mu, radius, spec, resolution)
     total = wl + kl + wm + km
-    if normalization == SCALE_INVARIANT:
-        return total / radius ** spec.p
-    if normalization == PLAIN_VOLUME:
-        return total
-    raise ValueError("unknown normalization")
+    return total / radius ** spec.p if normalization == SCALE_INVARIANT else total
 
 
 def compute_smallness(plan: TransportPlan, spec: CostSpec, radii: Sequence[float],
@@ -714,7 +712,11 @@ def c2measures_check(xi: Callable[[np.ndarray], np.ndarray], alpha: float,
 
         K = Lambda^{alpha/p} mass^{(p-alpha)/p} / R^{2d(p-alpha)/p}
 
-    padded 25 percent for the grid-sampled seminorm.
+    padded 25 percent because the seminorm is taken on the grid: it is
+    the exact maximum over all pairs of distinct quadrature points,
+    below the continuum one.  It is deterministic and never below an
+    estimate over a subset of those pairs, and rhs grows with it, so the
+    check passes wherever such an estimate would.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -725,17 +727,7 @@ def c2measures_check(xi: Callable[[np.ndarray], np.ndarray], alpha: float,
     xi_mu = np.asarray(xi(local.points), dtype=float)
     xi_quad = np.asarray(xi(quad.points), dtype=float)
     lhs = abs(float(np.sum(xi_mu * local.weights) - k * np.sum(xi_quad * quad.weights)))
-
-    # grid estimate of the Holder seminorm over neighbor pairs and a batch
-    # of distinct pairs drawn with seed 0; an underestimate, absorbed into
-    # K's padding
-    pts = quad.points
-    n = len(pts)
-    ia, ib = _draw_tuples(n, 2, min(4000, n * (n - 1) // 2), 0).T
-    ia = np.concatenate([ia, np.arange(n)])
-    ib = np.concatenate([ib, np.roll(np.arange(n), 1)])
-    sem = float(np.max(np.abs(xi_quad[ia] - xi_quad[ib])
-                       / np.linalg.norm(pts[ia] - pts[ib], axis=1) ** alpha))
+    sem, = _holder_maxima(quad.points, (xi_quad[:, None],), alpha, np.finfo(float).tiny)
 
     rhs = sem * w ** (alpha / spec.p) * radius ** (2.0 * mu.dim * (spec.p - alpha) / spec.p)
     mass = local.total_mass

@@ -21,7 +21,7 @@ import pytest
 
 from holder_oracle import holder_product_pairs
 from newton_oracle import boundary_load, newton_every_step
-from otlab import neumann
+from otlab import costs, neumann
 from otlab.costs import CostSpec, dual_grad
 from otlab.measures import Ball, BoundaryData, mollify_boundary
 from otlab.meshing import build_mesh
@@ -668,7 +668,7 @@ class TestHolderProduct:
             k = int(np.sum(np.linalg.norm(mesh.nodes - ball.center, axis=1)
                            <= ball.radius))
             rows = next(r for r in (7, 11, 13) if k % r)
-            monkeypatch.setattr(neumann, "_HOLDER_BLOCK", rows * k)
+            monkeypatch.setattr(costs, "_BLOCK", rows * k)
         want = holder_product_pairs(phi, spec, ball)
         got = holder_product_check(phi, spec, ball)
         assert want > 0.0

@@ -174,7 +174,11 @@ def test_entry_exit_histograms():
     f, g = entry_exit_measures(plan, 2.0, 16)
     assert f.masses[0] == pytest.approx(1.0)
     assert f.total_mass == pytest.approx(1.0)
-    assert g.total_mass == 0.0
+    assert g.dim == 2 and np.array_equal(g.masses, np.zeros(16))
+    # a 1-d plan that never reaches the sphere: two empty sides per measure
+    plan = solve_exact(DiscreteMeasure([[2.5]], [1.0]), DiscreteMeasure([[2.8]], [1.0]), P2)
+    for h in entry_exit_measures(plan, 2.0, 16):
+        assert h.dim == 1 and np.array_equal(h.masses, np.zeros(2))
 
 
 @given(st.floats(-math.pi, math.pi), st.integers(0, 2 ** 16))

@@ -604,6 +604,16 @@ def test_data_D_is_invariant_under_reflection(seed, spec, radius):
     assert abs(got - mirrored) <= tol + 1e-12 * abs(got)
 
 
+def test_data_unknown_normalization_rejected_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solve_exact called")
+
+    monkeypatch.setattr(transport, "solve_exact", no_solve)
+    lam = DiscreteMeasure([[0.5, 0.0]], [1.0])
+    with pytest.raises(ValueError, match="normalization"):
+        data_D(lam, lam, 2.0, P2, 6, "per_atom")
+
+
 def test_data_point_vs_uniform_1d():
     lam = DiscreteMeasure([[0.0]], [2.0])
     quad = lebesgue_quadrature(Ball.at_origin(1.0, dim=1), 64)
@@ -755,6 +765,23 @@ def test_c2_linear_field_shifted_blob():
     rep = c2measures_check(lambda P: P[:, 0], 1.0, mu, radius, P2, resolution=10)
     assert rep.lhs == pytest.approx(s * math.pi * radius ** 2, rel=1e-10)
     assert rep.passed
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_c2_seminorm_is_the_all_pairs_maximum(alpha):
+    radius = 2.0
+    quad = lebesgue_quadrature(Ball.at_origin(radius), 8)
+    mu = DiscreteMeasure(quad.points, quad.weights)
+
+    def xi(P):
+        return np.sqrt(np.abs(P[:, 0])) + np.sin(2.0 * P[:, 1])
+
+    rep = c2measures_check(xi, alpha, mu, radius, P2, resolution=8)
+    i, j = np.triu_indices(quad.n_atoms, k=1)
+    vals = xi(quad.points)
+    want = np.max(np.abs(vals[i] - vals[j])
+                  / np.linalg.norm(quad.points[i] - quad.points[j], axis=1) ** alpha)
+    assert rep.holder_seminorm == pytest.approx(want, rel=1e-14)
 
 
 def test_c2_mass_window_enforced():
