@@ -57,43 +57,43 @@ class CostSpec:
 
     Parameters
     ----------
-    family : str
-        ``"radial"`` or ``"anisotropic"``.
     p : float
-        Growth exponent, p > 1.
+        Growth exponent, finite with p > 1.
     matrix : ndarray or None
-        SPD 2 x 2 matrix A for the anisotropic family; None radially
-        (a radial spec drops any matrix it is given).
+        SPD 2 x 2 matrix A of the anisotropic family; None is the
+        radial family.
     lambda_cap : float
-        Ellipticity certificate Lambda >= 1.  ``verify_assumptions``
-        must pass with this value; constructors fill in a certified
-        default when omitted.
+        Ellipticity certificate Lambda, finite and >= 1.
+        ``verify_assumptions`` must pass with this value; constructors
+        fill in a certified default when omitted.
     """
 
-    family: str
     p: float
     matrix: Optional[np.ndarray] = None
     lambda_cap: float = 1.0
 
     def __post_init__(self):
-        if self.family not in (RADIAL, ANISOTROPIC):
-            raise ValueError(f"unknown cost family {self.family!r}")
-        if not self.p > 1.0:
-            raise ValueError(f"exponent must satisfy p > 1, got {self.p}")
-        a = None
-        if self.family == ANISOTROPIC:
+        if not (math.isfinite(self.p) and self.p > 1.0):
+            raise ValueError(f"exponent must be finite with p > 1, got {self.p}")
+        if self.matrix is not None:
             # a read-only copy, so the cached inverse cannot go stale
             a = np.array(self.matrix, dtype=float)
             a.flags.writeable = False
             if a.shape != (2, 2):
                 raise ValueError(f"anisotropy matrix must be 2 x 2, got shape {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("anisotropy matrix must be finite")
             if not np.allclose(a, a.T, atol=1e-12):
                 raise ValueError("anisotropy matrix must be symmetric")
             if np.linalg.eigvalsh(a).min() <= 0:
                 raise ValueError("anisotropy matrix must be positive definite")
-        object.__setattr__(self, "matrix", a)
-        if self.lambda_cap < 1.0:
-            raise ValueError("lambda_cap must be >= 1")
+            object.__setattr__(self, "matrix", a)
+        if not (math.isfinite(self.lambda_cap) and self.lambda_cap >= 1.0):
+            raise ValueError(f"lambda_cap must be finite and >= 1, got {self.lambda_cap}")
+
+    @property
+    def family(self) -> str:
+        return RADIAL if self.matrix is None else ANISOTROPIC
 
     @property
     def p_prime(self) -> float:
@@ -108,15 +108,15 @@ class CostSpec:
     def radial(cls, p: float, lambda_cap: Optional[float] = None) -> "CostSpec":
         if lambda_cap is None:
             lambda_cap = _certified_lambda_radial(p)
-        return cls(RADIAL, float(p), None, float(lambda_cap))
+        return cls(float(p), None, float(lambda_cap))
 
     @classmethod
     def anisotropic(cls, p: float, matrix, lambda_cap: float) -> "CostSpec":
-        return cls(ANISOTROPIC, float(p), np.asarray(matrix, float), float(lambda_cap))
+        return cls(float(p), np.asarray(matrix, float), float(lambda_cap))
 
     def _key(self) -> tuple:
         m = None if self.matrix is None else tuple(self.matrix.ravel().tolist())
-        return self.family, self.p, self.lambda_cap, m
+        return self.p, self.lambda_cap, m
 
     def __eq__(self, other):
         return isinstance(other, CostSpec) and self._key() == other._key()
@@ -142,7 +142,7 @@ _RADIAL_LAMBDA_TABLE = {1.5: 3.6, 2.0: 2.0, 3.0: 4.5}
 def _certified_lambda_radial(p: float) -> float:
     if p in _RADIAL_LAMBDA_TABLE:
         return _RADIAL_LAMBDA_TABLE[p]
-    spec = CostSpec(RADIAL, p, None, 1.0)
+    spec = CostSpec(p)
     worst = max(
         _grid_constant(spec, "elliptic"),
         _grid_constant(spec, "growth"),

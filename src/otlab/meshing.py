@@ -2,10 +2,12 @@
 
 Nodes sit on concentric rings whose spacing shrinks like (r/R)^0.28
 toward the origin, each ring rotated half a cell against its
-neighbour, and the triangles come from a Delaunay pass over those
-points.  The grading is what keeps the quadratic convergence order for
-costs with p < 2: the radial solution r^p / p of the unit-flux problem
-has unbounded curvature at the centre, and uniform rings lose an order
+neighbour.  A mesh is built from R and its nodes alone: `DiskMesh`
+derives the triangles, the boundary walk, the element diameter and
+point location from one Delaunay triangulation of the nodes.  The
+grading is what keeps the quadratic convergence order for costs with
+p < 2: the radial solution r^p / p of the unit-flux problem has
+unbounded curvature at the centre, and uniform rings lose an order
 there.
 """
 from __future__ import annotations
@@ -41,40 +43,59 @@ def _ring_radii(R: float, h: float) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DiskMesh:
-    """Conforming triangulation of B_R centred at the origin.
+    """Delaunay triangulation of a node set of B_R centred at the origin.
 
-    Triangles are counterclockwise; boundary_edges walk the circle
-    counterclockwise and their first columns list the boundary nodes in
-    angular order.  h records the realized largest element diameter,
-    not the step the mesh was requested at.
+    R and the nodes are the whole input; everything else comes from one
+    Delaunay triangulation of the nodes, held on the mesh:
+
+    triangles : (t, 3) int array
+        Its simplices, turned counterclockwise.
+    boundary_edges : (m, 2) int array
+        Walk the nodes with |x| = R counterclockwise; their first column
+        lists the boundary nodes in angular order.
+    h : float
+        The realized largest element diameter.
+
+    `locate` searches the same triangulation, so its ids index
+    `triangles`.  The convex hull of the nodes must be exactly the nodes
+    on the circle, which makes the boundary walk the hull's edges.
     """
 
     R: float
     nodes: np.ndarray
-    triangles: np.ndarray
-    boundary_edges: np.ndarray
-    h: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        tris = np.asarray(self.triangles, dtype=int)
-        edges = np.asarray(self.boundary_edges, dtype=int)
-        if not (self.R > 0.0 and self.h > 0.0):
-            raise ValueError("R and h must be positive")
+        if not self.R > 0.0:
+            raise ValueError("R must be positive")
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("nodes must be an (n, 2) array")
-        if tris.ndim != 2 or tris.shape[1] != 3 or len(tris) == 0:
-            raise ValueError("triangles must be a non-empty (t, 3) array")
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("boundary_edges must be an (m, 2) array")
-        p0, p1, p2 = (nodes[tris[:, k]] for k in range(3))
+        try:
+            tri = spatial.Delaunay(nodes)
+        except spatial.QhullError as err:
+            raise ValueError("the nodes span no triangle") from err
+        if len(tri.coplanar):
+            raise ValueError("repeated node: it would lie in no triangle")
+        triangles = tri.simplices.astype(int)
+        p0, p1, p2 = (nodes[triangles[:, k]] for k in range(3))
         d1, d2 = p1 - p0, p2 - p0
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(det <= 1e-12 * np.abs(det).max()):
-            raise ValueError("degenerate or clockwise triangle in the mesh")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "triangles", tris)
-        object.__setattr__(self, "boundary_edges", edges)
+        if np.any(np.abs(det) <= 1e-12 * np.abs(det).max()):
+            raise ValueError("degenerate triangle in the disk mesh")
+        flip = det < 0.0
+        triangles[flip] = triangles[flip][:, [0, 2, 1]]
+
+        rim = np.flatnonzero(np.abs(np.linalg.norm(nodes, axis=1) - self.R) < 1e-9 * self.R)
+        if not np.array_equal(np.unique(tri.convex_hull), rim):
+            raise ValueError("the convex hull of the nodes must be exactly the nodes on |x| = R")
+        b = rim[np.argsort(np.mod(np.arctan2(nodes[rim, 1], nodes[rim, 0]), 2.0 * math.pi))]
+        corners = nodes[triangles]
+        h = max(float(np.linalg.norm(corners[:, k] - corners[:, (k + 1) % 3], axis=1).max())
+                for k in range(3))
+        for name, value in (("nodes", nodes), ("triangles", triangles), ("h", h),
+                            ("boundary_edges", np.stack([b, np.roll(b, -1)], axis=1)),
+                            ("_delaunay", tri)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
@@ -142,17 +163,7 @@ class DiskMesh:
         b = self.nodes[self.boundary_edges[:, 1]]
         t = b - a
         n = np.stack([t[:, 1], -t[:, 0]], -1)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        # a counterclockwise walk already points these outward; keep the
-        # sign check so a hand-built edge list cannot flip them silently
-        n[np.sum(n * 0.5 * (a + b), axis=1) < 0.0] *= -1.0
-        return n
-
-    @functools.cached_property
-    def _locator(self) -> spatial.Delaunay:
-        # reconstruction from the same nodes reproduces the triangle
-        # rows build_mesh stored, so find_simplex indices stay valid
-        return spatial.Delaunay(self.nodes)
+        return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     @functools.cached_property
     def _node_tree(self) -> spatial.cKDTree:
@@ -161,7 +172,7 @@ class DiskMesh:
     def locate(self, points) -> np.ndarray:
         """Index of the triangle containing each point, -1 outside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._locator.find_simplex(pts)
+        return self._delaunay.find_simplex(pts)
 
     def nearest_node(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -187,35 +198,7 @@ def build_mesh(R: float, target_h: float) -> DiskMesh:
         th = 2.0 * math.pi * (np.arange(n_j) + 0.5 * (j % 2)) / n_j
         pts.extend(zip(r * np.cos(th), r * np.sin(th)))
         prev = r
-    nodes = np.asarray(pts)
-
-    tri = spatial.Delaunay(nodes)
-    triangles = tri.simplices.copy()
-    p0, p1, p2 = (nodes[triangles[:, k]] for k in range(3))
-    d1, d2 = p1 - p0, p2 - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(np.abs(det) <= 1e-12 * np.abs(det).max()):
-        raise ValueError("degenerate triangle in the disk mesh")
-    flip = det < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-
-    rr = np.linalg.norm(nodes, axis=1)
-    bidx = np.flatnonzero(np.abs(rr - R) < 1e-9 * R)
-    order = np.argsort(np.mod(np.arctan2(nodes[bidx, 1], nodes[bidx, 0]), 2.0 * math.pi))
-    b = bidx[order]
-    edges = np.stack([b, np.roll(b, -1)], axis=1)
-
-    dmax = 0.0
-    corners = nodes[triangles]
-    for k in range(3):
-        side = corners[:, k, :] - corners[:, (k + 1) % 3, :]
-        dmax = max(dmax, float(np.linalg.norm(side, axis=1).max()))
-    if dmax > 1.5 * target_h:
-        raise ValueError(f"element diameter {dmax:.3f} exceeds 1.5 * {target_h:.3f}")
-
-    mesh = DiskMesh(R=float(R), nodes=nodes, triangles=triangles,
-                    boundary_edges=edges, h=dmax)
-    # hand the locator the triangulation we just built instead of
-    # recomputing it on first point query
-    mesh.__dict__["_locator"] = tri
+    mesh = DiskMesh(float(R), np.asarray(pts))
+    if mesh.h > 1.5 * target_h:
+        raise ValueError(f"element diameter {mesh.h:.3f} exceeds 1.5 * {target_h:.3f}")
     return mesh

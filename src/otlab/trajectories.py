@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import CostSpec, cost_eval
 from .measures import Ball, BoundaryData, DiscreteMeasure, mollify_boundary, radial_project
-from .transport import PLAIN_VOLUME, _plan_to_uniform, data_D, energy_E
+from .transport import PLAIN_VOLUME, _plan_to_uniform, _rings_at, data_D, energy_E
 
 __all__ = [
     "Trajectory",
@@ -277,9 +277,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     every error of the construction is radius-independent and propagates.
 
     `resolution` counts quadrature rings at the reference radius 4 and
-    is rescaled per candidate, so every candidate is scored with the
-    same radial cell width and discretization error cannot bias the
-    comparison across radii.
+    is rescaled per candidate by `_rings_at`.
     """
     if candidates is None:
         candidates = np.linspace(2.05, 2.95, 11)
@@ -301,8 +299,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
         (entering, _), (leaving, _) = crossings
         crossing = float(entry_cost[np.union1d(entering, leaving)].sum())
 
-        res_r = max(3, int(round(resolution * r / 4.0)))
-        d_r = data_D(lam, mu, r, spec, res_r, PLAIN_VOLUME)
+        d_r = data_D(lam, mu, r, spec, _rings_at(r, resolution), PLAIN_VOLUME)
         approx = _boundary_approximation(plan, r, crossings, n_theta,
                                          4.0 * math.pi / n_theta, compositions)
         lp_mass = approx.f_bar.lp_mass(spec.p) + approx.g_bar.lp_mass(spec.p)

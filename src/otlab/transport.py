@@ -485,10 +485,6 @@ def check_cyclical_monotonicity(plan: TransportPlan, spec: CostSpec, n_tuple: in
     return [{"entries": e.tolist(), "defect": float(d)} for e, d in zip(sel[won], defect[won])]
 
 
-def _ball_volume(radius: float, dim: int) -> float:
-    return Ball.at_origin(radius, dim=dim).volume
-
-
 def energy_E(plan: TransportPlan, radius: float, spec: CostSpec,
              normalization: str = SCALE_INVARIANT) -> float:
     """Localized transport energy of the plan at the given radius.
@@ -502,12 +498,22 @@ def energy_E(plan: TransportPlan, radius: float, spec: CostSpec,
     x, y = plan.pairs()
     mask = plan.anchored_in(radius)
     total = float(np.sum(plan.masses[mask] * cost_eval(spec, (x - y)[mask]))) if mask.any() else 0.0
-    vol = _ball_volume(radius, plan.source.dim)
+    vol = Ball.at_origin(radius, dim=plan.source.dim).volume
     if normalization == SCALE_INVARIANT:
         return total / (vol * radius ** spec.p)
     if normalization == PLAIN_VOLUME:
         return total / vol
     raise ValueError("unknown normalization")
+
+
+def _rings_at(radius: float, resolution: int) -> int:
+    """Quadrature rings at `radius` for a `resolution` counted at radius 4.
+
+    Rescaling the ring count with the radius keeps one radial cell width
+    across radii, so discretization error cannot bias a comparison or
+    warp a profile across them.
+    """
+    return max(3, int(round(resolution * radius / 4.0)))
 
 
 def _plan_to_uniform(nu: DiscreteMeasure, radius: float, spec: CostSpec,
@@ -538,7 +544,7 @@ def _data_half(nu: DiscreteMeasure, radius: float, spec: CostSpec,
     volume-normalized, following the defining display.
     """
     k, _, plan = _plan_to_uniform(nu, radius, spec, resolution)
-    w_term = plan.total_cost / _ball_volume(radius, nu.dim)
+    w_term = plan.total_cost / Ball.at_origin(radius, dim=nu.dim).volume
     k_term = radius ** spec.p * abs(k - 1.0) ** spec.p / k ** (spec.p - 1.0)
     return w_term, k, k_term
 
@@ -802,8 +808,7 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
     cross the boundary, which the trapezoid rule tolerates.
 
     `resolution` counts quadrature rings at radius 4 and is rescaled
-    per scan radius, so every integrand value shares one radial cell
-    width and the R-profile is not warped by discretization.
+    per scan radius by `_rings_at`.
     """
     if radii is None:
         radii = np.linspace(2.0, 3.0, 11)
@@ -813,8 +818,7 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
 
     vals = []
     for r in radii:
-        res_r = max(3, int(round(resolution * r / 4.0)))
-        k, _, plan = _plan_to_uniform(mu, r, spec, res_r)
+        k, _, plan = _plan_to_uniform(mu, r, spec, _rings_at(r, resolution))
         vals.append(plan.total_cost + abs(k - 1.0) ** spec.p / k)
     integral = float(np.trapezoid(vals, radii))
 

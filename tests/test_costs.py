@@ -70,7 +70,7 @@ class TestClosedFormExamples:
 class TestGradientInversion:
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0])
     def test_radial_round_trip(self, p):
-        s = CostSpec.radial(p) if p in (1.5, 2.0, 3.0) else CostSpec("radial", p, None, 50.0)
+        s = CostSpec.radial(p) if p in (1.5, 2.0, 3.0) else CostSpec.radial(p, lambda_cap=50.0)
         rng = np.random.default_rng(0)
         z = rng.normal(size=(64, 2)) * 10.0 ** rng.uniform(-2, 2, size=(64, 1))
         back = dual_grad(s, cost_grad(s, z))
@@ -183,7 +183,7 @@ class TestOneFormulaPerKernel:
     @settings(max_examples=200, deadline=None)
     def test_identity_matrix_is_the_radial_cost(self, p, log_r, b, delta):
         z = 10.0 ** log_r * vec(math.cos(b), math.sin(b))
-        radial, aniso = CostSpec("radial", p, None, 64.0), CostSpec.anisotropic(p, np.eye(2), 64.0)
+        radial, aniso = CostSpec.radial(p, lambda_cap=64.0), CostSpec.anisotropic(p, np.eye(2), 64.0)
         for kernel in (cost_eval, cost_grad, dual_eval, dual_grad):
             assert rel_gap(kernel(aniso, z), kernel(radial, z)) <= 1e-14
         want = costs._dual_hessian(radial, z[None], delta)
@@ -192,7 +192,7 @@ class TestOneFormulaPerKernel:
     @pytest.mark.parametrize("matrix", [None, [[1.3, 0.2], [0.2, 0.8]]])
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
     def test_hessian_is_the_derivative_of_dual_grad(self, p, matrix):
-        spec = (CostSpec("radial", p, None, 64.0) if matrix is None
+        spec = (CostSpec.radial(p, lambda_cap=64.0) if matrix is None
                 else CostSpec.anisotropic(p, matrix, 64.0))
         rng = np.random.default_rng(4)
         xi = rng.normal(size=(64, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(64, 1))
@@ -318,7 +318,10 @@ class TestAssumptionChecks:
         with pytest.raises(ValueError):
             CostSpec.radial(1.0)
         with pytest.raises(ValueError):
-            CostSpec("radial", 1.0, None, 1e6)
+            CostSpec.radial(1.0, lambda_cap=1e6)
+        for p in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                CostSpec.radial(p, lambda_cap=8.0)
 
     def test_report_is_json_serializable(self):
         import json
@@ -344,6 +347,8 @@ class TestConstruction:
             CostSpec.anisotropic(2.0, np.array([[1.0, 2.0], [2.0, 1.0]]), 10.0)
         with pytest.raises(ValueError):
             CostSpec.anisotropic(2.0, np.array([[1.0, 0.5], [0.2, 1.0]]), 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            CostSpec.anisotropic(3.0, np.diag([math.inf, 1.0]), 8.0)
 
     @pytest.mark.parametrize("matrix", [[[2.0]], np.eye(3), [1.0, 2.0]])
     def test_matrix_must_be_two_by_two(self, matrix):
@@ -365,6 +370,10 @@ class TestConstruction:
     def test_lambda_floor(self):
         with pytest.raises(ValueError):
             CostSpec.radial(2.0, lambda_cap=0.5)
+        # an infinite certificate would pass every sampled inequality
+        for cap in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                CostSpec.radial(3.0, lambda_cap=cap)
 
     def test_anisotropic_equality_and_hash(self):
         # the generated comparison read the matrix as an array and raised
@@ -376,15 +385,16 @@ class TestConstruction:
         assert a != CostSpec.anisotropic(3.0, changed, 8.0)
         assert a != CostSpec.anisotropic(3.0, np.eye(2), 9.0)
         assert a != CostSpec.anisotropic(2.5, np.eye(2), 8.0)
-        assert a != CostSpec("radial", 3.0, None, 8.0)
+        assert a != CostSpec.radial(3.0, lambda_cap=8.0)
+        # the family is read off the matrix
+        assert a.family == "anisotropic" and CostSpec.radial(3.0).family == "radial"
+        assert a.to_dict()["family"] == "anisotropic"
 
     def test_radial_equality_and_hash(self):
         assert CostSpec.radial(3.0) == CostSpec.radial(3.0)
         assert hash(CostSpec.radial(3.0)) == hash(CostSpec.radial(3.0))
         assert CostSpec.radial(3.0) != CostSpec.radial(1.5)
         assert CostSpec.radial(3.0) != CostSpec.radial(3.0, lambda_cap=9.0)
-        # a radial spec drops any matrix it is given
-        assert CostSpec("radial", 3.0, np.eye(2), 4.5) == CostSpec.radial(3.0)
         assert CostSpec.radial(3.0) != "radial"
 
     def test_certified_defaults(self):
@@ -442,7 +452,7 @@ class TestMetricKernel:
 SCAN_COST = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)
 # specs on which the grid constants are compared with the loop oracle
 GRID_SPECS = {
-    **{f"radial-p{p}": CostSpec("radial", p, None, 8.0) for p in (1.2, 1.5, 2.0, 3.0, 6.0)},
+    **{f"radial-p{p}": CostSpec.radial(p, lambda_cap=8.0) for p in (1.2, 1.5, 2.0, 3.0, 6.0)},
     "diag-p3.0": SCAN_COST,
     **{f"tilted-p{p}": CostSpec.anisotropic(p, [[1.3, 0.2], [0.2, 0.8]], 64.0) for p in (1.5, 2.0)},
 }

@@ -109,20 +109,32 @@ class TestGeometry:
         assert math.isclose(float(gaps.sum()), 2.0 * math.pi, rel_tol=1e-12)
 
 
+def _assert_located(m, pts, idx):
+    # barycentric coordinates of each point in its triangle lie in [0, 1]
+    assert np.all(idx >= 0)
+    tri = m.triangles[idx]
+    a = m.nodes[tri[:, 0]]
+    T = np.stack([m.nodes[tri[:, 1]] - a, m.nodes[tri[:, 2]] - a], axis=2)
+    lam = np.linalg.solve(T, (pts - a)[..., None])[..., 0]
+    assert np.all(lam > -1e-9)
+    assert np.all(lam.sum(axis=1) < 1.0 + 1e-9)
+
+
 class TestPointLocation:
     def test_locate_finds_containing_triangle(self):
         m = build_mesh(1.0, 0.2)
         rng = np.random.default_rng(7)
         pts = rng.uniform(-0.6, 0.6, size=(50, 2))
-        idx = m.locate(pts)
-        assert np.all(idx >= 0)
-        # barycentric coordinates of each point in its triangle lie in [0, 1]
-        tri = m.triangles[idx]
-        a = m.nodes[tri[:, 0]]
-        T = np.stack([m.nodes[tri[:, 1]] - a, m.nodes[tri[:, 2]] - a], axis=2)
-        lam = np.linalg.solve(T, (pts - a)[..., None])[..., 0]
-        assert np.all(lam > -1e-9)
-        assert np.all(lam.sum(axis=1) < 1.0 + 1e-9)
+        _assert_located(m, pts, m.locate(pts))
+
+    def test_locate_on_permuted_nodes(self):
+        # the ids index the mesh's own triangles whatever the node order
+        base = build_mesh(1.0, 0.2)
+        rng = np.random.default_rng(11)
+        m = DiskMesh(1.0, base.nodes[rng.permutation(base.n_nodes)])
+        pts = rng.uniform(-0.6, 0.6, size=(200, 2))
+        _assert_located(m, pts, m.locate(pts))
+        assert m.n_triangles == base.n_triangles
 
     def test_locate_outside_is_negative(self):
         m = build_mesh(1.0, 0.3)
@@ -142,27 +154,30 @@ class TestValidation:
         assert a == a and a != b
         assert hash(a) == key and table[a] == "a" and table[b] == "b"
 
-    def test_degenerate_triangle_rejected(self):
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="degenerate"):
-            DiskMesh(1.0, nodes, np.array([[0, 1, 2], [0, 1, 3]]),
-                     np.array([[1, 2]]), 0.5)
-
-    def test_clockwise_triangle_rejected(self):
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            DiskMesh(1.0, nodes, np.array([[0, 2, 1]]), np.array([[1, 2]]), 0.5)
-
     def test_shape_checks(self):
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        tris = np.array([[0, 1, 2]])
+        nodes = build_mesh(1.0, 0.5).nodes
         with pytest.raises(ValueError):
-            DiskMesh(0.0, nodes, tris, np.array([[1, 2]]), 0.5)
+            DiskMesh(0.0, nodes)
         with pytest.raises(ValueError):
-            DiskMesh(1.0, nodes, np.zeros((0, 3), dtype=int),
-                     np.array([[1, 2]]), 0.5)
+            DiskMesh(1.0, nodes[:, :1])
         with pytest.raises(ValueError):
-            DiskMesh(1.0, nodes, tris, np.array([1, 2]), 0.5)
+            DiskMesh(1.0, nodes.ravel())
+
+    def test_hull_must_be_the_circle_nodes(self):
+        nodes = build_mesh(1.0, 0.5).nodes
+        with pytest.raises(ValueError, match="convex hull"):
+            DiskMesh(1.0, np.vstack([nodes, [[1.2, 0.1]]]))
+        with pytest.raises(ValueError, match="convex hull"):
+            DiskMesh(1.1, nodes)
+        with pytest.raises(ValueError, match="convex hull"):
+            DiskMesh(1.0, nodes[1:] * np.array([1.0, 0.5]))
+
+    def test_nodes_outside_every_triangle_rejected(self):
+        nodes = build_mesh(1.0, 0.5).nodes
+        with pytest.raises(ValueError, match="repeated"):
+            DiskMesh(1.0, np.vstack([nodes, nodes[:1]]))
+        with pytest.raises(ValueError, match="no triangle"):
+            DiskMesh(1.0, np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
 
 
 @settings(max_examples=15, deadline=None)

@@ -604,6 +604,37 @@ def test_data_D_is_invariant_under_reflection(seed, spec, radius):
     assert abs(got - mirrored) <= tol + 1e-12 * abs(got)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(SPECS + [ANISO]), st.sampled_from([0.5, 2.0, 3.7]))
+def test_smallness_is_covariant_under_dilation(seed, spec, s):
+    # x -> s x with weights times s^2 keeps every density, and
+    # c(s z) = s^p c(z), so the scale-invariant E and D at s R equal
+    # those at R.  E reuses the coupling; each D half re-solves an LP
+    # whose certified plan costs at most 1e-9 * scale * mass above its
+    # optimum, on either side of the dilation
+    rng = np.random.default_rng(seed)
+    lam, mu = (DiscreteMeasure(rng.normal(size=(25, 2)), rng.gamma(2.0, size=25))
+               for _ in range(2))
+    mu = mu.with_mass(lam.total_mass)
+    plan = solve_exact(lam, mu, spec)
+    grown = TransportPlan(DiscreteMeasure(s * lam.points, s * s * lam.weights),
+                          DiscreteMeasure(s * mu.points, s * s * mu.weights),
+                          plan.idx_source, plan.idx_target, s * s * plan.masses)
+    radii = (1.5, 2.5)
+    got = compute_smallness(plan, spec, radii, 6)
+    dilated = compute_smallness(grown, spec, [s * r for r in radii], 6)
+    top = 4.0 if spec is ANISO else 1.0  # largest eigenvalue of the cost's matrix
+    for r in radii:
+        assert dilated.E_values[s * r] == pytest.approx(got.E_values[r], rel=1e-12, abs=1e-300)
+        tol = 0.0
+        for radius, mass in ((r, lam.total_mass + mu.total_mass),
+                             (s * r, s * s * (lam.total_mass + mu.total_mass))):
+            scale = max((top * (2.0 * radius) ** 2) ** (spec.p / 2.0) / spec.p, 1.0)
+            tol += 1e-9 * scale * mass / (math.pi * radius ** 2 * radius ** spec.p)
+        want = got.D_values[r]
+        assert abs(dilated.D_values[s * r] - want) <= tol + 1e-12 * abs(want)
+
+
 def test_data_unknown_normalization_rejected_before_solving(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solve_exact called")
