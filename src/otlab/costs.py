@@ -138,7 +138,7 @@ class CostSpec:
 _RADIAL_LAMBDA_TABLE = {1.5: 3.6, 2.0: 2.0, 3.0: 4.5}
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _certified_lambda_radial(p: float) -> float:
     if p in _RADIAL_LAMBDA_TABLE:
         return _RADIAL_LAMBDA_TABLE[p]
@@ -428,7 +428,6 @@ def verify_assumptions(spec: CostSpec, sample_count: int, seed: int) -> Assumpti
     return AssumptionReport(spec, sample_count, seed, tuple(results), fy_rel)
 
 
-_GRID_CACHE: dict = {}
 # row x grid entries per block of a grid or pair sweep; a 512 KB float64
 # temporary stays in cache (4 MB blocks ran about 1.4x slower on a 2-core
 # Xeon for the pair sweep over 1.1k nodes)
@@ -471,6 +470,29 @@ def _tau_gaps(e: float, fx, fg, qx, qxg, qg, tau: np.ndarray) -> np.ndarray:
     return t * fx + (1.0 - t) * fg - np.maximum(q, 0.0) ** (e / 2.0) / e
 
 
+def _polar_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Partner points of the grid sweeps, a log-radius polar grid, and their norms."""
+    th = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)[:, None]
+    rr = np.concatenate([np.geomspace(1e-3, 1e3, 121), [1.0]])
+    grid = np.stack([np.cos(th) * rr, np.sin(th) * rr], -1).reshape(-1, 2)
+    return grid, np.linalg.norm(grid, axis=1)
+
+
+@functools.cache
+def _vdiff(p: float) -> float:
+    """Grid estimate of the V-difference constant, which reads p alone."""
+    grid, ng = _polar_grid()
+    v1 = v_p(p, _I2[0], grid)
+    worst = 0.0
+    for s in _spans(len(grid), len(grid), 7):
+        num = np.abs(v1[s, None] - v1)
+        den = (1.0 + ng[s, None] + ng) ** (p - 1.0) * cdist(grid[s], grid)
+        mm = den > 0.0
+        worst = max(worst, float((num[mm] / den[mm]).max()))
+    return worst
+
+
+@functools.cache
 def _grid_constant(spec: CostSpec, which: str) -> float:
     """Deterministic coarse-grid estimate of a structural constant.
 
@@ -478,18 +500,11 @@ def _grid_constant(spec: CostSpec, which: str) -> float:
     verify_assumptions.  Scale invariance of every inequality lets the
     grid fix |x| = 1 and sweep the partner point over a log-radius polar
     grid; anisotropic specs additionally sweep the base direction.  Sweeps
-    run in blocks of ``_BLOCK`` entries; ``vdiff`` is keyed on p only.
+    run in blocks of ``_BLOCK`` entries; ``vdiff`` comes from ``_vdiff``.
     """
-    key = (("vdiff", spec.p) if which == "vdiff" else
-           (spec.family, spec.p, None if spec.matrix is None else spec.matrix.tobytes(), which))
-    if key in _GRID_CACHE:
-        return _GRID_CACHE[key]
-
-    th = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
-    rr = np.concatenate([np.geomspace(1e-3, 1e3, 121), [1.0]])
-    grid = np.stack([np.cos(th)[:, None] * rr[None, :],
-                     np.sin(th)[:, None] * rr[None, :]], -1).reshape(-1, 2)
-    ng = np.linalg.norm(grid, axis=1)
+    if which == "vdiff":
+        return _vdiff(spec.p)
+    grid, ng = _polar_grid()
     tau = np.linspace(0.01, 0.99, 57)
     base_dirs = [_I2[0]] if spec.matrix is None else [
         np.array([np.cos(a), np.sin(a)]) for a in np.linspace(0.0, np.pi, 17)
@@ -503,14 +518,7 @@ def _grid_constant(spec: CostSpec, which: str) -> float:
     fg = f(spec, g)
 
     worst = np.inf if which == "pprime_convex" else 0.0
-    if which == "vdiff":
-        v1 = v_p(spec.p, _I2[0], grid)
-        for s in _spans(len(grid), len(grid), 7):
-            num = np.abs(v1[s, None] - v1)
-            den = (1.0 + ng[s, None] + ng) ** (spec.p - 1.0) * cdist(grid[s], grid)
-            mm = den > 0.0
-            worst = max(worst, float((num[mm] / den[mm]).max()))
-    elif which in ("elliptic", "pprime_convex"):
+    if which in ("elliptic", "pprime_convex"):
         # the convexity gaps sweep all tau at once in the metric M of f
         m = spec.inverse if dual else spec.matrix
         gm, qg = _metric(g, m)
@@ -543,5 +551,4 @@ def _grid_constant(spec: CostSpec, which: str) -> float:
             worst = max(worst, float((dgn[mm] / den[mm]).max()))
     else:
         raise ValueError(which)
-    _GRID_CACHE[key] = worst
     return worst

@@ -120,7 +120,9 @@ class Ball:
         return (2.0 if self.dim == 1 else math.pi) * self.radius ** self.dim
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Mask of the points in the open ball; its sphere lies outside."""
+        """Mask of the (k, dim) points in the open ball; its sphere lies outside."""
+        if np.shape(points)[1:] != (self.dim,):
+            raise ValueError(f"points must be (k, {self.dim}), got shape {np.shape(points)}")
         return np.linalg.norm(points - self.center, axis=1) < self.radius
 
     @staticmethod
@@ -152,6 +154,8 @@ class BoundaryData:
             raise ValueError("bin masses must be finite")
         if np.any(m < 0) and not self.signed:
             raise ValueError("bin masses must be non-negative")
+        if self.dim not in (1, 2):
+            raise ValueError(f"boundary data live in dimension 1 or 2, got {self.dim}")
         if self.dim == 1 and len(m) != 2:
             raise ValueError("line boundary has exactly two bins")
         if self.dim == 2 and len(m) < 1:

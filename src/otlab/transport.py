@@ -5,9 +5,8 @@ clouds as a linear program and certifies optimality through the dual.
 `solve_exact` is the one LP kernel: it solves the LP on a sparse support
 grown by pricing rounds (column generation), keeping one HiGHS model per
 LP whose basis warm-starts each round after the round's priced columns
-are added, certifies the result against the full cost matrix, and keeps
-the certified plans of recent inputs in a small per-process table, so
-an LP that a computation poses again (the auxiliary plans onto uniform
+are added, certifies the result against the full cost matrix, and caches
+recent plans, so an LP posed again (the auxiliary plans onto uniform
 densities, D(4) from several checks) is solved once.
 On top of the solver sit the quantities steering the linearization
 study: the localized transport energy E(R), the data term D(R)
@@ -22,12 +21,9 @@ checks return report objects and never raise on a failed inequality.
 """
 from __future__ import annotations
 
-import collections
 import dataclasses
-import hashlib
-import json
+import functools
 import math
-import threading
 import time
 from typing import Callable, Optional, Sequence
 
@@ -66,9 +62,6 @@ _MAX_MATRIX_ENTRIES = 4_000_000
 
 _MARGINAL_RTOL = 1e-10
 
-# certified plans kept for reuse; one chain instance poses about 13
-# distinct LPs, so this holds a few instances' worth
-_REUSE_ENTRIES = 32
 # each atom starts with this many of its cheapest partners in the support,
 # a shortlist (Gottschlich-Schuhmacher 2014); on held-out matching LPs (600
 # uniform atoms on B_4 against its polar quadrature, p = 3, 12 draws) the
@@ -106,20 +99,18 @@ _WARM_SIMPLEX_STRATEGY = 4
 
 @dataclasses.dataclass(frozen=True)
 class LPRecord:
-    """What the LP kernel did for a plan.
+    """What the LP kernel did for a plan; a cached plan's is the solve that stored it.
 
     solves counts restricted solves (pricing rounds), iterations the
     simplex iterations summed over them, support the columns of the final
     restricted LP, and seconds the kernel's time including the cost
-    matrix and the certificate.  reused is True when the plan came from
-    the reuse table; the counts then describe the solve that stored it.
+    matrix and the certificate.
     """
 
     solves: int
     iterations: int
     support: int
     seconds: float
-    reused: bool = False
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -199,7 +190,9 @@ class SmallnessReport:
 
 
 def _check_balanced(lam: DiscreteMeasure, mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Validate |lam| = |mu| to 1e-9 relative; return mu rescaled exactly."""
+    """Check equal dimension and |lam| = |mu| to 1e-9 relative; return mu rescaled exactly."""
+    if lam.dim != mu.dim:
+        raise ValueError(f"dimension mismatch: {lam.dim} vs {mu.dim}")
     ml, mm = lam.total_mass, mu.total_mass
     if ml <= 0 or mm <= 0:
         raise ValueError("measures must have positive mass")
@@ -226,46 +219,6 @@ def _identical(lam: DiscreteMeasure, mu: DiscreteMeasure) -> bool:
     scale = 1.0 + float(np.abs(lam.points).max())
     return (np.allclose(lam.points, mu.points, rtol=0.0, atol=1e-12 * scale)
             and np.allclose(lam.weights, mu.weights, rtol=1e-12, atol=0.0))
-
-
-class _PlanTable:
-    """Least-recently-used table of certified plans, keyed by input digest.
-
-    Holds (idx_source, idx_target, masses, total_cost, dual_gap, LPRecord)
-    tuples of private arrays; a lock serialises every access, so concurrent
-    solves cannot corrupt the order or the bound.
-    """
-
-    def __init__(self, size: int):
-        self._size = size
-        self._entries = collections.OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: str, entry: tuple) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._size:
-                self._entries.popitem(last=False)
-
-
-_PLANS = _PlanTable(_REUSE_ENTRIES)
-
-
-def _input_key(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> str:
-    """Digest of the spec's canonical dict and the shapes and bytes of both clouds."""
-    h = hashlib.sha256(json.dumps(spec.to_dict(), sort_keys=True).encode())
-    for a in (lam.points, lam.weights, mu.points, mu.weights):
-        h.update(repr(a.shape).encode())
-        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-    return h.hexdigest()
 
 
 def _north_west_corner(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +264,7 @@ def _add_columns(model, cmat: np.ndarray, cells: np.ndarray) -> None:
 
 
 def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tuple:
-    """Certified optimum by column generation; returns the table entry."""
+    """Certified optimum by column generation: (i, j, masses, cost, gap, LPRecord)."""
     t0 = time.perf_counter()
     cmat = _cost_matrix(lam, mu, spec)
     n, m = cmat.shape
@@ -382,6 +335,15 @@ def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tupl
     return i, j, x[carried][order], info.objective_function_value, gap, record
 
 
+@functools.lru_cache(maxsize=32)
+def _certified_plan(lam_shape: tuple, lam_points: bytes, lam_weights: bytes,
+                    mu_shape: tuple, mu_points: bytes, mu_weights: bytes, spec: CostSpec) -> tuple:
+    """`_solve_lp` on the clouds rebuilt from the bytes and shapes that key the cache."""
+    lam = DiscreteMeasure(np.frombuffer(lam_points).reshape(lam_shape), np.frombuffer(lam_weights))
+    mu = DiscreteMeasure(np.frombuffer(mu_points).reshape(mu_shape), np.frombuffer(mu_weights))
+    return _solve_lp(lam, mu, spec)
+
+
 def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> TransportPlan:
     """Optimal coupling between lam and mu for the cost spec, via LP.
 
@@ -408,35 +370,27 @@ def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> Tr
     stored on the plan as dual_gap, and the plan's `lp` record holds the
     restricted solves, simplex iterations, final support size and seconds.
 
-    Certified results are reused: each call is keyed by a digest of the
-    spec and of lam's and mu's points and weights as given, and the most
-    recent distinct keys keep their plan entries in a bounded
-    per-process table.  A repeated input returns a new plan over the
-    caller's own measures with copies of the stored entries, so the
-    marginal checks run again and no caller can alter a stored result;
-    its `lp` record is the stored solve's with reused set.  Calls that
-    raise store nothing.
+    Certified plans are cached: the spec and the shapes and bytes of lam
+    and the rescaled mu key an `lru_cache` of 32 (a few chain instances'
+    LPs), and calls that raise store nothing.  Each call binds copies of
+    the cached entries to its own measures, so the marginals are checked
+    again and no caller can alter the cache; a hit's `lp` is the stored solve's.
 
     Identical inputs short-circuit to the diagonal plan, which is
     optimal for any non-negative cost vanishing at 0; this keeps
     self-distance tests exact and permits large identical clouds that
     the dense matrix cap would otherwise refuse.
     """
-    key = _input_key(lam, mu, spec)
     mu = _check_balanced(lam, mu)
     if _identical(lam, mu):
-        idx = np.arange(lam.n_atoms)
-        keep = lam.weights > 0
-        return TransportPlan(lam, mu, idx[keep], idx[keep], lam.weights[keep],
+        idx = np.flatnonzero(lam.weights > 0)
+        return TransportPlan(lam, mu, idx, idx, lam.weights[idx],
                              total_cost=0.0, dual_gap=0.0, lp=LPRecord(0, 0, 0, 0.0))
-    entry = _PLANS.get(key)
-    reused = entry is not None
-    if not reused:
-        entry = _solve_lp(lam, mu, spec)
-        _PLANS.put(key, entry)
-    i, j, masses, total_cost, gap, record = entry
+    i, j, masses, total_cost, gap, record = _certified_plan(
+        lam.points.shape, lam.points.tobytes(), lam.weights.tobytes(),
+        mu.points.shape, mu.points.tobytes(), mu.weights.tobytes(), spec)
     return TransportPlan(lam, mu, i.copy(), j.copy(), masses.copy(), total_cost=total_cost,
-                         dual_gap=gap, lp=dataclasses.replace(record, reused=reused))
+                         dual_gap=gap, lp=record)
 
 
 def transport_cost(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> float:

@@ -462,8 +462,9 @@ GRID_KINDS = ("elliptic", "growth", "cgrowth", "controlled", "pprime_convex", "v
 
 class TestGridConstants:
     @pytest.fixture(autouse=True)
-    def cold_cache(self, monkeypatch):
-        monkeypatch.setattr(costs, "_GRID_CACHE", {})
+    def cold_cache(self):
+        costs._grid_constant.cache_clear()
+        costs._vdiff.cache_clear()
 
     @pytest.mark.parametrize("which", GRID_KINDS)
     @pytest.mark.parametrize("name", list(GRID_SPECS))

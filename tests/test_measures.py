@@ -261,11 +261,21 @@ class TestValidation:
         assert Ball.at_origin(3.0, dim=1).volume == 6.0
         assert Ball.at_origin(2.0).volume == pytest.approx(4.0 * math.pi)
 
+    def test_ball_contains_rejects_points_of_another_dimension(self):
+        with pytest.raises(ValueError, match="points must be"):
+            Ball.at_origin(1.0, dim=1).contains([[0.5, 0.5], [0.9, -0.9]])
+        with pytest.raises(ValueError, match="points must be"):
+            Ball.at_origin(1.0).contains(np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="points must be"):
+            Ball.at_origin(1.0).contains(np.zeros(2))
+
     def test_boundary_data_invariants(self):
         with pytest.raises(ValueError):
             BoundaryData(1.0, [-0.5, 1.0])
         with pytest.raises(ValueError):
             BoundaryData(1.0, [1.0, 2.0, 3.0], dim=1)
+        with pytest.raises(ValueError, match="dimension"):
+            BoundaryData(1.0, [1.0, 2.0, 3.0], dim=3)
 
     def test_identity_equality_and_hash(self):
         # array fields make value equality ambiguous; equality is identity

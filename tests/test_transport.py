@@ -58,9 +58,21 @@ def gamma_cloud(rng, n, dim=2):
     return DiscreteMeasure(rng.uniform(-3.0, 3.0, (n, dim)), rng.gamma(2.0, size=n))
 
 
-def new_solves(plan):
-    """Restricted LP solves the call behind the plan ran; 0 on a reuse-table hit."""
-    return 0 if plan.lp.reused else plan.lp.solves
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """A cold plan cache, and the list of the `_solve_lp` calls made in the test."""
+    transport._certified_plan.cache_clear()
+    calls = []
+    solve = transport._solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(transport, "_solve_lp", counted)
+    yield calls
+    # plans solved under a patched kernel stay out of later tests
+    transport._certified_plan.cache_clear()
 
 
 # ---------------------------------------------------------------- solvers
@@ -214,13 +226,12 @@ def test_solve_exact_matches_dense_oracle(case, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 @battery
-def test_pricing_rounds_match_dense_oracle(case, seed, monkeypatch):
+def test_pricing_rounds_match_dense_oracle(case, seed, monkeypatch, lp_solves):
     # a one-partner seed leaves every battery LP short of its optimal
     # support, so the warm primal re-solves run on each case
     monkeypatch.setattr(transport, "_SEED_NEIGHBOURS", 1)
-    monkeypatch.setattr(transport, "_PLANS", transport._PlanTable(transport._REUSE_ENTRIES))
     plan = assert_matches_oracle(*battery_case(case, seed))
-    assert not plan.lp.reused
+    assert len(lp_solves) == 1
     assert plan.lp.solves > 1
 
 
@@ -247,7 +258,7 @@ def test_pricing_round_limit_raises(monkeypatch):
     assert_matches_oracle(lam, mu, P2)
 
 
-def test_matching_lp_prices_out_from_its_seed():
+def test_matching_lp_prices_out_from_its_seed(lp_solves):
     # held out from the benchmark pools: 600 uniform atoms on B_4 against
     # the 600-atom polar quadrature of B_4 at p = 3; the 12-partner seed
     # prices out in its first solve, where a 5-partner seed takes 5
@@ -259,7 +270,7 @@ def test_matching_lp_prices_out_from_its_seed():
                           np.full(600, quad.total_mass / 600))
     spec = CostSpec.radial(3.0)
     plan = solve_exact(lam, quad, spec)
-    assert not plan.lp.reused
+    assert len(lp_solves) == 1
     assert plan.lp.solves <= 2
     assert plan.dual_gap <= 1e-9 * cost_scale(lam, quad, spec)
 
@@ -320,18 +331,18 @@ def test_highs_incremental_interface():
 
 # ------------------------------------------------------- plan reuse
 
-def test_reuse_returns_equal_plan_bound_to_caller():
+def test_reuse_returns_equal_plan_bound_to_caller(lp_solves):
     rng = np.random.default_rng(51)
     lam = gamma_cloud(rng, 30)
     mu = gamma_cloud(rng, 40).with_mass(lam.total_mass)
     first = solve_exact(lam, mu, P2)
-    assert new_solves(first) >= 1
+    assert len(lp_solves) == 1
 
     lam2 = DiscreteMeasure(lam.points.copy(), lam.weights.copy())
     mu2 = DiscreteMeasure(mu.points.copy(), mu.weights.copy())
     second = solve_exact(lam2, mu2, P2)
-    assert new_solves(second) == 0
-    assert second.lp == dataclasses.replace(first.lp, reused=True)
+    assert len(lp_solves) == 1
+    assert second.lp == first.lp
     assert second.source is lam2
     assert second.target.points is mu2.points
     for name in ("idx_source", "idx_target", "masses"):
@@ -354,24 +365,25 @@ def test_reuse_is_not_altered_by_mutating_a_result():
         assert np.array_equal(got, ref)
 
 
-def test_reuse_keys_do_not_collide():
+def test_reuse_keys_do_not_collide(lp_solves):
     rng = np.random.default_rng(53)
     lam = gamma_cloud(rng, 30)
     mu = gamma_cloud(rng, 35).with_mass(lam.total_mass)
     p2 = solve_exact(lam, mu, P2)
-    assert new_solves(p2) >= 1
+    assert len(lp_solves) == 1
 
     p3 = solve_exact(lam, mu, SPECS[2])
-    assert new_solves(p3) >= 1
+    assert len(lp_solves) == 2
     assert p3.total_cost != p2.total_cost
 
     w = lam.weights.copy()
     w[0] = np.nextafter(w[0], np.inf)
     nudged = DiscreteMeasure(lam.points, w)
-    assert new_solves(solve_exact(nudged, mu, P2)) >= 1
+    solve_exact(nudged, mu, P2)
+    assert len(lp_solves) == 3
 
 
-def test_failed_solve_is_not_reused(monkeypatch):
+def test_failed_solve_is_not_reused(monkeypatch, lp_solves):
     rng = np.random.default_rng(54)
     lam = gamma_cloud(rng, 20)
     mu = gamma_cloud(rng, 20).with_mass(lam.total_mass)
@@ -387,35 +399,49 @@ def test_failed_solve_is_not_reused(monkeypatch):
         def getModelStatus(self):
             return HighsModelStatus.kSolveError
 
-    monkeypatch.setattr(transport, "_Highs", Failing)
-    for _ in range(2):
-        with pytest.raises(ArithmeticError, match="Solve error"):
-            solve_exact(lam, mu, P2)
+    with monkeypatch.context() as m:
+        m.setattr(transport, "_Highs", Failing)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="Solve error"):
+                solve_exact(lam, mu, P2)
     assert len(runs) == 2
-    monkeypatch.undo()
-    assert new_solves(solve_exact(lam, mu, P2)) >= 1
+    solve_exact(lam, mu, P2)
+    assert len(lp_solves) == 3
     assert_matches_oracle(lam, mu, P2)
 
 
-def test_plan_table_survives_concurrent_callers():
-    table = transport._PlanTable(8)
+def test_concurrent_callers_get_the_serial_plans(lp_solves):
+    # more distinct inputs than the cache holds, so threads evict and
+    # re-solve each other's plans while others read them
+    inputs = []
+    for seed in range(40):
+        rng = np.random.default_rng(300 + seed)
+        lam = gamma_cloud(rng, 6)
+        inputs.append((lam, gamma_cloud(rng, 8).with_mass(lam.total_mass)))
+    serial = [solve_exact(lam, mu, P2) for lam, mu in inputs]
     errors = []
 
     def worker(tid):
         try:
-            for k in range(2000):
-                key = f"{(tid * 7 + k) % 24}"
-                table.put(key, (key,))
-                got = table.get(key)
-                if got is not None and got != (key,):
-                    errors.append((key, got))
+            for k in range(60):
+                idx = (tid * 7 + k) % len(inputs)
+                got, want = solve_exact(*inputs[idx], P2), serial[idx]
+                same = (np.array_equal(got.idx_source, want.idx_source)
+                        and np.array_equal(got.idx_target, want.idx_target)
+                        and np.array_equal(got.masses, want.masses)
+                        and got.total_cost == want.total_cost
+                        and got.dual_gap == want.dual_gap
+                        and dataclasses.replace(got.lp, seconds=0.0)
+                        == dataclasses.replace(want.lp, seconds=0.0))
+                if not same:
+                    errors.append(idx)
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -424,7 +450,38 @@ def test_plan_table_survives_concurrent_callers():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(table._entries) == 8
+    info = transport._certified_plan.cache_info()
+    assert len(lp_solves) > len(inputs)
+    assert info.hits > 0
+    assert info.currsize == info.maxsize == 32
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 12), st.integers(2, 12),
+       st.sampled_from(SPECS + [ANISO]))
+def test_cache_hit_equals_the_cold_solve(seed, n, m, spec):
+    transport._certified_plan.cache_clear()
+    rng = np.random.default_rng(seed)
+    lam = gamma_cloud(rng, n)
+    mu = gamma_cloud(rng, m).with_mass(lam.total_mass)
+    cold = solve_exact(lam, mu, spec)
+    lam2 = DiscreteMeasure(lam.points.copy(), lam.weights.copy())
+    mu2 = DiscreteMeasure(mu.points.copy(), mu.weights.copy())
+    hit = solve_exact(lam2, mu2, spec)
+    assert transport._certified_plan.cache_info().hits == 1
+    for name in ("idx_source", "idx_target", "masses"):
+        assert np.array_equal(getattr(hit, name), getattr(cold, name))
+    assert (hit.total_cost, hit.dual_gap, hit.lp) == (cold.total_cost, cold.dual_gap, cold.lp)
+    assert hit.source is lam2
+    assert hit.target.points is mu2.points
+
+
+def test_dimension_mismatch_rejected():
+    line = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+    plane = DiscreteMeasure([[0.0, 5.0], [1.0, -5.0]], [0.5, 0.5])
+    for lam, mu in ((line, plane), (plane, line)):
+        with pytest.raises(ValueError, match="dimension"):
+            solve_exact(lam, mu, P2)
 
 
 def test_dense_cap_raises():
