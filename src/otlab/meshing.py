@@ -49,10 +49,13 @@ class DiskMesh:
     Delaunay triangulation of the nodes, held on the mesh:
 
     triangles : (t, 3) int array
-        Its simplices, turned counterclockwise.
+        Its simplices, counterclockwise; a clockwise or degenerate one is refused.
+    areas, shape_gradients : (t,) and (t, 3, 2) float arrays
+        Each triangle's area and the gradients of its three vertex hat functions.
+    boundary_nodes, boundary_angles : (m,) arrays
+        The nodes with |x| = R in angular order, and their angles in [0, 2 pi).
     boundary_edges : (m, 2) int array
-        Walk the nodes with |x| = R counterclockwise; their first column
-        lists the boundary nodes in angular order.
+        The counterclockwise walk of those nodes; its first column is `boundary_nodes`.
     h : float
         The realized largest element diameter.
 
@@ -80,19 +83,23 @@ class DiskMesh:
         p0, p1, p2 = (nodes[triangles[:, k]] for k in range(3))
         d1, d2 = p1 - p0, p2 - p0
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(np.abs(det) <= 1e-12 * np.abs(det).max()):
-            raise ValueError("degenerate triangle in the disk mesh")
-        flip = det < 0.0
-        triangles[flip] = triangles[flip][:, [0, 2, 1]]
+        # scipy documents 2-D Delaunay simplices as counterclockwise, so det > 0 must hold
+        if np.any(det <= 1e-12 * det.max()):
+            raise ValueError("clockwise or degenerate triangle in the disk mesh")
+        # each vertex's hat gradient is its opposite edge turned a quarter, over det
+        grads = np.stack([np.stack([u[:, 1] - v[:, 1], v[:, 0] - u[:, 0]], -1)
+                          for u, v in ((p1, p2), (p2, p0), (p0, p1))], 1)
+        h = max(float(np.linalg.norm(e, axis=1).max()) for e in (d1, p2 - p1, d2))
 
         rim = np.flatnonzero(np.abs(np.linalg.norm(nodes, axis=1) - self.R) < 1e-9 * self.R)
         if not np.array_equal(np.unique(tri.convex_hull), rim):
             raise ValueError("the convex hull of the nodes must be exactly the nodes on |x| = R")
-        b = rim[np.argsort(np.mod(np.arctan2(nodes[rim, 1], nodes[rim, 0]), 2.0 * math.pi))]
-        corners = nodes[triangles]
-        h = max(float(np.linalg.norm(corners[:, k] - corners[:, (k + 1) % 3], axis=1).max())
-                for k in range(3))
+        angles = np.mod(np.arctan2(nodes[rim, 1], nodes[rim, 0]), 2.0 * math.pi)
+        order = np.argsort(angles)
+        b = rim[order]
         for name, value in (("nodes", nodes), ("triangles", triangles), ("h", h),
+                            ("areas", 0.5 * det), ("shape_gradients", grads / det[:, None, None]),
+                            ("boundary_nodes", b), ("boundary_angles", angles[order]),
                             ("boundary_edges", np.stack([b, np.roll(b, -1)], axis=1)),
                             ("_delaunay", tri)):
             object.__setattr__(self, name, value)
@@ -104,30 +111,6 @@ class DiskMesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    @functools.cached_property
-    def _geometry(self):
-        # P1 element data: areas and the gradients of the three vertex
-        # hat functions per triangle
-        p0 = self.nodes[self.triangles[:, 0]]
-        p1 = self.nodes[self.triangles[:, 1]]
-        p2 = self.nodes[self.triangles[:, 2]]
-        d1, d2 = p1 - p0, p2 - p0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        area = 0.5 * np.abs(det)
-        g0 = np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], -1) / det[:, None]
-        g1 = np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], -1) / det[:, None]
-        g2 = np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], -1) / det[:, None]
-        return area, np.stack([g0, g1, g2], 1)
-
-    @property
-    def areas(self) -> np.ndarray:
-        return self._geometry[0]
-
-    @property
-    def shape_gradients(self) -> np.ndarray:
-        """Per-triangle hat function gradients, shape (t, 3, 2)."""
-        return self._geometry[1]
 
     @functools.cached_property
     def area(self) -> float:
@@ -144,17 +127,6 @@ class DiskMesh:
         # corner-major, so each node sums its triangles corner by corner
         return np.bincount(self.triangles.T.ravel(), weights=np.tile(self.areas / 3.0, 3),
                            minlength=self.n_nodes)
-
-    @functools.cached_property
-    def boundary_nodes(self) -> np.ndarray:
-        """Boundary node indices in angular order."""
-        return self.boundary_edges[:, 0].copy()
-
-    @functools.cached_property
-    def boundary_angles(self) -> np.ndarray:
-        """Angles of the boundary nodes, increasing in [0, 2 pi)."""
-        pts = self.nodes[self.boundary_nodes]
-        return np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
 
     @functools.cached_property
     def boundary_normals(self) -> np.ndarray:

@@ -465,7 +465,8 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
     Ratios reported against the boundary budget int |g|^p ds: the dual
     gradient energy int |D phi|^{p'}, the transported cost
     int c(grad c*(D phi)), the sup of |D phi|^{p'} over the ball
-    shrunk by 0.5, and one gap per mollified companion field.
+    shrunk by 0.5, and one gap per mollified companion field (r, phi_r),
+    whose scale r must be positive.
     """
     mesh, spec = prob.mesh, prob.cost
     if mesh.R <= 0.5:
@@ -478,6 +479,8 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
 
     gaps = []
     for r, phi_r in phi_r_pairs:
+        if not r > 0.0:
+            raise ValueError("companion scales must be positive")
         if phi_r.mesh.n_nodes != mesh.n_nodes:
             raise ValueError("companion fields must share the mesh")
         diff = grads - phi_r.element_gradients

@@ -281,9 +281,9 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     """
     if candidates is None:
         candidates = np.linspace(2.05, 2.95, 11)
-    candidates = sorted(float(r) for r in candidates)
+    candidates = sorted({float(r) for r in candidates})
     if len(candidates) < 3:
-        raise ValueError("need at least 3 candidate radii")
+        raise ValueError("need at least 3 distinct candidate radii")
     if plan.source.dim != 2:
         raise ValueError("boundary data construction is planar")
 

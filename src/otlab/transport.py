@@ -615,38 +615,26 @@ def benamou_brenier_action(rho_path: Sequence[DiscreteMeasure],
     """
     if len(rho_path) != len(j_path) or not rho_path:
         raise ValueError("need matching, non-empty snapshot lists")
-    t_steps = len(rho_path)
-    dt = 1.0 / t_steps
-    direct = 0.0
-    velocities = []
-    for rho, j in zip(rho_path, j_path):
-        j = np.asarray(j, dtype=float)
-        if j.shape != rho.points.shape:
-            raise ValueError("momentum shape must match the snapshot atoms")
-        w = rho.weights
-        zero = w <= 0.0
-        if np.any(zero & (np.linalg.norm(j, axis=1) > 0.0)):
-            raise ValueError("momentum charges an atom with no mass")
-        v = np.zeros_like(j)
-        v[~zero] = j[~zero] / w[~zero, None]
-        velocities.append(v[~zero])
-        direct += dt * float(np.sum(w[~zero] * cost_eval(spec, v[~zero])))
+    dt = 1.0 / len(rho_path)
+    js = [np.asarray(j, dtype=float) for j in j_path]
+    if any(j.shape != rho.points.shape for rho, j in zip(rho_path, js)):
+        raise ValueError("momentum shape must match the snapshot atoms")
+    j = np.concatenate(js)
+    w = np.concatenate([rho.weights for rho in rho_path])
+    massive = w > 0.0
+    if np.any(~massive & (np.linalg.norm(j, axis=1) > 0.0)):
+        raise ValueError("momentum charges an atom with no mass")
+    vel = j[massive] / w[massive, None]
+    direct = dt * float(np.sum(w[massive] * cost_eval(spec, vel)))
 
-    vel = np.concatenate(velocities) if velocities else np.zeros((0, rho_path[0].dim))
-    seeds = [np.zeros(rho_path[0].dim)]
+    seeds = [np.zeros(j.shape[1])]
     if len(vel):
         seeds.append(vel.mean(axis=0))
         seeds.append(vel[np.argmax(np.linalg.norm(vel, axis=1))])
     covectors = np.atleast_2d(cost_grad(spec, np.array(seeds)))
-
-    best = -math.inf
-    for b in covectors:
-        cb = float(dual_eval(spec, b))
-        val = 0.0
-        for rho, j in zip(rho_path, j_path):
-            val += dt * (float(np.sum(np.asarray(j, float) @ b)) - cb * rho.total_mass)
-        best = max(best, val)
-    return ActionReport(direct, best, len(covectors))
+    # the duality form is linear in the path, so the snapshots enter summed
+    values = dt * (covectors @ j.sum(axis=0) - dual_eval(spec, covectors) * w.sum())
+    return ActionReport(direct, float(values.max()), len(covectors))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -714,10 +702,13 @@ def localisation_check(plan: TransportPlan, radius: float, spec: CostSpec,
     (within the source-or-target-in-B_3 window); rhs solves transport
     between the restricted marginals augmented by the boundary entry and
     exit measures, scaled by 1 + delta, plus tau (E(4) + D(4)) in the
-    defining normalization.
+    defining normalization.  The radius must lie in (0, 3]: beyond the
+    window the restricted marginals keep crossing mass that it drops.
     """
-    from .trajectories import entry_exit_atoms, omega_mask
+    from .trajectories import _WINDOW, entry_exit_atoms, omega_mask
 
+    if not 0.0 < radius <= _WINDOW:
+        raise ValueError(f"radius must lie in (0, {_WINDOW:g}], the B_{_WINDOW:g} window")
     mask = omega_mask(plan, radius)
     x, y = plan.pairs()
     lhs = float(np.sum(plan.masses[mask] * cost_eval(spec, (x - y)[mask])))
@@ -766,7 +757,9 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
     """
     if radii is None:
         radii = np.linspace(2.0, 3.0, 11)
-    radii = np.asarray(sorted(radii), dtype=float)
+    radii = np.unique(np.asarray(radii, dtype=float))
+    if len(radii) < 2:
+        raise ValueError("need at least 2 distinct scan radii")
     if radii.min() < 2.0 - 1e-12 or radii.max() > 3.0 + 1e-12:
         raise ValueError("scan radii must stay within [2, 3]")
 

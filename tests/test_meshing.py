@@ -7,11 +7,13 @@ Frozen reference values (measured on this generator, grading 0.28):
   boundary node radius error ~ 2e-16
 """
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from otlab import meshing
 from otlab.meshing import DiskMesh, build_mesh
 
 
@@ -107,6 +109,45 @@ class TestGeometry:
         th = m.boundary_angles
         gaps = np.diff(np.concatenate([th, [th[0] + 2.0 * math.pi]]))
         assert math.isclose(float(gaps.sum()), 2.0 * math.pi, rel_tol=1e-12)
+
+
+def _vertex_formula(nodes, triangles):
+    # P1 element data written triangle by triangle from its vertices
+    p0, p1, p2 = (nodes[triangles[:, k]] for k in range(3))
+    d1, d2 = p1 - p0, p2 - p0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    g0 = np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], -1) / det[:, None]
+    g1 = np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], -1) / det[:, None]
+    g2 = np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], -1) / det[:, None]
+    return 0.5 * np.abs(det), np.stack([g0, g1, g2], 1)
+
+
+def test_element_data_equals_the_vertex_formula():
+    meshes = [build_mesh(R, h) for R, h in ((1.0, 0.25), (1.0, 0.05), (2.5, 0.08))]
+    perm = np.random.default_rng(3).permutation(meshes[0].n_nodes)
+    meshes.append(DiskMesh(1.0, meshes[0].nodes[perm]))
+    for m in meshes:
+        areas, grads = _vertex_formula(m.nodes, m.triangles)
+        assert np.array_equal(m.areas, areas)
+        assert np.array_equal(m.shape_gradients, grads)
+        pts = m.nodes[m.boundary_nodes]
+        assert np.array_equal(m.boundary_angles,
+                              np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi))
+        assert np.all(np.diff(m.boundary_angles) > 0.0)
+
+
+def test_clockwise_simplices_are_refused(monkeypatch):
+    nodes = build_mesh(1.0, 0.25).nodes
+    delaunay = meshing.spatial.Delaunay
+
+    def clockwise(points):
+        tri = delaunay(points)
+        return types.SimpleNamespace(simplices=tri.simplices[:, [0, 2, 1]],
+                                     coplanar=tri.coplanar, convex_hull=tri.convex_hull)
+
+    monkeypatch.setattr(meshing.spatial, "Delaunay", clockwise)
+    with pytest.raises(ValueError, match="clockwise"):
+        DiskMesh(1.0, nodes)
 
 
 def _assert_located(m, pts, idx):

@@ -608,6 +608,17 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             regularity_diagnostics(prob, phi, [(0.1, alien)])
 
+    def test_nonpositive_companion_scale_rejected(self):
+        mesh = build_mesh(1.0, 0.3)
+        g = cos_data(1.0, 256)
+        prob = NeumannProblem(mesh, CostSpec.radial(2.0), g)
+        phi = solve_neumann(prob, tol=1e-9)
+        smooth = solve_neumann(NeumannProblem(mesh, prob.cost, mollify_boundary(g, 0.2)),
+                               tol=1e-9)
+        for pairs in ([(-0.1, smooth)], [(0.2, smooth), (0.0, smooth)]):
+            with pytest.raises(ValueError, match="positive"):
+                regularity_diagnostics(prob, phi, pairs)
+
 
 class TestHolderProduct:
     def test_exactly_linear_field_scores_zero(self):

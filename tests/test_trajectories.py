@@ -393,8 +393,9 @@ def test_select_radius_raises_for_a_side_without_mass_in_b4():
 def test_select_radius_needs_three_candidates():
     m = DiscreteMeasure([[0.1, 0.0]], [1.0])
     plan = solve_exact(m, m, P2)
-    with pytest.raises(ValueError):
-        select_radius(plan, m, m, P2, candidates=[2.2, 2.6])
+    for cands in ([2.2, 2.6], [2.5, 2.5, 2.5]):
+        with pytest.raises(ValueError, match="candidate radii"):
+            select_radius(plan, m, m, P2, candidates=cands)
 
 
 # ------------------------------------------------------- displacement law

@@ -899,6 +899,16 @@ def test_localisation_single_crossing():
     assert rep.lhs > 0.0 and rep.passed
 
 
+def test_localisation_radius_outside_the_window_rejected():
+    # past R = 3 the window drops crossing mass the restricted marginals keep
+    lam = DiscreteMeasure([[3.2, 0.0], [0.5, 0.0]], [1.0, 1.0])
+    mu = DiscreteMeasure([[3.9, 0.0], [0.6, 0.0]], [1.0, 1.0])
+    plan = solve_exact(lam, mu, P2)
+    for radius in (3.5, 0.0):
+        with pytest.raises(ValueError, match="radius must lie"):
+            localisation_check(plan, radius, P2, delta=0.25, tau=10.0, resolution=8)
+
+
 # ------------------------------------------------ data restriction
 
 def test_data_restriction_quadrature_degenerate():
@@ -921,6 +931,13 @@ def test_data_restriction_cloud_finite():
     assert not rep.degenerate
     assert np.isfinite(rep.ratio) and rep.passed
     assert rep.ratio <= 60.0
+
+
+@pytest.mark.parametrize("radii", [[2.5], [2.5, 2.5]])
+def test_data_restriction_needs_two_distinct_radii(radii):
+    mu = DiscreteMeasure([[0.5, 0.0], [2.7, 0.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="2 distinct"):
+        data_restriction_check(mu, P2, radii=radii, resolution=8)
 
 
 # ------------------------------------------------------- smallness, files
