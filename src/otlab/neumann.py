@@ -22,8 +22,11 @@ factored: each direction is a truncated projected PCG solve of
 [[H, m], [m^T, 0]] preconditioned by the p = 2 operator K2, a
 constraint preconditioner that keeps every iterate mean-free
 (Gould-Hribar-Nocedal 2001; Huang-Li-Liu 2007), to an Eisenstat-Walker
-forcing term.  An Armijo test guards every step and falls back to the
-preconditioned gradient when the direction fails to descend.
+forcing term floored by Kelley's safeguard (Iterative Methods for Linear
+and Nonlinear Equations, 1995, eq. 6.20): 0.5 target / rn, so no
+direction is solved further than the residual target needs.  An Armijo
+test guards every step and falls back to the preconditioned gradient
+when the direction fails to descend.
 
 Each mesh carries one bordered operator, built on the first solve and
 kept in the mesh's ``__dict__`` for the mesh's lifetime: the CSC pattern
@@ -317,12 +320,15 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     Stops when the weak residual, measured in the dual norm of the
     p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}); raises
     ArithmeticError with the reached residual when max_iter Newton
-    steps run out first.  Each step measures the residual rn once,
-    assembles the Hessian shifted by
+    steps run out first.  Each step forms D phi once for the residual,
+    the Hessian and the objective, measures the residual rn, assembles
+    the Hessian shifted by
     delta = clip(rn / (1 + |g|_{L^p}), 1e-6, 1e-2) |g|_inf^{1/(p-1)}
     and runs one PCG solve, whose first preconditioner apply is the
-    residual measurement's.  The result's ``newton`` record says what
-    the iteration did.
+    residual measurement's, to the forcing term
+    eta = min(0.1, max(0.9 (rn / rn_prev)^2, 0.5 target / rn)) (0.1 on
+    the first step), target being the stopping residual.  The result's
+    ``newton`` record says what the iteration did.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -339,11 +345,11 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     def grad_of(phi: np.ndarray) -> np.ndarray:
         return np.einsum("tiv,ti->tv", G, phi[tris])
 
-    def objective(phi: np.ndarray) -> float:
-        return float(area @ dual_eval(spec, grad_of(phi)) - lin @ phi)
+    def objective(phi: np.ndarray, grads: np.ndarray) -> float:
+        return float(area @ dual_eval(spec, grads) - lin @ phi)
 
-    def residual(phi: np.ndarray) -> np.ndarray:
-        nodal = np.einsum("tia,ta->ti", op.weighted, dual_grad(spec, grad_of(phi)))
+    def residual(grads: np.ndarray) -> np.ndarray:
+        nodal = np.einsum("tia,ta->ti", op.weighted, dual_grad(spec, grads))
         r = np.bincount(tris.ravel(), weights=nodal.ravel(), minlength=len(lin)) - lin
         # the polygon's area deficit leaves a mass component in r that the
         # bordered solves move into the multiplier; its roundoff pairing
@@ -358,16 +364,19 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     j = None  # J(phi), carried from the line search; None when not evaluated
     scale = dens_sup ** (1.0 / (spec.p - 1.0))
     for steps in range(max_iter + 1):
-        r = residual(phi)
+        grads = grad_of(phi)
+        r = residual(grads)
         rd = solve_k2(r)
         rn = math.sqrt(abs(r @ rd))  # sqrt(r . K2^-1 r)
         history.append(rn)
         if rn <= target or steps == max_iter:
             break
-        # Eisenstat-Walker forcing term from the last residual ratio
-        eta = _ETA_MAX if steps == 0 else min(_ETA_MAX, 0.9 * (rn / history[-2]) ** 2)
+        # Eisenstat-Walker forcing term from the last residual ratio,
+        # floored by Kelley's safeguard
+        eta = _ETA_MAX if steps == 0 else 0.9 * (rn / history[-2]) ** 2
+        eta = min(_ETA_MAX, max(eta, 0.5 * target / rn))
         delta = min(max(rn / (1.0 + g_lp), _DELTA_MIN), _DELTA_MAX) * scale
-        H = op.assemble(_dual_hessian(spec, grad_of(phi), delta))
+        H = op.assemble(_dual_hessian(spec, grads, delta))
         d, k, hit_cap = _pcg(H, solve_k2, r, rd, eta)
         pcg_iters, capped = pcg_iters + k, capped + hit_cap
         dj = float(r @ d)
@@ -376,7 +385,7 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
             d, dj = -rd, -float(r @ rd)
             fallbacks += 1
         if j is None:
-            j = objective(phi)
+            j = objective(phi, grads)
         t = 1.0
         while t > 1e-18:
             # near the minimum the predicted decrease t |dj| ~ rn^2
@@ -384,7 +393,7 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
             # step there and let the residual test drive the stop
             noise = abs(t * dj) <= 1e-14 * (1.0 + abs(j))
             trial = phi + t * d
-            j_trial = None if noise else objective(trial)
+            j_trial = None if noise else objective(trial, grad_of(trial))
             if noise or j_trial <= j + 1e-4 * t * dj:
                 phi, j = trial, j_trial
                 break
@@ -515,9 +524,12 @@ def holder_product_check(phi: ScalarField, cost: CostSpec, ball: Ball) -> float:
     piecewise-gradient jumps dominate the quotients.  Returns
     lhs / (sup |D phi|^{p'-1} [D phi]); 0 when both sides vanish.
 
-    Pairs are swept by `costs._holder_maxima`, so beyond its O(k) node
-    arrays the check holds a few temporaries of about 2^16 entries
-    (512 KB of float64) each, however many nodes the ball holds.
+    Both maxima come from `costs._holder_maxima`, an exact branch and
+    bound over cell pairs of a quadtree on the k ball nodes that returns
+    the same floats as a sweep over all pairs.  Its memory is O(k) plus
+    temporaries of a bounded number of cell and node pairs (at most
+    2^16 node pairs), however many nodes the ball holds and however
+    little the bounds prune.
     """
     if ball.dim != 2:
         raise ValueError("planar ball required")

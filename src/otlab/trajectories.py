@@ -269,12 +269,14 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
 
     score(R) = cost of trajectories touching the sphere (within the
     B_3 window) + D(R) + the L^p mass of the approximated boundary
-    densities.  The argmin is returned with all scores and their
-    breakdown; ties break to the smallest radius.  By averaging, the
-    selected score is at most the candidate mean, which the tests
-    assert.  Each marginal's composition with its uniform density on B_4
-    does not depend on the radius and is built at most once per call;
-    every error of the construction is radius-independent and propagates.
+    densities.  Every candidate must lie in (0, 3]: beyond the window
+    the crossings it does not count would lower the score.  The argmin
+    is returned with all scores and their breakdown; ties break to the
+    smallest radius.  By averaging, the selected score is at most the
+    candidate mean, which the tests assert.  Each marginal's composition
+    with its uniform density on B_4 does not depend on the radius and is
+    built at most once per call; every error of the construction is
+    radius-independent and propagates.
 
     `resolution` counts quadrature rings at the reference radius 4 and
     is rescaled per candidate by `_rings_at`.
@@ -284,6 +286,8 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     candidates = sorted({float(r) for r in candidates})
     if len(candidates) < 3:
         raise ValueError("need at least 3 distinct candidate radii")
+    if not (0.0 < candidates[0] and candidates[-1] <= _WINDOW):
+        raise ValueError(f"candidate radii must lie in (0, {_WINDOW:g}], the B_{_WINDOW:g} window")
     if plan.source.dim != 2:
         raise ValueError("boundary data construction is planar")
 

@@ -1,9 +1,13 @@
-"""All-pairs reference for ``otlab.neumann.holder_product_check``.
+"""References for the Hoelder sweeps.
 
-Builds every pair i < j of the k nodes in the ball at once, so it holds
-O(k^2) memory and serves only as the tests' oracle on small meshes.
+``holder_product_pairs`` is the all-pairs reference for
+``otlab.neumann.holder_product_check``: it builds every pair i < j of the
+k nodes in the ball at once, so it holds O(k^2) memory and serves only
+on small meshes.  ``holder_maxima_rows`` is the row-block sweep that
+``otlab.costs._holder_maxima`` replaced, the oracle of its maxima.
 """
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from otlab.costs import cost_eval, dual_eval, dual_grad
 from otlab.neumann import HOLDER_BETA, _ratio
@@ -31,3 +35,28 @@ def holder_product_pairs(phi, cost, ball) -> float:
     if grad_semi <= 1e-10 * max(1.0, sup_d):
         return 0.0
     return _ratio(lhs, sup_d ** (cost.p_prime - 1.0) * grad_semi)
+
+
+# rows x points per block of the row sweep
+ROW_BLOCK = 1 << 16
+
+
+def holder_maxima_rows(x, fields, beta, min_sep):
+    """max |f_i - f_j| / |x_i - x_j|^beta of each field over pairs min_sep > 0 apart.
+
+    Sweeps cdist rows in blocks of about ROW_BLOCK entries; None when
+    no pair is min_sep apart.
+    """
+    best = [0.0] * len(fields)
+    found = False
+    step = max(1, ROW_BLOCK // len(x))
+    # full rows hold each pair twice; the maxima are those over i < j
+    for i in range(0, len(x), step):
+        b = slice(i, i + step)
+        dist = cdist(x[b], x)
+        far = dist >= min_sep
+        found = found or bool(far.any())
+        # closer pairs get an infinite weight and quotient 0
+        w = np.where(far, dist, np.inf) ** beta
+        best = [max(m, float(np.max(cdist(f[b], f) / w))) for m, f in zip(best, fields)]
+    return best if found else None

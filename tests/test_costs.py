@@ -11,8 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from grid_oracle import grid_constant_loop
+from holder_oracle import holder_maxima_rows
 from otlab import costs
 from otlab.costs import (
     CostSpec,
@@ -495,3 +497,71 @@ class TestGridConstants:
 
         monkeypatch.setattr(costs, "v_p", no_grid)
         assert costs._grid_constant(CostSpec.radial(3.0), "vdiff") == first
+
+
+def holder_cloud(kind, n, d, rng):
+    """n points in d dimensions: uniform, few distinct points repeated,
+    on one circle (two points in 1-D), or rounded to a coarse grid."""
+    if kind == "duplicates":
+        base = rng.uniform(-1.0, 1.0, (max(1, n // 4), d))
+        return base[rng.integers(0, len(base), n)]
+    if kind == "cocircular":
+        if d == 1:
+            return rng.choice([-1.0, 1.0], (n, 1))
+        th = rng.uniform(0.0, 2.0 * math.pi, n)
+        return np.column_stack([np.cos(th), np.sin(th)]) + 0.3
+    x = rng.uniform(-1.0, 1.0, (n, d)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    return np.round(x, 1) if kind == "grid" else x
+
+
+def holder_field(kind, width, x, rng):
+    if kind == "constant":
+        return np.full((len(x), width), rng.normal())
+    if kind == "noise":
+        return rng.normal(size=(len(x), width))
+    a = rng.normal(size=(x.shape[1], width))
+    return x @ a + 1.0 if kind == "linear" else np.sin(3.0 * x @ a)
+
+
+class TestHolderMaxima:
+    @given(n=st.integers(2, 400), d=st.sampled_from([1, 2]),
+           cloud=st.sampled_from(["uniform", "duplicates", "cocircular", "grid"]),
+           fields=st.lists(st.tuples(st.sampled_from(["constant", "linear", "smooth", "noise"]),
+                                     st.sampled_from([1, 2])), min_size=1, max_size=2),
+           beta=st.sampled_from([0.25, 0.5, 1.0]),
+           sep=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.3)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    @example(n=2, d=2, cloud="uniform", fields=[("noise", 2)], beta=0.5, sep=1.0, seed=0)
+    @example(n=300, d=2, cloud="duplicates", fields=[("noise", 1), ("smooth", 2)], beta=0.5,
+             sep=0.0, seed=1)
+    def test_branch_and_bound_equals_the_row_sweep(self, n, d, cloud, fields, beta, sep, seed):
+        # sep 0 is c2measures_check's tiny separation, sep 1 the cloud's
+        # diameter (its extreme pair is still counted) and above it no
+        # pair is far enough apart
+        rng = np.random.default_rng(seed)
+        x = holder_cloud(cloud, n, d, rng)
+        fs = tuple(holder_field(kind, width, x, rng) for kind, width in fields)
+        diameter = float(cdist(x, x).max())
+        min_sep = np.finfo(float).tiny if sep == 0.0 else sep * diameter
+        if min_sep == 0.0:
+            min_sep = np.finfo(float).tiny
+        want = holder_maxima_rows(x, fs, beta, min_sep)
+        assert costs._holder_maxima(x, fs, beta, min_sep) == want
+
+    def test_memory_stays_bounded_when_nothing_prunes(self):
+        # a linear field at beta = 1 reaches its seminorm at every scale,
+        # so no cell pair's bound falls below it; all pairs of these 4.6k
+        # points would take about 880 MB
+        r = np.sqrt(np.linspace(0.0, 1.0, 4600)) * 0.75
+        th = np.arange(4600) * math.pi * (3.0 - math.sqrt(5.0))
+        x = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        a = np.array([[1.0, 0.3], [0.2, -1.0]])
+        tracemalloc.start()
+        try:
+            out = costs._holder_maxima(x, (x @ a,), 1.0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out[0] == pytest.approx(np.linalg.norm(a, 2), rel=1e-3)
+        assert peak < 64 * 2 ** 20

@@ -380,14 +380,27 @@ def test_select_radius_composes_each_marginal_once(monkeypatch):
 
 
 def test_select_radius_raises_for_a_side_without_mass_in_b4():
-    # the entry at (4.8, 0) crosses the sphere of radius 4.5 inwards, and
-    # lam has no mass in B_4 to spread it over; at 5 and 5.5 nothing crosses
+    # the entry at (4.8, 0) crosses every candidate sphere inwards, and
+    # lam has no mass in B_4 to spread it over
     lam = DiscreteMeasure([[4.8, 0.0], [0.0, 4.2]], [1.0, 1.0])
     mu = DiscreteMeasure([[1.0, 0.0], [0.0, 4.2]], [1.0, 1.0])
     plan = white_box_plan(lam, mu)
     with pytest.raises(ValueError, match="no mass"):
-        select_radius(plan, lam, mu, P2, candidates=[4.5, 5.0, 5.5], n_theta=32,
+        select_radius(plan, lam, mu, P2, candidates=[2.2, 2.5, 2.8], n_theta=32,
                       resolution=8)
+
+
+def test_select_radius_refuses_candidates_outside_the_window():
+    # 60 + 60 unit atoms over [-3.9, 3.9]^2: at R = 3.8 most crossing
+    # entries have both ends outside B_3 and go uncounted, so a scan
+    # over 2.5-3.8 that took every candidate selected 3.8
+    rng = np.random.default_rng(1)
+    lam = DiscreteMeasure(rng.uniform(-3.9, 3.9, (60, 2)), np.ones(60))
+    mu = DiscreteMeasure(rng.uniform(-3.9, 3.9, (60, 2)), np.ones(60))
+    plan = solve_exact(lam, mu, P2)
+    for cands in (np.linspace(2.5, 3.8, 14), [0.0, 1.0, 2.0], [-1.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="window"):
+            select_radius(plan, lam, mu, P2, candidates=cands, resolution=8)
 
 
 def test_select_radius_needs_three_candidates():
