@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from typing import Optional
 
@@ -322,8 +321,8 @@ def _sample_points(n: int, rng: np.random.Generator) -> np.ndarray:
     dirs = rng.normal(size=(n, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     special = [_I2[0], _I2[1], -_I2[0], -_I2[1], np.ones(2) / math.sqrt(2)]
-    k = len(special)
-    dirs[:k] = special
+    k = min(n, len(special))
+    dirs[:k] = special[:k]
     return radii[:, None] * dirs
 
 
@@ -441,13 +440,12 @@ def _spans(n: int, width: int, stride: int = 1):
     return (slice(i, i + step, stride) for i in range(0, n, step))
 
 
-# Hoelder sweep: points per leaf cell of its tree (8 ran fastest of 4-32
-# on 1.1k-node balls), Morton bits per coordinate, point pairs per batch
-# of leaf pairs, and cell pairs per slice of a level
+# Hoelder sweep: mean points per grid cell (8 ran fastest of 4-32 on
+# 1.1k-node balls; a cell's points form leaves of at most 4 _LEAF),
+# leaf pairs per slice, and point pairs per batch of leaf pairs
 _LEAF = 8
-_MORTON_BITS = 16
+_LEAF_PAIRS = 1 << 16
 _PAIR_CHUNK = 1 << 16
-_CELL_PAIRS = 1 << 12
 
 
 def _cdist_norms(z: np.ndarray) -> np.ndarray:
@@ -466,94 +464,56 @@ def _enumerate(count: np.ndarray):
     return group, np.arange(len(group)) - (np.cumsum(count) - count)[group]
 
 
-def _morton_tree(x: np.ndarray):
-    """Morton order of the points x, (n, d), and the cells of its 2^d-ary tree.
-
-    Returns (order, lo, hi, first, kids): cell c holds the ordered points
-    lo[c] .. hi[c] - 1 and has the kids[c] children first[c] onwards.  A
-    cell of more than _LEAF points splits by its next Morton digit, and
-    below the finest digit into halves; a leaf has no children and
-    first[c] = c.  Cells are numbered level by level, so children follow
-    their parents' order and the root is cell 0.
-    """
-    n, d = x.shape
-    bits = min(_MORTON_BITS, 62 // d)
-    base = x.min(axis=0)
-    span = float((x.max(axis=0) - base).max())
-    scale = 2.0 ** bits / span if span > 0.0 else 0.0
-    q = np.minimum(((x - base) * scale).astype(np.int64), 2 ** bits - 1)
-    # bit b of coordinate k is bit b d + k of the code
-    shift = np.arange(bits)
-    digits = (q[:, :, None] >> shift) & 1
-    code = (digits << (shift * d + np.arange(d)[:, None])).sum(axis=(1, 2))
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    lo, hi, kids = [np.zeros(1, np.int64)], [np.full(1, n)], []
-    for level in itertools.count():
-        a, b = lo[-1], hi[-1]
-        split = b - a > _LEAF
-        kids.append(np.zeros(len(a), np.int64))
-        if not split.any():
-            break
-        size = b[split] - a[split]
-        group, offset = _enumerate(size)
-        pts = a[split][group] + offset
-        if level < bits:
-            key = code[pts] >> (d * (bits - level - 1))
-        else:
-            key = 2 * offset >= size[group]
-        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]) | (offset == 0))
-        kids[-1][split] = np.bincount(group[starts])
-        lo.append(pts[starts])
-        hi.append(np.append(pts[starts[1:] - 1], pts[-1]) + 1)
-    lo, hi, kids = np.concatenate(lo), np.concatenate(hi), np.concatenate(kids)
-    first = np.where(kids > 0, 1 + np.cumsum(kids) - kids, np.arange(len(lo)))
-    return order, lo, hi, first, kids
-
-
 def _holder_maxima(x: np.ndarray, fields, beta: float, min_sep: float):
     """max |f_i - f_j| / |x_i - x_j|^beta of each field over pairs min_sep > 0 apart.
 
-    x is (n, d) and each field (n, k) with Euclidean differences; None
-    when no pair is min_sep apart.  An exact branch and bound over cell
-    pairs of the points' Morton-ordered 2^d-ary tree (Gray-Moore 2000):
-    a cell pair's bound is the largest distance between the two cells'
-    field-value boxes over max(min_sep, gap between their point
-    boxes)^beta.  Cell pairs go level by level, in slices of at most
-    _CELL_PAIRS whose children go before the rest of their level.  Each
-    evaluates one representative point pair, which raises the running
-    maxima, and is dropped once no two of its points lie min_sep apart
-    or, after a far pair was seen, its bound reaches no running maximum;
-    the others split into their children's pairs.  Surviving leaf pairs
-    are evaluated whole, highest bound first, in batches of at most
-    _PAIR_CHUNK point pairs, and the running maxima prune the rest
-    between batches.  Each quotient is cdist's distance over the weight
-    dist^beta, so the maxima are the same floats as those of a sweep
-    over all pairs.
+    x is (n, d) and each field (n, k) with Euclidean differences, all
+    finite; None when no pair is min_sep apart.  An exact branch and
+    bound over leaf pairs: a uniform grid over the bounding box holds
+    about _LEAF points a cell, cut into leaves of at most 4 _LEAF.  A
+    leaf pair's bound is the largest distance between its field-value
+    boxes over max(min_sep, gap between its point boxes)^beta.  In
+    slices of _LEAF_PAIRS, each leaf pair a <= b evaluates one
+    representative point pair, which raises the running maxima, and is
+    dropped when its points all lie nearer than min_sep or (once a far
+    pair was seen) its bound reaches no running maximum.  The rest are
+    evaluated whole, highest bound over maximum first, and pruned again
+    between batches of _PAIR_CHUNK / 16 point pairs, which double up to
+    _PAIR_CHUNK while nothing prunes.  Each quotient is cdist's distance
+    over the weight dist^beta, so the maxima are the same floats as an
+    all-pairs sweep's.
 
-    Memory, however little is pruned: O(n) for the tree, at most
-    4^d _CELL_PAIRS pending cell pairs per tree level, and temporaries
-    of at most 4^d _CELL_PAIRS cell pairs or _PAIR_CHUNK point pairs.
+    Memory, however little is pruned: O(n) for the leaves, and
+    temporaries of at most _LEAF_PAIRS leaf pairs or _PAIR_CHUNK point
+    pairs.
     """
-    order, lo, hi, first, kids = _morton_tree(x)
+    n, d = x.shape
+    per = max(1, round((n / _LEAF) ** (1 / d)))
+    base = x.min(axis=0)
+    span = x.max(axis=0) - base
+    # an axis of zero width puts every point in cell 0
+    scale = np.divide(per, span, out=np.zeros(d), where=span > 0.0)
+    cell = np.minimum(((x - base) * scale).astype(np.int64), per - 1) @ per ** np.arange(d)
+    order = np.argsort(cell, kind="stable")
+    _, offset = _enumerate(np.bincount(cell))
+    lo = np.flatnonzero(offset % (4 * _LEAF) == 0)
+    size = np.diff(np.append(lo, n))
     # one row per coordinate, then per field component; a block of pairs
     # broadcasts along the contiguous rows
     rows = np.vstack([x.T] + [f.T for f in fields])[:, order]
-    cuts = np.cumsum([x.shape[1]] + [f.shape[1] for f in fields])
-    d, field_rows = cuts[0], list(zip(cuts, cuts[1:]))
-    # per-cell boxes: row minima and maxima over each cell's points
-    idx = np.column_stack([lo, hi]).ravel()
-    pad = np.concatenate([rows, rows[:, :1]], axis=1)
-    low = np.minimum.reduceat(pad, idx, axis=1)[:, ::2]
-    high = np.maximum.reduceat(pad, idx, axis=1)[:, ::2]
-    size = hi - lo
+    cuts = np.cumsum([d] + [f.shape[1] for f in fields])
+    field_rows = list(zip(cuts, cuts[1:]))
+    # per-leaf boxes: row minima and maxima over each leaf's points
+    low = np.minimum.reduceat(rows, lo, axis=1)
+    high = np.maximum.reduceat(rows, lo, axis=1)
     best = np.zeros(len(fields))
     found = False
 
     def record(i, j):
         """Raise the maxima by the point pairs (i[k], j[k])."""
         nonlocal best, found
-        z = rows.take(i, axis=1) - rows.take(j, axis=1)
+        z = rows.take(i, axis=1)
+        z -= rows.take(j, axis=1)
         dist = _cdist_norms(z[:d])
         far = dist >= min_sep
         found = found or bool(far.any())
@@ -561,63 +521,41 @@ def _holder_maxima(x: np.ndarray, fields, beta: float, min_sep: float):
         w = np.where(far, dist, np.inf) ** beta
         best = np.maximum(best, [np.max(_cdist_norms(z[c:e]) / w) for c, e in field_rows])
 
-    def bounds(a, b):
-        """Whether no two of the cell pairs' points lie min_sep apart, and their bounds."""
-        la, lb, ha, hb = (v.take(c, axis=1) for v in (low, high) for c in (a, b))
-        reach = np.maximum(hb - la, ha - lb)
-        gap = np.maximum(np.maximum(lb[:d] - ha[:d], la[:d] - hb[:d]), 0.0)
-        w = np.maximum(_cdist_norms(gap), min_sep) ** beta
-        with np.errstate(over="ignore"):
-            bound = np.column_stack([_cdist_norms(reach[c:e]) / w for c, e in field_rows])
-        return _cdist_norms(reach[:d]) < min_sep, bound
-
     def alive(bound):
         # the margin covers a few ulps of pow, which need not be monotone
-        return np.any(bound * (1.0 + 1e-12) > best, axis=1) | (not found)
+        return np.any(bound * (1.0 + 1e-12) > best[:, None], axis=0) | (not found)
 
-    def evaluate(a, b, bound):
-        """Evaluate leaf pairs whole, highest bound first, in batches of
-        at most _PAIR_CHUNK point pairs (_LEAF^2 each at most)."""
+    # leaf pairs in row order: row a holds the m - a pairs (a, b >= a)
+    m = len(lo)
+    first = np.append(0, np.cumsum(np.arange(m, 1, -1)))
+    for s in range(0, m * (m + 1) // 2, _LEAF_PAIRS):
+        k = np.arange(s, min(s + _LEAF_PAIRS, m * (m + 1) // 2))
+        a = np.searchsorted(first, k, side="right") - 1
+        b = a + k - first[a]
+        record(lo[a], lo[b] + size[b] - 1)
+        reach = high.take(b, axis=1) - low.take(a, axis=1)
+        np.maximum(reach, high.take(a, axis=1) - low.take(b, axis=1), out=reach)
+        gap = np.maximum(low[:d].take(b, axis=1) - high[:d].take(a, axis=1),
+                         low[:d].take(a, axis=1) - high[:d].take(b, axis=1))
+        w = np.maximum(_cdist_norms(np.maximum(gap, 0.0)), min_sep) ** beta
         with np.errstate(over="ignore"):
-            rank = np.argsort(-np.max(bound / np.maximum(best, np.finfo(float).tiny), axis=1),
-                              kind="stable")
-        a, b, bound = a[rank], b[rank], bound[rank]
-        while True:
-            keep = alive(bound)
-            a, b, bound = a[keep], b[keep], bound[keep]
-            if not len(a):
-                return
-            count = size[a] * size[b]
-            m = max(1, int(np.searchsorted(np.cumsum(count), _PAIR_CHUNK, side="right")))
-            r, t = _enumerate(count[:m])
+            bound = np.array([_cdist_norms(reach[c:e]) / w for c, e in field_rows])
+            keep = np.flatnonzero(alive(bound) & (_cdist_norms(reach[:d]) >= min_sep))
+            ratio = bound[:, keep] / np.maximum(best, np.finfo(float).tiny)[:, None]
+            rank = keep[np.argsort(-np.max(ratio, axis=0), kind="stable")]
+        a, b, bound = a[rank], b[rank], bound[:, rank]
+        chunk = _PAIR_CHUNK // 16
+        while len(a):
+            pairs = size[a] * size[b]
+            j = max(1, int(np.searchsorted(np.cumsum(pairs), chunk, side="right")))
+            r, t = _enumerate(pairs[:j])
             nb = size[b[r]]
             record(lo[a[r]] + t // nb, lo[b[r]] + t % nb)
-            a, b, bound = a[m:], b[m:], bound[m:]
-
-    pending = [(np.zeros(1, np.int64), np.zeros(1, np.int64))]
-    leaves = []
-    while pending:
-        a, b = pending.pop()
-        if len(a) > _CELL_PAIRS:
-            pending.append((a[_CELL_PAIRS:], b[_CELL_PAIRS:]))
-            a, b = a[:_CELL_PAIRS], b[:_CELL_PAIRS]
-        near, bound = bounds(a, b)
-        record(lo[a], hi[b] - 1)
-        keep = alive(bound) & ~near
-        a, b, bound = a[keep], b[keep], bound[keep]
-        leaf = (kids[a] == 0) & (kids[b] == 0)
-        leaves.append((a[leaf], b[leaf], bound[leaf]))
-        a, b = a[~leaf], b[~leaf]
-        # each child pair once: a self pair keeps its children in order
-        na, nb = np.maximum(kids[a], 1), np.maximum(kids[b], 1)
-        r, t = _enumerate(na * nb)
-        ca, cb = first[a][r] + t // nb[r], first[b][r] + t % nb[r]
-        keep = (a[r] != b[r]) | (ca <= cb)
-        if keep.any():
-            pending.append((ca[keep], cb[keep]))
-        if not pending or sum(len(c[0]) for c in leaves) > _CELL_PAIRS:
-            evaluate(*map(np.concatenate, zip(*leaves)))
-            leaves = []
+            a, b, bound = a[j:], b[j:], bound[:, j:]
+            keep = alive(bound)
+            if keep.all():
+                chunk = min(2 * chunk, _PAIR_CHUNK)
+            a, b, bound = a[keep], b[keep], bound[:, keep]
     return [float(v) for v in best] if found else None
 
 

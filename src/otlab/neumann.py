@@ -318,11 +318,11 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     """Minimize the dual functional; see the module docstring.
 
     Stops when the weak residual, measured in the dual norm of the
-    p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}); raises
-    ArithmeticError with the reached residual when max_iter Newton
-    steps run out first.  Each step forms D phi once for the residual,
-    the Hessian and the objective, measures the residual rn, assembles
-    the Hessian shifted by
+    p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}) for a
+    finite tol > 0; raises ArithmeticError with the reached residual
+    when max_iter Newton steps run out first.  Each step forms D phi
+    once for the residual, the Hessian and the objective, measures the
+    residual rn, assembles the Hessian shifted by
     delta = clip(rn / (1 + |g|_{L^p}), 1e-6, 1e-2) |g|_inf^{1/(p-1)}
     and runs one PCG solve, whose first preconditioner apply is the
     residual measurement's, to the forcing term
@@ -330,8 +330,8 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
     the first step), target being the stopping residual.  The result's
     ``newton`` record says what the iteration did.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     mesh, spec, g = prob.mesh, prob.cost, prob.g_boundary
@@ -524,12 +524,9 @@ def holder_product_check(phi: ScalarField, cost: CostSpec, ball: Ball) -> float:
     piecewise-gradient jumps dominate the quotients.  Returns
     lhs / (sup |D phi|^{p'-1} [D phi]); 0 when both sides vanish.
 
-    Both maxima come from `costs._holder_maxima`, an exact branch and
-    bound over cell pairs of a quadtree on the k ball nodes that returns
-    the same floats as a sweep over all pairs.  Its memory is O(k) plus
-    temporaries of a bounded number of cell and node pairs (at most
-    2^16 node pairs), however many nodes the ball holds and however
-    little the bounds prune.
+    Both maxima come from `costs._holder_maxima`, an exact grid-cell
+    branch and bound with the floats of an all-pairs sweep, in O(k)
+    memory plus at most 2^16 leaf or node pairs however little it prunes.
     """
     if ball.dim != 2:
         raise ValueError("planar ball required")

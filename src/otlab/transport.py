@@ -664,7 +664,8 @@ def c2measures_check(xi: Callable[[np.ndarray], np.ndarray], alpha: float,
     the exact maximum over all pairs of distinct quadrature points,
     below the continuum one.  It is deterministic and never below an
     estimate over a subset of those pairs, and rhs grows with it, so the
-    check passes wherever such an estimate would.
+    check passes wherever such an estimate would.  Raises ValueError
+    unless xi gives one finite value per point of mu and the quadrature.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -674,6 +675,9 @@ def c2measures_check(xi: Callable[[np.ndarray], np.ndarray], alpha: float,
     local, w = plan.source, plan.total_cost
     xi_mu = np.asarray(xi(local.points), dtype=float)
     xi_quad = np.asarray(xi(quad.points), dtype=float)
+    for vals, pts in ((xi_mu, local.points), (xi_quad, quad.points)):
+        if vals.shape != (len(pts),) or not np.isfinite(vals).all():
+            raise ValueError("xi must give one finite value per point")
     lhs = abs(float(np.sum(xi_mu * local.weights) - k * np.sum(xi_quad * quad.weights)))
     sem, = _holder_maxima(quad.points, (xi_quad[:, None],), alpha, np.finfo(float).tiny)
 

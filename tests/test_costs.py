@@ -285,6 +285,14 @@ class TestAssumptionChecks:
         assert rep.result("elliptic").worst_constant == pytest.approx(2.0, rel=1e-9)
         assert rep.result("growth").worst_constant == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_fewer_samples_than_special_directions(self, n):
+        # the five special directions were written into all n rows, which
+        # raised a broadcast error below five samples
+        rep = verify_assumptions(CostSpec.radial(2.0, lambda_cap=2.0), n, seed=7)
+        assert rep.sample_count == n
+        assert rep.passed
+
     @pytest.mark.parametrize("p, sharp", sorted(RADIAL_SHARP.items()))
     def test_observed_constants_match_frozen_oracle(self, p, sharp):
         rep = verify_assumptions(CostSpec.radial(p, lambda_cap=8.0), 8192, seed=13)
@@ -501,7 +509,14 @@ class TestGridConstants:
 
 def holder_cloud(kind, n, d, rng):
     """n points in d dimensions: uniform, few distinct points repeated,
-    on one circle (two points in 1-D), or rounded to a coarse grid."""
+    on one circle (two points in 1-D), rounded to a coarse grid, in two
+    tight clusters far apart, or all equal."""
+    if kind == "clusters":
+        # each cluster fills one grid cell, which is cut into leaves
+        centre = np.where(np.arange(n) % 2 == 0, 0.0, 10.0)[:, None]
+        return centre + rng.uniform(-1e-3, 1e-3, (n, d))
+    if kind == "coincident":
+        return np.full((n, d), rng.normal())
     if kind == "duplicates":
         base = rng.uniform(-1.0, 1.0, (max(1, n // 4), d))
         return base[rng.integers(0, len(base), n)]
@@ -525,7 +540,8 @@ def holder_field(kind, width, x, rng):
 
 class TestHolderMaxima:
     @given(n=st.integers(2, 400), d=st.sampled_from([1, 2]),
-           cloud=st.sampled_from(["uniform", "duplicates", "cocircular", "grid"]),
+           cloud=st.sampled_from(["uniform", "duplicates", "cocircular", "grid", "clusters",
+                                  "coincident"]),
            fields=st.lists(st.tuples(st.sampled_from(["constant", "linear", "smooth", "noise"]),
                                      st.sampled_from([1, 2])), min_size=1, max_size=2),
            beta=st.sampled_from([0.25, 0.5, 1.0]),
@@ -535,6 +551,8 @@ class TestHolderMaxima:
     @example(n=2, d=2, cloud="uniform", fields=[("noise", 2)], beta=0.5, sep=1.0, seed=0)
     @example(n=300, d=2, cloud="duplicates", fields=[("noise", 1), ("smooth", 2)], beta=0.5,
              sep=0.0, seed=1)
+    @example(n=400, d=2, cloud="clusters", fields=[("noise", 1)], beta=0.5, sep=0.0, seed=2)
+    @example(n=50, d=1, cloud="coincident", fields=[("noise", 2)], beta=1.0, sep=0.0, seed=3)
     def test_branch_and_bound_equals_the_row_sweep(self, n, d, cloud, fields, beta, sep, seed):
         # sep 0 is c2measures_check's tiny separation, sep 1 the cloud's
         # diameter (its extreme pair is still counted) and above it no
@@ -551,7 +569,7 @@ class TestHolderMaxima:
 
     def test_memory_stays_bounded_when_nothing_prunes(self):
         # a linear field at beta = 1 reaches its seminorm at every scale,
-        # so no cell pair's bound falls below it; all pairs of these 4.6k
+        # so no leaf pair's bound falls below it; all pairs of these 4.6k
         # points would take about 880 MB
         r = np.sqrt(np.linspace(0.0, 1.0, 4600)) * 0.75
         th = np.arange(4600) * math.pi * (3.0 - math.sqrt(5.0))

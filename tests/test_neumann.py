@@ -322,8 +322,10 @@ class TestSolveOracles:
     def test_parameter_validation(self):
         mesh = build_mesh(1.0, 0.4)
         prob = NeumannProblem(mesh, CostSpec.radial(2.0), unit_data(1.0))
-        with pytest.raises(ValueError):
-            solve_neumann(prob, tol=0.0)
+        # an infinite tol returned the p = 2 start after 0 steps
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                solve_neumann(prob, tol=tol)
         with pytest.raises(ValueError):
             solve_neumann(prob, max_iter=0)
 
@@ -707,9 +709,9 @@ class TestHolderProduct:
         if short_blocks:
             # leaf-pair batches of a prime number of point pairs, so most
             # hold one or two leaf pairs and end short, and slices of a
-            # few cell pairs, so every level is cut into many
+            # few leaf pairs, so the sweep is cut into many
             monkeypatch.setattr(costs, "_PAIR_CHUNK", 97)
-            monkeypatch.setattr(costs, "_CELL_PAIRS", 7)
+            monkeypatch.setattr(costs, "_LEAF_PAIRS", 7)
         want = holder_product_pairs(phi, spec, ball)
         got = holder_product_check(phi, spec, ball)
         assert want > 0.0

@@ -878,6 +878,20 @@ def test_c2_mass_window_enforced():
         c2measures_check(lambda P: P[:, 0], 1.0, thin, 2.0, P2, resolution=8)
 
 
+@pytest.mark.parametrize("xi", [
+    lambda P: np.where(np.abs(P[:, 0] - 0.3) < 0.2, np.nan, np.sin(P[:, 0])),
+    lambda P: np.where(P[:, 1] > 1.5, np.inf, P[:, 0]),
+    lambda P: P,
+], ids=["nan", "inf", "two_per_point"])
+def test_c2_field_must_be_finite_and_scalar(xi):
+    # a NaN field gave lhs nan next to a finite seminorm of the finite
+    # values, and the seminorm sweep is exact only for finite fields
+    quad = lebesgue_quadrature(Ball.at_origin(2.0), 8)
+    mu = DiscreteMeasure(quad.points * 0.99, quad.weights)
+    with pytest.raises(ValueError, match="finite value per point"):
+        c2measures_check(xi, 1.0, mu, 2.0, P2, resolution=8)
+
+
 # ---------------------------------------------------- localisation
 
 def test_localisation_interior_instance_exact():
