@@ -17,22 +17,21 @@ so directions come from the Hessian H of the shifted density at
 (2005) does, delta follows the residual: each step takes the residual
 it measured relative to 1 + |g|_{L^p}, clipped to [1e-6, 1e-2], times
 the data scale |g|_inf^{1/(p-1)}, so the shift is large far from the
-minimizer and sits at its floor near it.  H is assembled, never
-factored: each direction is a truncated projected PCG solve of
-[[H, m], [m^T, 0]] preconditioned by the p = 2 operator K2, a
-constraint preconditioner that keeps every iterate mean-free
-(Gould-Hribar-Nocedal 2001; Huang-Li-Liu 2007), to an Eisenstat-Walker
-forcing term floored by Kelley's safeguard (Iterative Methods for Linear
-and Nonlinear Equations, 1995, eq. 6.20): 0.5 target / rn, so no
-direction is solved further than the residual target needs.  An Armijo
-test guards every step and falls back to the preconditioned gradient
-when the direction fails to descend.
+minimizer and sits at its floor near it.  H is never formed: each
+direction is a truncated projected PCG solve of [[H, m], [m^T, 0]] that
+applies H matrix-free (Kronbichler-Kormann 2012), preconditioned by the
+p = 2 operator K2, a constraint preconditioner that keeps every iterate
+mean-free (Gould-Hribar-Nocedal 2001; Huang-Li-Liu 2007), to an
+Eisenstat-Walker forcing term floored by Kelley's safeguard (Iterative
+Methods for Linear and Nonlinear Equations, 1995, eq. 6.20): 0.5 target
+/ rn, so no direction is solved further than the residual target needs.
+An Armijo test guards every step and falls back to the preconditioned
+gradient when the direction fails to descend.
 
-Each mesh carries one bordered operator, built on the first solve and
-kept in the mesh's ``__dict__`` for the mesh's lifetime: the CSC pattern
-of [[K, m], [m^T, 0]] with the scatter of the element entries onto it,
-and the LU of its p = 2 instance, the mesh's one factorisation, made
-through this module's ``splu`` binding.
+Each mesh carries one operator, built on first use and kept in the
+mesh's ``__dict__`` for the mesh's lifetime: the discrete gradient, its
+area-weighted transpose and the LU of [[K2, m], [m^T, 0]], the mesh's one
+factorisation, made through this module's ``splu`` binding.
 """
 from __future__ import annotations
 
@@ -61,7 +60,6 @@ __all__ = [
     "holder_product_check",
 ]
 
-_I2 = np.eye(2)
 # bounds on the Hessian shift relative to the data scale
 _DELTA_MIN, _DELTA_MAX = 1e-6, 1e-2
 # PCG per Newton direction: iteration cap and largest forcing term
@@ -69,6 +67,7 @@ _PCG_CAP = 20
 _ETA_MAX = 0.1
 # Hoelder exponent fixed for all seminorm diagnostics
 HOLDER_BETA = 0.5
+_Apply = Callable[[np.ndarray], np.ndarray]
 
 
 def net_boundary_flux(g: BoundaryData, f: BoundaryData) -> BoundaryData:
@@ -127,8 +126,7 @@ class ScalarField:
     @functools.cached_property
     def element_gradients(self) -> np.ndarray:
         """Constant gradient per triangle, shape (t, 2)."""
-        return np.einsum("tiv,ti->tv", self.mesh.shape_gradients,
-                         self.values[self.mesh.triangles])
+        return (_operator(self.mesh).grad @ self.values).reshape(-1, 2)
 
     @functools.cached_property
     def nodal_gradients(self) -> np.ndarray:
@@ -228,50 +226,42 @@ def _boundary_load(mesh: DiskMesh, g: BoundaryData) -> np.ndarray:
 
 
 class _MeshOperator:
-    """Bordered P1 operator [[K, m], [m^T, 0]] of one mesh, K assembled
-    from one 2x2 coefficient block per triangle and m the lumped mass.
+    """P1 gradient of one mesh, its area-weighted transpose and the
+    lumped mass m.
 
-    The CSC pattern and the scatter from the 9 entries per triangle onto
-    its data array depend only on the mesh and are built once; each
-    assembly then forms the element blocks and fills the data with one
-    bincount.  The mean constraint moves any mass-aligned component of a
-    right-hand side into the Lagrange multiplier, so the field part of a
-    solution does not depend on how the compatibility constant was split
-    off.
+    grad (2t x n) holds triangle k's hat-gradient components in rows 2k
+    and 2k + 1, so grad @ phi is the flattened element gradients; div =
+    grad^T diag(areas) (n x 2t) maps per-triangle covectors f to the loads
+    int f . grad hat_i.  The stiffness of coefficient blocks W is div (W
+    grad), applied, never formed.  No reference to the mesh is held: the
+    operator lives in the mesh's ``__dict__``, and a back-reference would
+    be a cycle that only the cyclic collector frees.
     """
 
     def __init__(self, mesh: DiskMesh):
-        n, tris, G = mesh.n_nodes, mesh.triangles, mesh.shape_gradients
-        self.weighted = mesh.areas[:, None, None] * G
-        # a K block is sum_ab W_ab products[2a + b], one contraction; the
-        # batched 3x2 @ 2x2 @ 2x3 products ran about 3x slower
-        self.products = np.einsum("tia,tjb->abtij", self.weighted, G).reshape(4, -1, 9)
-        self.shape = (n + 1, n + 1)
-        border = np.arange(n)
-        rows = np.concatenate([np.repeat(tris, 3, axis=1).ravel(), border,
-                               np.full(n, n)])
-        cols = np.concatenate([np.tile(tris, (1, 3)).ravel(), np.full(n, n),
-                               border])
-        # column-major keys sort into CSC order; duplicates share a slot
-        keys, slot = np.unique(cols * (n + 1) + rows, return_inverse=True)
-        self.indices = (keys % (n + 1)).astype(np.int32)
-        self.indptr = np.searchsorted(keys, np.arange(n + 2) * (n + 1)).astype(np.int32)
-        self.slot = slot[:9 * len(tris)]
-        self.border = np.zeros(len(keys))
-        self.border[slot[9 * len(tris):]] = np.tile(mesh.lumped_mass, 2)
+        t = mesh.n_triangles
+        self.grad = sparse.csr_array(
+            (np.swapaxes(mesh.shape_gradients, 1, 2).ravel(),
+             np.repeat(mesh.triangles, 2, axis=0).ravel(), np.arange(0, 6 * t + 1, 3)),
+            shape=(2 * t, mesh.n_nodes))
+        self.div = (self.grad.T * np.repeat(mesh.areas, 2)).tocsr()
+        self.mass = mesh.lumped_mass
 
-    def assemble(self, W: np.ndarray) -> sparse.csc_array:
-        """Bordered matrix for coefficient blocks W, shape (t, 2, 2) or (2, 2)."""
-        w = np.broadcast_to(W, (self.products.shape[1], 2, 2)).reshape(-1, 4)
-        blocks = np.einsum("ta,ati->ti", w, self.products)
-        data = np.bincount(self.slot, weights=blocks.ravel(),
-                           minlength=len(self.border)) + self.border
-        return sparse.csc_array((data, self.indices, self.indptr), shape=self.shape)
+    def stiffness(self, W: np.ndarray) -> _Apply:
+        """v -> div (W grad v) for coefficient blocks W, shape (t, 2, 2)."""
+        def apply(v: np.ndarray) -> np.ndarray:
+            g = (self.grad @ v).reshape(-1, 2)
+            return self.div @ np.einsum("tab,tb->ta", W, g).ravel()
+
+        return apply
 
     @functools.cached_property
-    def solve_k2(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Bordered p = 2 stiffness solve."""
-        lu = splu(self.assemble(_I2))
+    def solve_k2(self) -> _Apply:
+        """Bordered p = 2 stiffness solve.  The mean constraint moves any
+        mass-aligned part of a right-hand side into the multiplier."""
+        m = self.mass
+        lu = splu(sparse.bmat([[self.div @ self.grad, m[:, None]], [m[None, :], None]],
+                              format="csc"))
 
         def apply(rhs: np.ndarray) -> np.ndarray:
             return lu.solve(np.append(rhs, 0.0))[:-1]
@@ -287,11 +277,11 @@ def _operator(mesh: DiskMesh) -> _MeshOperator:
     return op
 
 
-def _pcg(H: sparse.csc_array, precond: Callable[[np.ndarray], np.ndarray],
-         r: np.ndarray, rd: np.ndarray, eta: float):
-    """Truncated PCG for the bordered system H [d; l] = [-r; 0].
+def _pcg(hess: _Apply, precond: _Apply, r: np.ndarray, rd: np.ndarray, eta: float):
+    """Truncated PCG for H d = -r, H applied by hess, on mean-free fields.
 
-    rd = precond(r) is the first preconditioner apply.  Stops once
+    precond, the bordered p = 2 solve, keeps every iterate mean-free, and
+    rd = precond(r) is its first apply.  Stops once
     res . precond(res) <= eta^2 r . rd, after _PCG_CAP iterations or at
     non-positive curvature; returns the last iterate (0 if the first
     curvature is not positive), the iterations run and whether the cap
@@ -300,7 +290,7 @@ def _pcg(H: sparse.csc_array, precond: Callable[[np.ndarray], np.ndarray],
     d, res, p = np.zeros_like(r), -r, -rd
     rz = rz0 = float(r @ rd)
     for k in range(_PCG_CAP):
-        hp = (H @ np.append(p, 0.0))[:-1]
+        hp = hess(p)
         curv = float(p @ hp)
         if curv <= 0.0:
             return d, k, False
@@ -317,15 +307,19 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
                   max_iter: int = 100_000) -> ScalarField:
     """Minimize the dual functional; see the module docstring.
 
+    Starts from s phi_2, phi_2 the p = 2 solve of the load lin: c* is
+    p'-homogeneous in both cost families, so J(s phi_2) = s^{p'} A - s L,
+    A = int c*(D phi_2) and L = lin . phi_2, is least at
+    s = (L / (p' A))^{1/(p'-1)}, which is 1 at p = 2; s = 1 unless A, L > 0.
     Stops when the weak residual, measured in the dual norm of the
     p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}) for a
     finite tol > 0; raises ArithmeticError with the reached residual
     when max_iter Newton steps run out first.  Each step forms D phi
-    once for the residual, the Hessian and the objective, measures the
-    residual rn, assembles the Hessian shifted by
+    once for the residual, the Hessian blocks and the objective,
+    measures the residual rn, shifts the blocks by
     delta = clip(rn / (1 + |g|_{L^p}), 1e-6, 1e-2) |g|_inf^{1/(p-1)}
-    and runs one PCG solve, whose first preconditioner apply is the
-    residual measurement's, to the forcing term
+    and runs one matrix-free PCG solve, whose first preconditioner apply
+    is the residual measurement's, to the forcing term
     eta = min(0.1, max(0.9 (rn / rn_prev)^2, 0.5 target / rn)) (0.1 on
     the first step), target being the stopping residual.  The result's
     ``newton`` record says what the iteration did.
@@ -336,21 +330,20 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
         raise ValueError("max_iter must be at least 1")
     mesh, spec, g = prob.mesh, prob.cost, prob.g_boundary
     dens_sup = float(np.abs(g.densities).max())
-    area, G, tris = mesh.areas, mesh.shape_gradients, mesh.triangles
-    op, mass = _operator(mesh), mesh.lumped_mass
+    area, op = mesh.areas, _operator(mesh)
+    mass = op.mass
     lin = _boundary_load(mesh, g) + prob.c_R * mass
     g_lp = g.lp_mass(spec.p) ** (1.0 / spec.p)
     target = tol * (1.0 + g_lp)
 
     def grad_of(phi: np.ndarray) -> np.ndarray:
-        return np.einsum("tiv,ti->tv", G, phi[tris])
+        return (op.grad @ phi).reshape(-1, 2)
 
     def objective(phi: np.ndarray, grads: np.ndarray) -> float:
         return float(area @ dual_eval(spec, grads) - lin @ phi)
 
     def residual(grads: np.ndarray) -> np.ndarray:
-        nodal = np.einsum("tia,ta->ti", op.weighted, dual_grad(spec, grads))
-        r = np.bincount(tris.ravel(), weights=nodal.ravel(), minlength=len(lin)) - lin
+        r = op.div @ dual_grad(spec, grads).ravel() - lin
         # the polygon's area deficit leaves a mass component in r that the
         # bordered solves move into the multiplier; its roundoff pairing
         # with their solutions would set the floor of the measured residual
@@ -358,6 +351,10 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
 
     solve_k2 = op.solve_k2
     phi = solve_k2(lin)
+    q = spec.p_prime
+    A, L = float(area @ dual_eval(spec, grad_of(phi))), float(lin @ phi)
+    if A > 0.0 and L > 0.0:
+        phi = phi * (L / (q * A)) ** (1.0 / (q - 1.0))
 
     pcg_iters = capped = backtracks = fallbacks = 0
     history = []
@@ -376,8 +373,8 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
         eta = _ETA_MAX if steps == 0 else 0.9 * (rn / history[-2]) ** 2
         eta = min(_ETA_MAX, max(eta, 0.5 * target / rn))
         delta = min(max(rn / (1.0 + g_lp), _DELTA_MIN), _DELTA_MAX) * scale
-        H = op.assemble(_dual_hessian(spec, grads, delta))
-        d, k, hit_cap = _pcg(H, solve_k2, r, rd, eta)
+        hess = op.stiffness(_dual_hessian(spec, grads, delta))
+        d, k, hit_cap = _pcg(hess, solve_k2, r, rd, eta)
         pcg_iters, capped = pcg_iters + k, capped + hit_cap
         dj = float(r @ d)
         if dj >= 0.0:

@@ -1,21 +1,28 @@
 """Reference loops for ``otlab.neumann.solve_neumann``.
 
-``boundary_load`` integrates the histogram flux against the boundary
-hats one edge and one bin cut at a time.  ``newton_every_step`` is the
-damped Newton iteration that forms and factors the shifted Hessian on
-every step, each factorisation with SuperLU's default column order.
-Its shift walks down a fixed ladder of three stages instead of
-following the residual as ``solve_neumann``'s does, so the two reach
-the same minimizer along different paths.  Both are slow and serve
-only as the tests' oracles.
+Everything here is assembled from the mesh's own element data
+(``shape_gradients``, ``areas`` and the lumped mass), never through the
+solver's operator.  ``bordered`` sums one 3x3 element block per triangle
+into [[K_W, m], [m^T, 0]], and ``nodal_load`` sums each triangle's
+integrals int f . grad hat_i onto its vertices.  ``boundary_load``
+integrates the histogram flux against the boundary hats one edge and one
+bin cut at a time.  ``newton_every_step`` is the damped Newton iteration
+that forms and factors the shifted Hessian on every step, each
+factorisation with SuperLU's default column order.  Its shift walks down
+a fixed ladder of three stages instead of following the residual as
+``solve_neumann``'s does, so the two reach the same minimizer along
+different paths.  ``start`` is the best multiple of the p = 2 field
+along which ``solve_neumann`` starts, and ``residual_norm`` its measured
+residual.  All are slow and serve only as the tests' oracles.
 """
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from otlab.costs import RADIAL, dual_eval, dual_grad
-from otlab.neumann import _dual_hessian, _operator
+from otlab.neumann import _dual_hessian
 
 # Hessian shifts relative to the data scale, coarse to fine, with the
 # step budgets of the first two stages and the floor of the last
@@ -48,9 +55,58 @@ def boundary_load(mesh, g) -> np.ndarray:
     return load
 
 
+def bordered(mesh, W) -> sparse.csc_array:
+    """[[K_W, m], [m^T, 0]] for coefficient blocks W, shape (t, 2, 2) or
+    (2, 2); K_W sums area G W G^T per triangle, G its (3, 2) hat gradients."""
+    n, tris, G = mesh.n_nodes, mesh.triangles, mesh.shape_gradients
+    W = np.broadcast_to(W, (len(tris), 2, 2))
+    blocks = mesh.areas[:, None, None] * (G @ W @ np.swapaxes(G, 1, 2))
+    m, rim = mesh.lumped_mass, np.arange(n)
+    rows = np.concatenate([np.repeat(tris, 3, axis=1).ravel(), rim, np.full(n, n)])
+    cols = np.concatenate([np.tile(tris, (1, 3)).ravel(), np.full(n, n), rim])
+    data = np.concatenate([blocks.ravel(), m, m])
+    # duplicates are summed on conversion
+    return sparse.coo_array((data, (rows, cols)), shape=(n + 1, n + 1)).tocsc()
+
+
+def nodal_load(mesh, flux) -> np.ndarray:
+    """int flux . grad hat_i over the mesh for per-triangle covectors flux."""
+    per_corner = np.einsum("t,tiv,tv->ti", mesh.areas, mesh.shape_gradients, flux)
+    return np.bincount(mesh.triangles.ravel(), weights=per_corner.ravel(),
+                       minlength=mesh.n_nodes)
+
+
+def element_gradients(mesh, phi) -> np.ndarray:
+    return np.einsum("tiv,ti->tv", mesh.shape_gradients, phi[mesh.triangles])
+
+
 def _bordered_solve(matrix):
     lu = splu(matrix)
     return lambda rhs: lu.solve(np.append(rhs, 0.0))[:-1]
+
+
+def load(prob) -> np.ndarray:
+    """The linear term: boundary load plus the balancing volume source."""
+    return boundary_load(prob.mesh, prob.g_boundary) + prob.c_R * prob.mesh.lumped_mass
+
+
+def start(prob) -> np.ndarray:
+    """s phi_2 with phi_2 the bordered p = 2 solve of the load and s the
+    minimizer (L / (p' A))^{1/(p'-1)} of J(s phi_2) = s^{p'} A - s L."""
+    mesh, spec, lin = prob.mesh, prob.cost, load(prob)
+    phi = _bordered_solve(bordered(mesh, np.eye(2)))(lin)
+    A = float(mesh.areas @ dual_eval(spec, element_gradients(mesh, phi)))
+    L, q = float(lin @ phi), spec.p_prime
+    return phi * (L / (q * A)) ** (1.0 / (q - 1.0)) if A > 0.0 and L > 0.0 else phi
+
+
+def residual_norm(prob, phi) -> float:
+    """Weak residual of phi in the dual norm of the p = 2 operator, its
+    mass component removed."""
+    mesh, mass = prob.mesh, prob.mesh.lumped_mass
+    r = nodal_load(mesh, dual_grad(prob.cost, element_gradients(mesh, phi))) - load(prob)
+    r -= (r.sum() / mass.sum()) * mass
+    return math.sqrt(abs(r @ _bordered_solve(bordered(mesh, np.eye(2)))(r)))
 
 
 def newton_every_step(prob, tol: float = 1e-8, max_iter: int = 100_000):
@@ -65,25 +121,23 @@ def newton_every_step(prob, tol: float = 1e-8, max_iter: int = 100_000):
     dens_sup = float(np.abs(g.densities).max())
     if dens_sup == 0.0:
         return np.zeros(n)
-    area, G, tris = mesh.areas, mesh.shape_gradients, mesh.triangles
-    op, mass = _operator(mesh), mesh.lumped_mass
-    lin = boundary_load(mesh, g) + prob.c_R * mass
+    area, mass = mesh.areas, mesh.lumped_mass
+    lin = load(prob)
     target = tol * (1.0 + g.lp_mass(spec.p) ** (1.0 / spec.p))
 
     def grad_of(phi):
-        return np.einsum("tiv,ti->tv", G, phi[tris])
+        return element_gradients(mesh, phi)
 
     def objective(phi):
         return float(area @ dual_eval(spec, grad_of(phi)) - lin @ phi)
 
     def residual(phi):
-        nodal = op.weighted @ dual_grad(spec, grad_of(phi))[:, :, None]
-        return np.bincount(tris.ravel(), weights=nodal.ravel(), minlength=n) - lin
+        return nodal_load(mesh, dual_grad(spec, grad_of(phi))) - lin
 
     def dual_norm(r, rd):
         return math.sqrt(abs((r - (r.sum() / mass.sum()) * mass) @ rd))
 
-    solve_k2 = _bordered_solve(op.assemble(np.eye(2)))
+    solve_k2 = _bordered_solve(bordered(mesh, np.eye(2)))
     phi = solve_k2(lin)
     iters = 0
     if spec.family != RADIAL or abs(spec.p_prime - 2.0) > 1e-14:
@@ -99,7 +153,7 @@ def newton_every_step(prob, tol: float = 1e-8, max_iter: int = 100_000):
                     break
                 try:
                     H = _dual_hessian(spec, grad_of(phi), delta * scale)
-                    d = -_bordered_solve(op.assemble(H))(r)
+                    d = -_bordered_solve(bordered(mesh, H))(r)
                     dj = float(r @ d)
                 except RuntimeError:
                     dj = 1.0

@@ -13,14 +13,16 @@ solver tolerance 1e-9 (nodal max errors against the closed forms):
   boundary flux balance defect, p=3 R=1.5: -0.552 (h=0.2), -0.280 (h=0.1)
   mollification ladder (0.4, 0.2, 0.1, 0.05) on cos data: fitted s = 3.996
 """
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from holder_oracle import holder_product_pairs
-from newton_oracle import boundary_load, newton_every_step
+from newton_oracle import boundary_load, newton_every_step, residual_norm, start
 from otlab import costs, neumann
 from otlab.costs import CostSpec, dual_grad
 from otlab.measures import Ball, BoundaryData, mollify_boundary
@@ -67,6 +69,15 @@ def dense_stiffness(mesh, W=None):
     return K
 
 
+def dense_bordered(mesh, W=None):
+    """[[K_W, m], [m^T, 0]] around the dense assembly, m the lumped mass."""
+    n = mesh.n_nodes
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = dense_stiffness(mesh, W)
+    B[:n, n] = B[n, :n] = mesh.lumped_mass
+    return B
+
+
 def harmonic_cubic(mesh):
     """Mean-zero nodal field of x^3 - 3 x y^2 + x y / 2."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -74,15 +85,18 @@ def harmonic_cubic(mesh):
 
 
 class CountingSplu:
-    """Stand-in for the solver module's splu binding that counts calls."""
+    """Stand-in for the solver module's splu binding that counts calls and
+    keeps the matrices it factors."""
 
     def __init__(self):
         self.calls = 0
+        self.matrices = []
         self._splu = neumann.splu
 
-    def __call__(self, *args, **kwargs):
+    def __call__(self, matrix, *args, **kwargs):
         self.calls += 1
-        return self._splu(*args, **kwargs)
+        self.matrices.append(matrix)
+        return self._splu(matrix, *args, **kwargs)
 
 
 def fourier_data(R, nb=128, seed=0):
@@ -313,6 +327,18 @@ class TestSolveOracles:
             NeumannProblem(mesh, CostSpec.anisotropic(2.0, a * np.eye(2), 6.0), g), tol=1e-10)
         assert np.allclose(scaled.values, a * radial.values, rtol=0.0, atol=1e-8)
 
+    @pytest.mark.parametrize("spec,data", [
+        (CostSpec.radial(1.5), fourier_data(1.0, seed=2)),
+        (CostSpec.radial(3.0), unit_data(1.0)),
+        (CostSpec.anisotropic(2.0, [[1.3, 0.2], [0.2, 0.8]], 6.0), unit_data(1.0, 256)),
+    ], ids=["1.5", "3.0", "tilted-2.0"])
+    def test_newton_starts_from_the_best_multiple_of_the_p2_field(self, spec, data):
+        # c* is p'-homogeneous, so J along the p = 2 field has one minimum
+        prob = NeumannProblem(build_mesh(1.0, 0.1), spec, data)
+        want = residual_norm(prob, start(prob))
+        got = solve_neumann(prob, tol=1e-9).newton.residuals[0]
+        assert abs(got - want) <= 1e-12 * want
+
     def test_iteration_cap_raises_with_residual(self):
         mesh = build_mesh(1.0, 0.2)
         prob = NeumannProblem(mesh, CostSpec.radial(3.0), unit_data(1.0))
@@ -331,16 +357,24 @@ class TestSolveOracles:
 
 
 class TestMeshOperator:
-    def test_bordered_matrix_matches_dense_assembly(self):
+    def test_bordered_matrix_matches_dense_assembly(self, monkeypatch):
         mesh = build_mesh(1.0, 0.2)
         rng = np.random.default_rng(5)
         A = rng.normal(size=(mesh.n_triangles, 2, 2))
-        W = A + np.swapaxes(A, 1, 2)
-        n = mesh.n_nodes
-        want = np.zeros((n + 1, n + 1))
-        want[:n, :n] = dense_stiffness(mesh, W)
-        want[:n, n] = want[n, :n] = mesh.lumped_mass
-        got = neumann._operator(mesh).assemble(W).toarray()
+        v = rng.normal(size=mesh.n_nodes)
+        op = neumann._operator(mesh)
+        # sign-indefinite blocks, one symmetric set and one non-symmetric
+        for W in (A + np.swapaxes(A, 1, 2), A):
+            want = dense_stiffness(mesh, W) @ v
+            got = op.stiffness(W)(v)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # the one matrix the solver factors is the bordered p = 2 stiffness
+        counter = CountingSplu()
+        monkeypatch.setattr(neumann, "splu", counter)
+        op.solve_k2(v)
+        want = dense_bordered(mesh)
+        got = counter.matrices[0].toarray()
+        assert counter.calls == 1
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_operator_lives_on_its_mesh(self):
@@ -348,6 +382,26 @@ class TestMeshOperator:
         op = neumann._operator(mesh)
         assert neumann._operator(mesh) is op
         assert neumann._operator(build_mesh(1.0, 0.3)) is not op
+
+    def test_operator_leaves_no_reference_cycle(self):
+        # the operator lives in its mesh's __dict__, so a reference back to
+        # the mesh would keep every mesh alive until the cyclic collector ran
+        def solve_and_check():
+            mesh = build_mesh(1.0, 0.2)
+            spec = CostSpec.radial(1.5)
+            prob = NeumannProblem(mesh, spec, unit_data(1.0))
+            phi = solve_neumann(prob, tol=1e-9)
+            regularity_diagnostics(prob, phi)
+            holder_product_check(phi, spec, Ball.at_origin(0.7))
+            return weakref.ref(mesh)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert solve_and_check()() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_p2_operator_factored_once_per_mesh(self, monkeypatch):
         counter = CountingSplu()
@@ -372,7 +426,7 @@ class TestMeshOperator:
         assert counter.calls == 1
 
     def test_one_factorisation_per_mesh(self, monkeypatch):
-        # Hessians are assembled for PCG matvecs, never factored
+        # Hessians are applied in PCG matvecs, never formed or factored
         counter = CountingSplu()
         monkeypatch.setattr(neumann, "splu", counter)
         mesh = build_mesh(1.0, 0.2)
@@ -427,31 +481,32 @@ PCG_SPECS = (CostSpec.radial(1.5), CostSpec.radial(3.0), CostSpec.anisotropic(2.
 class TestNewtonPCG:
     @staticmethod
     def bordered(mesh, spec):
-        """A shifted Hessian, a mass-free right-hand side and the p = 2
-        solve of it, as one Newton step of the solver sees them."""
+        """The dense bordered shifted Hessian, the solver's action of it, a
+        mass-free right-hand side and the p = 2 solve of it, as one Newton
+        step of the solver sees them."""
         op = neumann._operator(mesh)
         d = harmonic_cubic(mesh).element_gradients
-        H = op.assemble(neumann._dual_hessian(spec, d, 1e-2))
+        W = neumann._dual_hessian(spec, d, 1e-2)
         r = np.random.default_rng(2).normal(size=mesh.n_nodes)
         r -= (r.sum() / mesh.lumped_mass.sum()) * mesh.lumped_mass
-        return H, r, op.solve_k2
+        return dense_bordered(mesh, W), op.stiffness(W), r, op.solve_k2
 
     @pytest.mark.parametrize("spec", PCG_SPECS, ids=["1.5", "3.0", "tilted"])
     def test_pcg_matches_dense_bordered_solve(self, monkeypatch, spec):
         mesh = build_mesh(1.0, 0.3)
-        H, r, solve_k2 = self.bordered(mesh, spec)
-        want = np.linalg.solve(H.toarray(), np.append(-r, 0.0))[:-1]
+        H, hess, r, solve_k2 = self.bordered(mesh, spec)
+        want = np.linalg.solve(H, np.append(-r, 0.0))[:-1]
         monkeypatch.setattr(neumann, "_PCG_CAP", 10 * mesh.n_nodes)
-        d, k, capped = neumann._pcg(H, solve_k2, r, solve_k2(r), 1e-13)
+        d, k, capped = neumann._pcg(hess, solve_k2, r, solve_k2(r), 1e-13)
         assert not capped and 0 < k < mesh.n_nodes
         assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()
         assert abs(mesh.lumped_mass @ d) <= 1e-12 * np.abs(d).max()
 
     @pytest.mark.parametrize("spec", PCG_SPECS, ids=["1.5", "3.0", "tilted"])
     def test_pcg_meets_its_forcing_term(self, spec):
-        H, r, solve_k2 = self.bordered(build_mesh(1.0, 0.1), spec)
+        H, hess, r, solve_k2 = self.bordered(build_mesh(1.0, 0.1), spec)
         rd = solve_k2(r)
-        d, k, capped = neumann._pcg(H, solve_k2, r, rd, 0.1)
+        d, k, capped = neumann._pcg(hess, solve_k2, r, rd, 0.1)
         assert 0 < k <= neumann._PCG_CAP
         res = -r - (H @ np.append(d, 0.0))[:-1]
         ratio = math.sqrt(abs(res @ solve_k2(res)) / (r @ rd))
@@ -501,15 +556,15 @@ class TestNewtonPCG:
         assert rel.max() == neumann._DELTA_MAX and rel.min() == neumann._DELTA_MIN
 
     # Newton steps and PCG iterations of the solve whose forcing term
-    # had no floor, on fourier_data(1.0, seed=11) at h = 0.05.  The floor
-    # binds on the last direction at every p for this seed; at p = 6 most
-    # seeds end on directions that run at the 0.1 ceiling into the PCG
-    # cap, where it cannot bind
-    @pytest.mark.parametrize("p,steps,pcg", [(1.2, 6, 73), (1.5, 4, 26), (3.0, 4, 25),
-                                             (6.0, 11, 127)])
+    # had no floor, on fourier_data(1.0, seed=4) at h = 0.05.  Seed 4 is
+    # the lowest of seeds 0-15 where the floor lowers the PCG iterations
+    # at every p; at p = 6 most seeds end on directions that run at the
+    # 0.1 ceiling into the PCG cap, where it cannot bind
+    @pytest.mark.parametrize("p,steps,pcg", [(1.2, 10, 128), (1.5, 4, 32), (3.0, 4, 33),
+                                             (6.0, 14, 184)], ids=["1.2", "1.5", "3.0", "6.0"])
     def test_forcing_term_floor_stops_oversolving(self, p, steps, pcg):
         prob = NeumannProblem(build_mesh(1.0, 0.05), CostSpec.radial(p),
-                              fourier_data(1.0, seed=11))
+                              fourier_data(1.0, seed=4))
         rec = solve_neumann(prob).newton
         g_lp = prob.g_boundary.lp_mass(p) ** (1.0 / p)
         assert rec.residuals[-1] <= 1e-8 * (1.0 + g_lp)
