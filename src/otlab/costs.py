@@ -17,12 +17,12 @@ comparison quantities
     V_p(x, y) = (|x|^2 + |y|^2)^{(p-2)/2} |x - y|^2
     U_p(x, y) = (|x| + |y|)^{p-1} |x - y|
 
-and a sampling checker for the structural inequalities a cost must
-satisfy to enter the linearization pipeline: strong p-convexity with
-constant Lambda, two-sided p-growth, U_p-Lipschitz bounds, controlled
-gradient growth, p'-convexity of the conjugate, and the V-difference
-bound.  Constants are certified by deterministic coarse grids and then
-stress-tested by random sampling.
+and the structural inequalities a cost must satisfy to enter the
+linearization pipeline: strong p-convexity with constant Lambda, two-sided
+p-growth, U_p-Lipschitz bounds, controlled gradient growth, p'-convexity
+of the conjugate and the V-difference bound.  Each is one quotient defined
+once in ``_INEQUALITIES``, whose worst value ``_grid_constant`` takes on a
+coarse grid and ``verify_assumptions`` on random samples.
 """
 from __future__ import annotations
 
@@ -143,18 +143,12 @@ def _certified_lambda_radial(p: float) -> float:
     if p in _RADIAL_LAMBDA_TABLE:
         return _RADIAL_LAMBDA_TABLE[p]
     spec = CostSpec(p)
-    worst = max(
-        _grid_constant(spec, "elliptic"),
-        _grid_constant(spec, "growth"),
-        _grid_constant(spec, "cgrowth"),
-        _grid_constant(spec, "controlled"),
-    )
-    return 1.1 * worst
+    return 1.1 * max(_grid_constant(spec, k) for k in ("elliptic", "growth", "cgrowth", "controlled"))
 
 
 def _as_points(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("non-finite input")
     return z
 
@@ -326,26 +320,14 @@ def _sample_points(n: int, rng: np.random.Generator) -> np.ndarray:
     return radii[:, None] * dirs
 
 
-def _pairwise_worst(num: np.ndarray, den: np.ndarray, x: np.ndarray, y: np.ndarray,
-                    extra=None):
-    """Sup of num/den with the attaining sample; den=0, num>0 counts as inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
-                         np.where(num > 1e-14, np.inf, 0.0))
-    i = int(np.argmax(ratio))
-    wit = (x[i], y[i]) if extra is None else (x[i], y[i], extra[i])
-    return float(ratio[i]), wit
-
-
 def verify_assumptions(spec: CostSpec, sample_count: int, seed: int) -> AssumptionReport:
     """Stress-test the structural cost inequalities by sampling.
 
-    Draws point pairs with log-uniform radii and interpolation weights
-    tau, evaluates the worst observed constant of each inequality, and
-    compares against the spec's Lambda certificate (for the four primal
-    assumptions) or a grid-derived reference constant (for the derived
-    dual-side inequalities).  The report stores worst witnesses for
-    reproducibility and never raises on failure.
+    Draws point pairs with log-uniform radii and weights tau and takes each
+    inequality's worst quotient through its definition in ``_INEQUALITIES``.
+    The primal constants are compared against Lambda, the derived ones
+    against ``_grid_constant``.  Each witness is the worst tuple's points
+    (and tau); the report never raises on failure.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -355,89 +337,135 @@ def verify_assumptions(spec: CostSpec, sample_count: int, seed: int) -> Assumpti
     # aligned pairs stress the degenerate directions of the convexity gap
     n_aligned = max(1, sample_count // 16)
     y[:n_aligned] = x[:n_aligned] * 10.0 ** rng.uniform(-1.0, 1.0, size=(n_aligned, 1))
-    tau = rng.uniform(0.0, 1.0, size=sample_count)
+    tau = rng.uniform(0.0, 1.0, size=(sample_count, 1))
 
-    lam = spec.lambda_cap
-    slack = 1.0 + 1e-9
+    tuples = {"elliptic": (x, y, tau), "growth": (x,), "pprime_convex": (x, y, tau),
+              "vdiff": (x, y, np.roll(y, 1, axis=0))}
     results = []
-
-    cx, cy = cost_eval(spec, x), cost_eval(spec, y)
-    nx, ny = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
-
-    # strong p-convexity: Lambda^{-1} tau(1-tau) V_p <= tau c(x) + (1-tau) c(y) - c(mix)
-    gap = tau * cx + (1.0 - tau) * cy - cost_eval(spec, tau[:, None] * x + (1.0 - tau[:, None]) * y)
-    vv = tau * (1.0 - tau) * v_p(spec.p, x, y)
-    # the gap is a difference of near-equal values; ignore numerator float
-    # dust below the cancellation noise floor so coincident pairs read 0/0
-    vv = np.where(vv > 1e-11 * (1.0 + cx + cy), vv, 0.0)
-    worst, wit = _pairwise_worst(vv, np.maximum(gap, 0.0), x, y, tau)
-    results.append(InequalityResult("elliptic", worst, lam, worst <= lam * slack, wit))
-
-    # two-sided p-growth of c against |z|^p
-    znz = nx > 0.0
-    up = np.where(znz, cx / np.where(znz, nx ** spec.p, 1.0), 0.0)
-    lo = np.where(znz, nx ** spec.p / np.where(cx > 0.0, cx, 1.0), 0.0)
-    w2 = float(np.maximum(up, lo).max())
-    i2 = int(np.argmax(np.maximum(up, lo)))
-    results.append(InequalityResult("growth", w2, lam, w2 <= lam * slack, (x[i2],)))
-
-    # |c(x) - c(y)| <= Lambda U_p
-    worst, wit = _pairwise_worst(np.abs(cx - cy), u_p(spec.p, x, y), x, y)
-    results.append(InequalityResult("cgrowth", worst, lam, worst <= lam * slack, wit))
-
-    # |grad c(x) - grad c(y)| <= Lambda (|x|+|y|)^{p-2} |x-y|
-    dg = np.linalg.norm(cost_grad(spec, x) - cost_grad(spec, y), axis=1)
-    s = nx + ny
-    den = np.where(s > 0.0, s, 1.0) ** (spec.p - 2.0) * np.linalg.norm(x - y, axis=1)
-    den = np.where(s > 0.0, den, 0.0)
-    worst, wit = _pairwise_worst(dg, den, x, y)
-    results.append(InequalityResult("controlled_growth", worst, lam, worst <= lam * slack, wit))
-
-    # p'-convexity of the conjugate: a lower constant, compared against a
-    # grid-derived reference (sampled minimum can only sit above the true inf)
-    xi1, xi2 = cost_grad(spec, x), cost_grad(spec, y)
-    d1, d2 = dual_eval(spec, xi1), dual_eval(spec, xi2)
-    dgap = tau * d1 + (1.0 - tau) * d2 - dual_eval(spec, tau[:, None] * xi1 + (1.0 - tau[:, None]) * xi2)
-    vpp = v_p(spec.p_prime, xi1, xi2)
-    m = vpp > 1e-290
-    quot = np.where(m, dgap / np.where(m, tau * (1.0 - tau) * vpp, 1.0), np.inf)
-    i5 = int(np.argmin(quot))
-    cobs = float(quot[i5])
-    ref = _grid_constant(spec, "pprime_convex")
-    results.append(InequalityResult("pprime_convex", cobs, ref,
-                                    cobs >= 0.8 * ref and cobs > 0.0, (xi1[i5], xi2[i5], tau[i5])))
-
-    # V-difference bound, a (p, d) property: |V(z1,z2) - V(z1,z3)| against
-    # (|z1|+|z2|+|z3|)^{p-1} |z2-z3|
-    z3 = np.roll(y, 1, axis=0)
-    num = np.abs(v_p(spec.p, x, y) - v_p(spec.p, x, z3))
-    den = (nx + ny + np.linalg.norm(z3, axis=1)) ** (spec.p - 1.0) * np.linalg.norm(y - z3, axis=1)
-    worst, wit = _pairwise_worst(num, den, x, y, z3)
-    vref = _grid_constant(spec, "vdiff")
-    results.append(InequalityResult("vdiff", worst, vref, worst <= 1.2 * vref, wit))
-
-    # conjugate Lipschitz bound in U_{p'}, recorded for the dual estimates
-    worst, wit = _pairwise_worst(np.abs(d1 - d2), u_p(spec.p_prime, xi1, xi2), xi1, xi2)
-    uref = _grid_constant(spec, "cgrowth_dual")
-    results.append(InequalityResult("cgrowth_dual", worst, uref, worst <= 1.2 * uref, wit))
+    for kind in _INEQUALITIES:
+        worst, wit = _worst(spec, kind, *tuples.get(kind, (x, y)))
+        if kind == "pprime_convex":
+            # a lower constant: the sampled minimum can only sit above the grid's
+            worst, ref = 1.0 / worst if worst else math.inf, _grid_constant(spec, kind)
+            passed = worst >= 0.8 * ref and worst > 0.0
+        else:
+            derived = kind in ("vdiff", "cgrowth_dual")
+            ref = _grid_constant(spec, kind) if derived else spec.lambda_cap
+            passed = worst <= ref * (1.2 if derived else 1.0 + 1e-9)
+        name = "controlled_growth" if kind == "controlled" else kind
+        results.append(InequalityResult(name, worst, ref, passed, wit))
 
     # Fenchel-Young defect at the contact covector xi = grad c(x)
-    fy = np.abs(cx + dual_eval(spec, xi1) - np.sum(xi1 * x, axis=1))
-    fy_rel = float(np.max(fy / (1.0 + nx ** spec.p)))
-
+    xi = cost_grad(spec, x)
+    fy = np.abs(cost_eval(spec, x) + dual_eval(spec, xi) - np.sum(xi * x, axis=1))
+    fy_rel = float(np.max(fy / (1.0 + np.linalg.norm(x, axis=1) ** spec.p)))
     return AssumptionReport(spec, sample_count, seed, tuple(results), fy_rel)
 
 
-# row x grid entries per block of a grid sweep; a 512 KB float64
-# temporary stays in cache (4 MB blocks ran about 1.4x slower on a 2-core
-# Xeon for a row sweep over 1.1k x 1.1k pairs)
-_BLOCK = 1 << 16
+# ---------------------------------------------------------------------------
+# the structural inequalities, each one quotient num / den defined once
+#
+# A definition maps the spec and broadcastable stacks of planar points
+# (..., 2) and weights tau (..., 1) to num and den, arrays of the tuples'
+# broadcast shape.  Each constant is the sup of its quotient (p'-convexity's
+# the reciprocal of one).  Per-tuple arithmetic runs on coordinates, as
+# broadcast (..., 2) stacks run in length-2 inner loops, several times slower.
 
 
-def _spans(n: int, width: int, stride: int = 1):
-    """Slices of every stride-th row below n, as many rows of ``width`` as fit a block."""
-    step = stride * max(1, _BLOCK // width)
-    return (slice(i, i + step, stride) for i in range(0, n, step))
+def _distance(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|y - z| of broadcastable planar points; cdist takes the outer pairs of
+    stacks (h, 1, 2) and (w, 2).  np.hypot runs about 20x slower."""
+    if y.ndim == 3 and y.shape[1] == 1 and z.ndim == 2:
+        return cdist(y[:, 0], z)
+    d, e = y[..., 0] - z[..., 0], y[..., 1] - z[..., 1]
+    return np.sqrt(d * d + e * e)
+
+
+def _convexity(spec: CostSpec, x, y, tau, dual: bool = False):
+    """tau (1-tau) V_e(x, y) over the gap tau f(x) + (1-tau) f(y) - f(tau x + (1-tau) y)
+    of f = (z.Mz)^{e/2} / e: the cost (e = p, M = A) or, at the covectors
+    grad c(x) and grad c(y), its conjugate (e = p', M = A^{-1}).  The mixed
+    point's form is expanded in x.Mx, x.My and y.My."""
+    e, m, f = spec.p, spec.matrix, cost_eval
+    if dual:
+        x, y = cost_grad(spec, x), cost_grad(spec, y)
+        e, m, f = spec.p_prime, spec.inverse, dual_eval
+    xm, qx = _metric(x, m)
+    t = tau[..., 0]
+    s = 1.0 - t
+    # in place, three tile-sized arrays; gap holds (1-t)^2 y.My at first
+    mix = 2.0 * t * s * (xm[..., 0] * y[..., 0] + xm[..., 1] * y[..., 1])
+    mix += t * t * qx
+    gap = s * s * _metric(y, m)[1]
+    mix += gap
+    np.power(np.maximum(mix, 0.0, out=mix), e / 2.0, out=mix)
+    mix /= e
+    np.multiply(s, f(spec, y), out=gap)
+    gap += t * f(spec, x)
+    gap -= mix
+    # a negative gap is rounding dust or a failure; either way it reads 0
+    return t * s * v_p(e, x, y), np.maximum(gap, 0.0, out=gap)
+
+
+def _growth(spec: CostSpec, x):
+    """max(c(x), |x|^p) over min(c(x), |x|^p): the two-sided p-growth of c."""
+    c, r = cost_eval(spec, x), _norms(x) ** spec.p
+    return np.maximum(c, r), np.minimum(c, r)
+
+
+def _lipschitz(spec: CostSpec, x, y, dual: bool = False):
+    """|c(x) - c(y)| over U_p(x, y), or |c*(xi) - c*(eta)| over U_{p'}(xi, eta)
+    at the covectors xi = grad c(x) and eta = grad c(y)."""
+    if dual:
+        x, y = cost_grad(spec, x), cost_grad(spec, y)
+        return np.abs(dual_eval(spec, x) - dual_eval(spec, y)), u_p(spec.p_prime, x, y)
+    return np.abs(cost_eval(spec, x) - cost_eval(spec, y)), u_p(spec.p, x, y)
+
+
+def _controlled(spec: CostSpec, x, y):
+    """|grad c(x) - grad c(y)| over (|x| + |y|)^{p-2} |x - y|."""
+    den = (_norms(x) + _norms(y)) ** (spec.p - 2.0) * _distance(x, y)
+    return _distance(cost_grad(spec, x), cost_grad(spec, y)), den
+
+
+def _vdifference(spec: CostSpec, x, y, z):
+    """|V_p(x, y) - V_p(x, z)| over (|x| + |y| + |z|)^{p-1} |y - z|, a property of p alone."""
+    den = _distance(y, z)
+    w = _norms(x) + _norms(y) + _norms(z)
+    den *= np.power(w, spec.p - 1.0, out=w)
+    num = np.subtract(v_p(spec.p, x, y), v_p(spec.p, x, z), out=w)
+    return np.abs(num, out=num), den
+
+
+# in the report's order
+_INEQUALITIES = {
+    "elliptic": _convexity,
+    "growth": _growth,
+    "cgrowth": _lipschitz,
+    "controlled": _controlled,
+    "pprime_convex": functools.partial(_convexity, dual=True),
+    "vdiff": _vdifference,
+    "cgrowth_dual": functools.partial(_lipschitz, dual=True),
+}
+
+
+def _quotients(spec: CostSpec, kind: str, *tup) -> np.ndarray:
+    """num / den of an inequality at the broadcast tuples tup, all >= 0.  One
+    degenerate-tuple rule: den = 0 reads inf when num > 0 (the inequality
+    fails there) and NaN, which the reductions skip, when num = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # numpy's default 8192 buffer made a grid block's outer products about
+        # 4x slower (it buffers shorter broadcast rows); errstate restores it
+        np.setbufsize(1024)
+        num, den = _INEQUALITIES[kind](spec, *tup)
+        return np.divide(num, den, out=num)
+
+
+def _worst(spec: CostSpec, kind: str, *tup):
+    """Sup of an inequality's quotient over the broadcast tuples tup, and its witness."""
+    q = np.fmax(_quotients(spec, kind, *tup), 0.0)
+    at = np.unravel_index(np.argmax(q), q.shape)
+    return float(q[at]), tuple(np.broadcast_to(v, q.shape + v.shape[-1:])[at] for v in tup)
 
 
 # Hoelder sweep: mean points per grid cell (8 ran fastest of 4-32 on
@@ -559,95 +587,66 @@ def _holder_maxima(x: np.ndarray, fields, beta: float, min_sep: float):
     return [float(v) for v in best] if found else None
 
 
-def _tau_gaps(e: float, fx, fg, qx, qxg, qg, tau: np.ndarray) -> np.ndarray:
-    """Gaps t f(x) + (1-t) f(g) - f(t x + (1-t) g) of f(z) = (z.Mz)^{e/2}/e.
-
-    One row per t in tau; the mixed form is expanded in x.Mx, x.Mg, g.Mg.
-    """
-    t = tau[:, None]
-    q = t * t * qx + 2.0 * t * (1.0 - t) * qxg + (1.0 - t) ** 2 * qg
-    return t * fx + (1.0 - t) * fg - np.maximum(q, 0.0) ** (e / 2.0) / e
+# tuples per block of a grid sweep: 1 MB float64 temporaries ran the
+# vdiff and p'-convexity sweeps faster than 512 KB or 2 MB ones on a
+# 2-core Xeon, and three or four of them stay under the 8 MB cold bound
+_BLOCK = 1 << 17
 
 
-def _polar_grid() -> tuple[np.ndarray, np.ndarray]:
-    """Partner points of the grid sweeps, a log-radius polar grid, and their norms."""
+def _tiles(a: int, b: int):
+    """Slices (i, j) that cover an a x b table in blocks of at most _BLOCK entries."""
+    h = min(a, math.isqrt(_BLOCK))
+    w = _BLOCK // h
+    return [(slice(i, i + h), slice(j, j + w)) for i in range(0, a, h) for j in range(0, b, w)]
+
+
+def _grid_tuples(spec: CostSpec, which: str) -> list:
+    """The grid's tuples of one inequality, in broadcast blocks of at most _BLOCK.
+    Scale invariance lets it fix |x| = 1 (17 directions if anisotropic) and
+    sweep the partner over a log-radius polar grid; the convexity gaps take
+    57 weights tau, and vdiff pairs every 7th grid point with every one."""
     th = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)[:, None]
     rr = np.concatenate([np.geomspace(1e-3, 1e3, 121), [1.0]])
     grid = np.stack([np.cos(th) * rr, np.sin(th) * rr], -1).reshape(-1, 2)
-    return grid, np.linalg.norm(grid, axis=1)
+    if which == "growth":
+        return [(grid,)]
+    if which == "vdiff":
+        rows = grid[::7, None]
+        return [(_I2[0], rows[i], grid[j]) for i, j in _tiles(len(rows), len(grid))]
+    angles = np.linspace(0.0, np.pi, 1 if spec.matrix is None else 17)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], -1)
+    if which in ("elliptic", "pprime_convex"):
+        tau = np.linspace(0.01, 0.99, 57)[:, None, None]
+        return [(x, grid[j], tau) for x in dirs for _, j in _tiles(len(tau), len(grid))]
+    return [(dirs[i, None], grid[j]) for i, j in _tiles(len(dirs), len(grid))]
+
+
+def _grid_sup(spec: CostSpec, which: str) -> float:
+    """Sup of an inequality's quotient over the grid's tuples."""
+    sup = q = 0.0
+    for t in _grid_tuples(spec, which):
+        # rebinding q frees a block's quotients only once the next block's
+        # exist; with num allocated last in each definition, the heap then
+        # does not shrink and regrow (a page fault per 4 KB) between blocks
+        q = _quotients(spec, which, *t)
+        sup = max(sup, float(np.fmax.reduce(q, axis=None)))
+    return sup
 
 
 @functools.cache
 def _vdiff(p: float) -> float:
     """Grid estimate of the V-difference constant, which reads p alone."""
-    grid, ng = _polar_grid()
-    v1 = v_p(p, _I2[0], grid)
-    worst = 0.0
-    for s in _spans(len(grid), len(grid), 7):
-        num = np.abs(v1[s, None] - v1)
-        den = (1.0 + ng[s, None] + ng) ** (p - 1.0) * cdist(grid[s], grid)
-        mm = den > 0.0
-        worst = max(worst, float((num[mm] / den[mm]).max()))
-    return worst
+    return _grid_sup(CostSpec(p), "vdiff")
 
 
 @functools.cache
 def _grid_constant(spec: CostSpec, which: str) -> float:
-    """Deterministic coarse-grid estimate of a structural constant.
-
-    Shared by the certified defaults and the derived reference values in
-    verify_assumptions.  Scale invariance of every inequality lets the
-    grid fix |x| = 1 and sweep the partner point over a log-radius polar
-    grid; anisotropic specs additionally sweep the base direction.  Sweeps
-    run in blocks of ``_BLOCK`` entries; ``vdiff`` comes from ``_vdiff``.
-    """
+    """Deterministic coarse-grid estimate of a structural constant, for the
+    certified defaults and verify_assumptions' references: the inequality's
+    definition in ``_INEQUALITIES`` on the tuples of ``_grid_tuples``.
+    ``vdiff`` is shared per p through ``_vdiff``."""
     if which == "vdiff":
         return _vdiff(spec.p)
-    grid, ng = _polar_grid()
-    tau = np.linspace(0.01, 0.99, 57)
-    base_dirs = [_I2[0]] if spec.matrix is None else [
-        np.array([np.cos(a), np.sin(a)]) for a in np.linspace(0.0, np.pi, 17)
-    ]
-    # dual-side constants act on the covectors of the base and grid points
-    dual = which in ("pprime_convex", "cgrowth_dual")
-    e, f = (spec.p_prime, dual_eval) if dual else (spec.p, cost_eval)
-    gg = cost_grad(spec, grid)
-    g = gg if dual else grid
-    xs = [cost_grad(spec, bd) if dual else bd for bd in base_dirs]
-    fg = f(spec, g)
-
-    worst = np.inf if which == "pprime_convex" else 0.0
-    if which in ("elliptic", "pprime_convex"):
-        # the convexity gaps sweep all tau at once in the metric M of f
-        m = spec.inverse if dual else spec.matrix
-        gm, qg = _metric(g, m)
-        w = tau[:, None] * (1.0 - tau[:, None])
-        for x in xs:
-            vv = v_p(e, x, g)
-            k = vv > 1e-290
-            vk, fgk, qxg, qgk = vv[k], fg[k], gm[k] @ x, qg[k]
-            qx = _metric(x, m)[1]
-            for c in _spans(len(vk), len(tau)):
-                gp = _tau_gaps(e, f(spec, x), fgk[c], qx, qxg[c], qgk[c], tau)
-                if dual:
-                    worst = min(worst, float((gp / (w * vk[c])).min()))
-                elif (mm := gp > 1e-290).any():
-                    worst = max(worst, float(((w * vk[c])[mm] / gp[mm]).max()))
-    elif which == "growth":
-        mm = ng > 0.0
-        worst = max(float((fg[mm] / ng[mm] ** spec.p).max()),
-                    float((ng[mm] ** spec.p / fg[mm]).max()))
-    elif which in ("cgrowth", "cgrowth_dual"):
-        for x in xs:
-            den = u_p(e, x, g)
-            mm = den > 0.0
-            worst = max(worst, float((np.abs(f(spec, x) - fg)[mm] / den[mm]).max()))
-    elif which == "controlled":
-        for bd in base_dirs:
-            dgn = np.linalg.norm(cost_grad(spec, bd) - gg, axis=1)
-            den = (1.0 + ng) ** (spec.p - 2.0) * np.linalg.norm(bd - grid, axis=1)
-            mm = den > 0.0
-            worst = max(worst, float((dgn[mm] / den[mm]).max()))
-    else:
-        raise ValueError(which)
-    return worst
+    sup = _grid_sup(spec, which)
+    # p'-convexity's constant is the inf of the reciprocal quotient
+    return 1.0 / sup if which == "pprime_convex" else sup

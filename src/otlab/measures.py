@@ -148,8 +148,8 @@ class BoundaryData:
 
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=float).ravel()
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if not np.all(np.isfinite(m)):
             raise ValueError("bin masses must be finite")
         if np.any(m < 0) and not self.signed:
@@ -274,8 +274,8 @@ def mollify_boundary(b: BoundaryData, r: float) -> BoundaryData:
     """
     if b.dim != 2:
         raise ValueError("mollification needs angular bins")
-    if r < b.bin_width * (1.0 - 1e-12):
-        raise ValueError("mollification scale below bin width")
+    if not (math.isfinite(r) and r >= b.bin_width * (1.0 - 1e-12)):
+        raise ValueError(f"mollification scale r = {r} must be finite and at least one bin width")
     n = b.n_bins
     k = int(math.floor(r / b.bin_width))
     off = np.arange(-k, k + 1) * b.bin_width

@@ -5,6 +5,7 @@ maximizations (97 angles x 121 log radii x 57 interpolation weights,
 refined once) run separately from the library code; the library's own
 coarse-grid estimates must reproduce them to the stated tolerance.
 """
+import functools
 import math
 import tracemalloc
 
@@ -470,6 +471,19 @@ GRID_KINDS = ("elliptic", "growth", "cgrowth", "controlled", "pprime_convex", "v
               "cgrowth_dual")
 
 
+@functools.cache
+def loop_vdiff(p):
+    """The loop oracle's vdiff, which reads p alone, once per p."""
+    return grid_constant_loop(CostSpec.radial(p, lambda_cap=8.0), "vdiff")
+
+
+@functools.cache
+def sampled_on_the_grid(spec, which):
+    """verify_assumptions' reduction, witness included, over the grid's tuples."""
+    return max((costs._worst(spec, which, *t) for t in costs._grid_tuples(spec, which)),
+               key=lambda result: result[0])
+
+
 class TestGridConstants:
     @pytest.fixture(autouse=True)
     def cold_cache(self):
@@ -482,8 +496,8 @@ class TestGridConstants:
         # the tau sweeps expand the mixed point's form, so their rounding
         # differs from the loop's; the widest gap seen is 4.6e-13
         spec = GRID_SPECS[name]
-        assert costs._grid_constant(spec, which) == pytest.approx(
-            grid_constant_loop(spec, which), rel=1e-12)
+        want = loop_vdiff(spec.p) if which == "vdiff" else grid_constant_loop(spec, which)
+        assert costs._grid_constant(spec, which) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("which", GRID_KINDS)
     def test_cold_grid_memory_is_bounded(self, which):
@@ -505,6 +519,45 @@ class TestGridConstants:
 
         monkeypatch.setattr(costs, "v_p", no_grid)
         assert costs._grid_constant(CostSpec.radial(3.0), "vdiff") == first
+
+
+class TestOneDefinition:
+    """The sampled check and the grid evaluate each inequality through one definition."""
+
+    @pytest.mark.parametrize("which", GRID_KINDS)
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_sampled_reduction_on_the_grid_tuples_is_the_grid_constant(self, name, which):
+        spec = GRID_SPECS[name]
+        # vdiff reads p alone
+        worst, witness = sampled_on_the_grid(CostSpec(spec.p) if which == "vdiff" else spec, which)
+        want = 1.0 / worst if which == "pprime_convex" else worst
+        assert costs._grid_constant(spec, which) == pytest.approx(want, rel=1e-12)
+        # the witness, as a one-tuple sample, reproduces the worst quotient
+        again, _ = costs._worst(spec, which, *(np.reshape(w, (1, -1)) for w in witness))
+        assert again == pytest.approx(worst, rel=1e-12)
+
+    @pytest.mark.parametrize("which", GRID_KINDS)
+    def test_coincident_tuples_are_skipped(self, which):
+        spec = GRID_SPECS["tilted-p1.5"]
+        x = np.array([[1.0, 2.0], [0.5, -0.25]])
+        tup = {"growth": (0.0 * x,), "vdiff": (x, x, x),
+               "elliptic": (x, x, np.full((2, 1), 0.3)),
+               "pprime_convex": (x, x, np.full((2, 1), 0.3))}.get(which, (x, x))
+        assert np.all(np.isnan(costs._quotients(spec, which, *tup)))
+        assert costs._worst(spec, which, *tup)[0] == 0.0
+
+    def test_vanishing_denominator_under_a_positive_numerator_reads_inf(self, monkeypatch):
+        monkeypatch.setitem(costs._INEQUALITIES, "probe",
+                            lambda spec, x: (np.array([1.0, 0.0, 2.0]), np.zeros(3)))
+        worst, witness = costs._worst(SCAN_COST, "probe", np.eye(3, 2))
+        assert worst == np.inf
+        assert np.array_equal(witness[0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_benchmark_costs_pass_at_every_seed(self, seed):
+        # every benchmark set-up certifies these two costs at its seed
+        for spec in (CostSpec.radial(3.0), SCAN_COST):
+            assert verify_assumptions(spec, 4096, seed).passed
 
 
 def holder_cloud(kind, n, d, rng):

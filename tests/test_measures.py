@@ -157,6 +157,12 @@ class TestMollification:
         with pytest.raises(ValueError):
             mollify_boundary(b, 0.5 * b.bin_width)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_scale_rejected_by_name(self, r):
+        # nan used to fail converting the tap count to int, inf overflowed it
+        with pytest.raises(ValueError, match=f"mollification scale r = {r}"):
+            mollify_boundary(BoundaryData(1.0, np.ones(16)), r)
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=100, deadline=None)
     def test_mass_conservation_and_positivity(self, seed):
@@ -256,6 +262,12 @@ class TestValidation:
     def test_ball_radius_positive(self):
         with pytest.raises(ValueError):
             Ball.at_origin(0.0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_boundary_radius_must_be_finite(self, radius):
+        # an infinite radius was accepted and every density read 0
+        with pytest.raises(ValueError, match="radius must be finite"):
+            BoundaryData(radius, np.ones(4))
 
     def test_ball_volume(self):
         assert Ball.at_origin(3.0, dim=1).volume == 6.0
