@@ -55,8 +55,6 @@ from .trajectories import (
     select_radius,
 )
 from .transport import (
-    PLAIN_VOLUME,
-    SCALE_INVARIANT,
     LPRecord,
     TransportPlan,
     add_constant_check,

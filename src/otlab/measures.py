@@ -106,8 +106,8 @@ class Ball:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if c.ndim != 1 or len(c) not in (1, 2):
             raise ValueError("center must be a 1- or 2-vector")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         object.__setattr__(self, "center", c)
 
     @property
@@ -123,7 +123,8 @@ class Ball:
         """Mask of the (k, dim) points in the open ball; its sphere lies outside."""
         if np.shape(points)[1:] != (self.dim,):
             raise ValueError(f"points must be (k, {self.dim}), got shape {np.shape(points)}")
-        return np.linalg.norm(points - self.center, axis=1) < self.radius
+        # hypot does not overflow where the squared norm would
+        return np.hypot.reduce(points - self.center, axis=1) < self.radius
 
     @staticmethod
     def at_origin(radius: float, dim: int = 2) -> "Ball":
@@ -306,7 +307,6 @@ class ProjectionCheck:
     lower_ratio: float
     upper_ratio: float
     sup_density: float
-    normalization: dict
     degenerate: Optional[str] = None
 
     @property
@@ -333,9 +333,8 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
         raise ValueError("exponent must satisfy p > 1")
     if g.dim != 2:
         raise ValueError("projection check is planar")
-    norm = {"p": p, "eps": ANNULUS_EPS, "scale": radius}
     if g.n_atoms == 0 or g.total_mass == 0.0:
-        return ProjectionCheck(math.inf, math.inf, 0.0, norm, degenerate="zero measure")
+        return ProjectionCheck(math.inf, math.inf, 0.0, degenerate="zero measure")
     rr = g.radii() / radius
     if np.any(rr > 1.0 + ANNULUS_EPS) or np.any(rr < 1.0 - ANNULUS_EPS):
         raise ValueError("support leaves the admissible annulus")
@@ -357,7 +356,7 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
     if span <= 1e-12:
         # support on a single sphere: the majorant degenerates (zero
         # moment against an unbounded density); report it vacuous
-        return ProjectionCheck(lower, math.inf, math.inf, norm,
+        return ProjectionCheck(lower, math.inf, math.inf,
                                degenerate="support on a single sphere")
     n_r = max(1, int(math.ceil(span / dth)))
     dr = span / n_r
@@ -372,4 +371,4 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
 
     majorant = p * (2.0 * (1.0 + ANNULUS_EPS) * sup_density) ** (p - 1.0) * moment
     upper = majorant / middle
-    return ProjectionCheck(lower, upper, sup_density, norm)
+    return ProjectionCheck(lower, upper, sup_density)

@@ -138,22 +138,6 @@ class ScalarField:
                                      minlength=mesh.n_nodes) for w in cols.T], axis=1)
         return sums[:, :2] / sums[:, 2:]
 
-    def evaluate(self, points) -> np.ndarray:
-        """P1 interpolation; outside the mesh, the nearest node value."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        sidx = self.mesh.locate(pts)
-        out = np.empty(len(pts))
-        inside = sidx >= 0
-        if inside.any():
-            tri = self.mesh.triangles[sidx[inside]]
-            anchor = self.mesh.nodes[tri[:, 0]]
-            grads = self.element_gradients[sidx[inside]]
-            out[inside] = self.values[tri[:, 0]] + \
-                np.sum((pts[inside] - anchor) * grads, axis=1)
-        if (~inside).any():
-            out[~inside] = self.values[self.mesh.nearest_node(pts[~inside])]
-        return out
-
     def gradient(self, points) -> np.ndarray:
         """Element gradient at each point; nearest recovered nodal
         gradient for points the mesh does not cover."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import CostSpec, cost_eval
 from .measures import Ball, BoundaryData, DiscreteMeasure, mollify_boundary, radial_project
-from .transport import PLAIN_VOLUME, _plan_to_uniform, _rings_at, data_D, energy_E
+from .transport import _plan_to_uniform, _rings_at, compute_smallness, data_D
 
 __all__ = [
     "Trajectory",
@@ -268,9 +268,10 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     """Score candidate radii and pick the cheapest.
 
     score(R) = cost of trajectories touching the sphere (within the
-    B_3 window) + D(R) + the L^p mass of the approximated boundary
-    densities.  Every candidate must lie in (0, 3]: beyond the window
-    the crossings it does not count would lower the score.  The argmin
+    B_3 window) + R^p D(R), the volume-only data term, + the L^p mass
+    of the approximated boundary densities.  Every candidate must lie in
+    (0, 3]: beyond the window the crossings it does not count would
+    lower the score.  The argmin
     is returned with all scores and their breakdown; ties break to the
     smallest radius.  By averaging, the selected score is at most the
     candidate mean, which the tests assert.  Each marginal's composition
@@ -303,7 +304,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
         (entering, _), (leaving, _) = crossings
         crossing = float(entry_cost[np.union1d(entering, leaving)].sum())
 
-        d_r = data_D(lam, mu, r, spec, _rings_at(r, resolution), PLAIN_VOLUME)
+        d_r = r ** spec.p * data_D(lam, mu, r, spec, _rings_at(r, resolution))
         approx = _boundary_approximation(plan, r, crossings, n_theta,
                                          4.0 * math.pi / n_theta, compositions)
         lp_mass = approx.f_bar.lp_mass(spec.p) + approx.g_bar.lp_mass(spec.p)
@@ -329,7 +330,8 @@ class DisplacementReport:
 def linfty_displacement(plan, spec: CostSpec, resolution: int = 12) -> DisplacementReport:
     """Sup displacement over the B_3 window against the smallness power.
 
-    bound_check = sup |x - y| / (E(4) + D(4))^{1/(p+d)}; the exponent is
+    bound_check = sup |x - y| / (4^p (E(4) + D(4)))^{1/(p+d)}, the
+    smallness taken in its volume-only form; the exponent is
     the displacement law's 1/(p+d).  Stability of bound_check across a
     scaling family is the actual test; a single value is diagnostic
     only.
@@ -337,10 +339,8 @@ def linfty_displacement(plan, spec: CostSpec, resolution: int = 12) -> Displacem
     x, y = plan.pairs()
     window = plan.anchored_in(_WINDOW)
     sup_disp = float(np.linalg.norm((x - y)[window], axis=1).max()) if window.any() else 0.0
-    e4 = energy_E(plan, 4.0, spec, PLAIN_VOLUME)
-    d4 = data_D(plan.source, plan.target, 4.0, spec, resolution, PLAIN_VOLUME)
+    small = 4.0 ** spec.p * compute_smallness(plan, spec, (4.0,), resolution).total(4.0)
     expo = 1.0 / (spec.p + plan.source.dim)
-    small = e4 + d4
     check = sup_disp / small ** expo if small > 0 else (0.0 if sup_disp == 0.0 else math.inf)
     return DisplacementReport(sup_disp, small, expo, check)
 

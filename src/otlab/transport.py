@@ -37,8 +37,6 @@ __all__ = [
     "LPRecord",
     "TransportPlan",
     "SmallnessReport",
-    "SCALE_INVARIANT",
-    "PLAIN_VOLUME",
     "solve_exact",
     "transport_cost",
     "check_cyclical_monotonicity",
@@ -53,9 +51,6 @@ __all__ = [
     "localisation_check",
     "data_restriction_check",
 ]
-
-SCALE_INVARIANT = "ScaleInvariant"
-PLAIN_VOLUME = "PlainVolume"
 
 # dense n*m cost matrices beyond this size are refused
 _MAX_MATRIX_ENTRIES = 4_000_000
@@ -176,11 +171,8 @@ class TransportPlan:
 class SmallnessReport:
     E_values: dict
     D_values: dict
-    normalization: str
 
     def __post_init__(self):
-        if self.normalization not in (SCALE_INVARIANT, PLAIN_VOLUME):
-            raise ValueError("unknown normalization")
         vals = list(self.E_values.values()) + list(self.D_values.values())
         if any(v < 0 for v in vals):
             raise ValueError("smallness quantities are non-negative")
@@ -439,13 +431,12 @@ def check_cyclical_monotonicity(plan: TransportPlan, spec: CostSpec, n_tuple: in
     return [{"entries": e.tolist(), "defect": float(d)} for e, d in zip(sel[won], defect[won])]
 
 
-def energy_E(plan: TransportPlan, radius: float, spec: CostSpec,
-             normalization: str = SCALE_INVARIANT) -> float:
-    """Localized transport energy of the plan at the given radius.
+def energy_E(plan: TransportPlan, radius: float, spec: CostSpec) -> float:
+    """Localized transport energy E(R) of the plan, scale invariant.
 
     Integrates c(x - y) over the entries whose source or target lies in
-    the open ball B_R and divides by |B_R| R^p (scale invariant form)
-    or plain |B_R|.
+    the open ball B_R and divides by |B_R| R^p, so that dilating the
+    plan and the radius together leaves it unchanged.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -453,11 +444,7 @@ def energy_E(plan: TransportPlan, radius: float, spec: CostSpec,
     mask = plan.anchored_in(radius)
     total = float(np.sum(plan.masses[mask] * cost_eval(spec, (x - y)[mask]))) if mask.any() else 0.0
     vol = Ball.at_origin(radius, dim=plan.source.dim).volume
-    if normalization == SCALE_INVARIANT:
-        return total / (vol * radius ** spec.p)
-    if normalization == PLAIN_VOLUME:
-        return total / vol
-    raise ValueError("unknown normalization")
+    return total / (vol * radius ** spec.p)
 
 
 def _rings_at(radius: float, resolution: int) -> int:
@@ -489,44 +476,36 @@ def _plan_to_uniform(nu: DiscreteMeasure, radius: float, spec: CostSpec,
     return k, quad, solve_exact(local, target, spec)
 
 
-def _data_half(nu: DiscreteMeasure, radius: float, spec: CostSpec,
-               resolution: int) -> tuple[float, float, float]:
-    """One marginal's contribution to D: (W term, kappa, kappa term).
+def _data_half(nu: DiscreteMeasure, radius: float, spec: CostSpec, resolution: int) -> float:
+    """One marginal's share of D(R), times R^p.
 
-    The W term is W(nu restricted to B_R, kappa dx on B_R) divided by
-    |B_R|; the kappa term is R^p (kappa - 1)^p / kappa^{p-1}, not
+    W(nu restricted to B_R, kappa dx on B_R) / |B_R|
+    + R^p (kappa - 1)^p / kappa^{p-1}; the kappa term is not
     volume-normalized, following the defining display.
     """
     k, _, plan = _plan_to_uniform(nu, radius, spec, resolution)
     w_term = plan.total_cost / Ball.at_origin(radius, dim=nu.dim).volume
-    k_term = radius ** spec.p * abs(k - 1.0) ** spec.p / k ** (spec.p - 1.0)
-    return w_term, k, k_term
+    return w_term + radius ** spec.p * abs(k - 1.0) ** spec.p / k ** (spec.p - 1.0)
 
 
 def data_D(lam: DiscreteMeasure, mu: DiscreteMeasure, radius: float, spec: CostSpec,
-           resolution: int, normalization: str = SCALE_INVARIANT) -> float:
+           resolution: int) -> float:
     """Data term D(R): distance of each marginal from its own uniform density.
 
-    Four-term sum: for each of lam and mu, the transport cost under the
-    spec's c to the kappa-weighted Lebesgue quadrature of B_R (divided
-    by |B_R|) plus R^p (kappa - 1)^p / kappa^{p-1}.  The scale invariant
-    form divides the whole sum by R^p.
+    Scale invariant four-term sum: for each of lam and mu, the transport
+    cost under the spec's c to the kappa-weighted Lebesgue quadrature of
+    B_R divided by |B_R| R^p, plus (kappa - 1)^p / kappa^{p-1}.
     """
-    if normalization not in (SCALE_INVARIANT, PLAIN_VOLUME):
-        raise ValueError("unknown normalization")
-    wl, _, kl = _data_half(lam, radius, spec, resolution)
-    wm, _, km = _data_half(mu, radius, spec, resolution)
-    total = wl + kl + wm + km
-    return total / radius ** spec.p if normalization == SCALE_INVARIANT else total
+    total = _data_half(lam, radius, spec, resolution) + _data_half(mu, radius, spec, resolution)
+    return total / radius ** spec.p
 
 
 def compute_smallness(plan: TransportPlan, spec: CostSpec, radii: Sequence[float],
-                      resolution: int, normalization: str = SCALE_INVARIANT) -> SmallnessReport:
-    """E(R) and D(R) of a plan over a family of radii."""
-    e_vals = {r: energy_E(plan, r, spec, normalization) for r in radii}
-    d_vals = {r: data_D(plan.source, plan.target, r, spec, resolution, normalization)
-              for r in radii}
-    return SmallnessReport(e_vals, d_vals, normalization)
+                      resolution: int) -> SmallnessReport:
+    """The scale invariant E(R) and D(R) of a plan over a family of radii."""
+    e_vals = {r: energy_E(plan, r, spec) for r in radii}
+    d_vals = {r: data_D(plan.source, plan.target, r, spec, resolution) for r in radii}
+    return SmallnessReport(e_vals, d_vals)
 
 
 def triangle_constant(eps: float, p: float) -> float:
@@ -554,7 +533,6 @@ class TriangleReport:
     c_used: float
     w12: float
     w23: float
-    w13: float
     passed: bool
 
 
@@ -566,7 +544,7 @@ def triangle_check(mu1: DiscreteMeasure, mu2: DiscreteMeasure, mu3: DiscreteMeas
     w13 = transport_cost(mu1, mu3, spec)
     c = triangle_constant(eps, spec.p)
     rhs = (1.0 + eps) * w12 + c * w23
-    return TriangleReport(w13, rhs, c, w12, w23, w13, w13 <= rhs + 1e-9)
+    return TriangleReport(w13, rhs, c, w12, w23, w13 <= rhs + 1e-9)
 
 
 def add_constant_check(mu1: DiscreteMeasure, mu2: DiscreteMeasure,
@@ -705,8 +683,8 @@ def localisation_check(plan: TransportPlan, radius: float, spec: CostSpec,
     lhs integrates c(x - y) over trajectories meeting the closed ball
     (within the source-or-target-in-B_3 window); rhs solves transport
     between the restricted marginals augmented by the boundary entry and
-    exit measures, scaled by 1 + delta, plus tau (E(4) + D(4)) in the
-    defining normalization.  The radius must lie in (0, 3]: beyond the
+    exit measures, scaled by 1 + delta, plus tau times the volume-only
+    smallness 4^p (E(4) + D(4)).  The radius must lie in (0, 3]: beyond the
     window the restricted marginals keep crossing mass that it drops.
     """
     from .trajectories import _WINDOW, entry_exit_atoms, omega_mask
@@ -727,10 +705,9 @@ def localisation_check(plan: TransportPlan, radius: float, spec: CostSpec,
                              np.concatenate([mu_in.weights, g_r.weights]))
     w_loc = transport_cost(lam_aug, mu_aug, spec)
 
-    e4 = energy_E(plan, 4.0, spec, PLAIN_VOLUME)
-    d4 = data_D(plan.source, plan.target, 4.0, spec, resolution, PLAIN_VOLUME)
-    rhs = (1.0 + delta) * w_loc + tau * (e4 + d4)
-    return LocalisationReport(lhs, rhs, w_loc, e4 + d4, lhs <= rhs + 1e-9)
+    small = 4.0 ** spec.p * compute_smallness(plan, spec, (4.0,), resolution).total(4.0)
+    rhs = (1.0 + delta) * w_loc + tau * small
+    return LocalisationReport(lhs, rhs, w_loc, small, lhs <= rhs + 1e-9)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -752,7 +729,7 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
 
     Approximates int_2^3 [ W_c(mu on B_R, kappa dx on B_R)
     + (kappa - 1)^p / kappa ] dR on an 11-point grid and returns its
-    ratio to the mu half of D(4) (plain normalization).  The integrand
+    ratio to 4^p times the mu half of D(4).  The integrand
     is piecewise smooth in R away from finitely many radii where atoms
     cross the boundary, which the trapezoid rule tolerates.
 
@@ -773,8 +750,7 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
         vals.append(plan.total_cost + abs(k - 1.0) ** spec.p / k)
     integral = float(np.trapezoid(vals, radii))
 
-    w4, _, k4 = _data_half(mu, 4.0, spec, resolution)
-    d4_half = w4 + k4
+    d4_half = _data_half(mu, 4.0, spec, resolution)
     if d4_half <= 1e-12 and integral <= 1e-9:
         return DataRestrictionReport(integral, d4_half, math.nan, True)
     ratio = integral / d4_half if d4_half > 0 else math.inf

@@ -247,13 +247,16 @@ class TestComparisonQuantities:
     @given(st.floats(1.1, 4.0), st.floats(-9.0, 9.0), st.floats(-9.0, 9.0),
            st.floats(-9.0, 9.0), st.floats(-9.0, 9.0))
     @settings(max_examples=200, deadline=None)
+    # |x - y|^2 = 1e-324 underflows to 0; v_p multiplies by |x - y| twice
+    @example(1.125, 2.632909778630195e-43, 1.0204609539126113e-162, 2.632909778630195e-43, 0.0)
     def test_v_comparable_to_sum_norm_weight(self, p, x0, x1, y0, y1):
         # (|x|^2+|y|^2)^{(p-2)/2} <= 2^{|p-2|/2} (|x|+|y|)^{p-2} pointwise
         x, y = vec(x0, x1), vec(y0, y1)
         s = np.linalg.norm(x) + np.linalg.norm(y)
         if s == 0.0:
             return
-        bound = 2.0 ** (abs(p - 2.0) / 2.0) * s ** (p - 2.0) * np.sum((x - y) ** 2)
+        d = np.hypot(*(x - y))
+        bound = 2.0 ** (abs(p - 2.0) / 2.0) * s ** (p - 2.0) * d * d
         assert v_p(p, x, y) <= bound * (1.0 + 1e-9) + 1e-290
 
 

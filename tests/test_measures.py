@@ -37,6 +37,14 @@ class TestRestrictAndKappa:
         mu = DiscreteMeasure([[1.0, 0.0]], [1.0])
         assert restrict(mu, Ball.at_origin(1.0)).n_atoms == 0
 
+    def test_far_atom_kept_without_overflow(self):
+        # the squared norm of (1e190, 0) overflows to inf, which read the
+        # atom as outside B_1e200 and dropped it
+        ball = Ball.at_origin(1e200)
+        assert ball.contains(np.array([[1e190, 0.0], [0.0, -1e190]])).tolist() == [True, True]
+        mu = DiscreteMeasure([[1e190, 0.0], [2e200, 0.0]], [1.0, 2.0])
+        assert restrict(mu, ball).total_mass == 1.0
+
     def test_empty_passthrough(self):
         out = restrict(DiscreteMeasure.empty(2), Ball.at_origin(1.0))
         assert out.n_atoms == 0
@@ -262,6 +270,12 @@ class TestValidation:
     def test_ball_radius_positive(self):
         with pytest.raises(ValueError):
             Ball.at_origin(0.0)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_ball_radius_must_be_finite(self, radius):
+        # an infinite radius was accepted, with volume inf
+        with pytest.raises(ValueError, match="radius must be finite"):
+            Ball.at_origin(radius)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan])
     def test_boundary_radius_must_be_finite(self, radius):

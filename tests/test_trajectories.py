@@ -23,7 +23,7 @@ from otlab.measures import (
     mollify_boundary,
     radial_project,
 )
-from otlab.transport import solve_exact
+from otlab.transport import _rings_at, compute_smallness, data_D, solve_exact
 from otlab.trajectories import (
     CrossingTimes,
     Trajectory,
@@ -353,7 +353,11 @@ def test_select_radius_scores_the_public_boundary_data():
     # an explicit resolution, then both functions' defaults
     for res in ({"resolution": 8}, {}):
         sel = select_radius(plan, lam, mu, P2, candidates=cands, n_theta=n_theta, **res)
+        resolution = res.get("resolution", 12)
         for r in cands:
+            # the score's data term is the volume-only R^p D(R)
+            assert sel.components[r][1] == r ** P2.p * data_D(lam, mu, r, P2,
+                                                              _rings_at(r, resolution))
             f, g = entry_exit_atoms(plan, r)
             assert f.n_atoms and g.n_atoms
             rep = approximate_boundary_data(plan, lam, mu, P2, r, n_theta,
@@ -427,6 +431,7 @@ def test_linfty_ignores_entries_outside_window():
     plan = white_box_plan(lam, mu)
     rep = linfty_displacement(plan, P2, resolution=8)
     assert rep.sup_disp == pytest.approx(0.1, abs=1e-12)
+    assert rep.smallness == 4 ** P2.p * compute_smallness(plan, P2, (4.0,), 8).total(4.0)
 
 
 # ------------------------------------------------------------ line integrals

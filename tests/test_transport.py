@@ -27,8 +27,6 @@ from otlab import transport
 from otlab.costs import CostSpec, cost_eval
 from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 from otlab.transport import (
-    PLAIN_VOLUME,
-    SCALE_INVARIANT,
     TransportPlan,
     add_constant_check,
     benamou_brenier_action,
@@ -578,7 +576,7 @@ def test_energy_single_entry_frozen_values():
     mu = DiscreteMeasure([[1.0, 0.0]], [1.0])
     plan = solve_exact(lam, mu, P2)
     assert energy_E(plan, 4.0, P2) == pytest.approx(1.0 / (512 * math.pi), rel=1e-12)
-    assert energy_E(plan, 4.0, P2, PLAIN_VOLUME) == pytest.approx(
+    assert 4.0 ** P2.p * energy_E(plan, 4.0, P2) == pytest.approx(
         0.5 / (16 * math.pi), rel=1e-12)
 
 
@@ -620,14 +618,14 @@ def test_wc_symmetry():
 def test_data_self_quadrature_is_zero():
     quad = lebesgue_quadrature(Ball.at_origin(4.0), 64)
     lam = DiscreteMeasure(quad.points, quad.weights)
-    assert data_D(lam, lam, 4.0, P2, 64, PLAIN_VOLUME) <= 1e-20
+    assert 4.0 ** P2.p * data_D(lam, lam, 4.0, P2, 64) <= 1e-20
 
 
 def test_data_misaligned_quadratures_small():
     # 1-d midpoint grids at 64 vs 63 cells; displacement <= half a cell
     fine = lebesgue_quadrature(Ball.at_origin(4.0, dim=1), 64)
     lam = DiscreteMeasure(fine.points, fine.weights)
-    assert data_D(lam, lam, 4.0, P2, 63, PLAIN_VOLUME) <= 1e-3
+    assert 4.0 ** P2.p * data_D(lam, lam, 4.0, P2, 63) <= 1e-3
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"p{s.p}")
@@ -637,7 +635,7 @@ def test_data_kappa_terms_analytic(spec):
     lam = DiscreteMeasure(quad.points, quad.weights)
     mu = lam.with_mass(lam.total_mass * (1.0 + delta))
     want = 2.0 ** spec.p * delta ** spec.p / (1.0 + delta) ** (spec.p - 1.0)
-    got = data_D(lam, mu, 2.0, spec, 12, PLAIN_VOLUME)
+    got = 2.0 ** spec.p * data_D(lam, mu, 2.0, spec, 12)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -692,21 +690,11 @@ def test_smallness_is_covariant_under_dilation(seed, spec, s):
         assert abs(dilated.D_values[s * r] - want) <= tol + 1e-12 * abs(want)
 
 
-def test_data_unknown_normalization_rejected_before_solving(monkeypatch):
-    def no_solve(*args):
-        raise AssertionError("solve_exact called")
-
-    monkeypatch.setattr(transport, "solve_exact", no_solve)
-    lam = DiscreteMeasure([[0.5, 0.0]], [1.0])
-    with pytest.raises(ValueError, match="normalization"):
-        data_D(lam, lam, 2.0, P2, 6, "per_atom")
-
-
 def test_data_point_vs_uniform_1d():
     lam = DiscreteMeasure([[0.0]], [2.0])
     quad = lebesgue_quadrature(Ball.at_origin(1.0, dim=1), 64)
     mu = DiscreteMeasure(quad.points, quad.weights)
-    got = data_D(lam, mu, 1.0, P2, 64, PLAIN_VOLUME)
+    got = 1.0 ** P2.p * data_D(lam, mu, 1.0, P2, 64)
     # the W-term is the quantile coupling of a point against the midpoints
     oracle = monotone_1d(lam, mu.with_mass(2.0), P2).total_cost / 2.0
     assert got == pytest.approx(oracle, rel=1e-12)
@@ -903,6 +891,7 @@ def test_localisation_interior_instance_exact():
     rep = localisation_check(plan, 2.0, P2, delta=0.25, tau=10.0, resolution=8)
     assert rep.lhs == pytest.approx(plan.total_cost, rel=1e-12)
     assert rep.passed
+    assert rep.smallness == 4 ** P2.p * compute_smallness(plan, P2, (4.0,), 8).total(4.0)
 
 
 def test_localisation_single_crossing():
@@ -965,4 +954,3 @@ def test_compute_smallness_nonnegative():
     assert all(v >= 0 for v in rep.E_values.values())
     assert all(v >= 0 for v in rep.D_values.values())
     assert rep.total(4.0) == rep.E_values[4.0] + rep.D_values[4.0]
-    assert rep.normalization == SCALE_INVARIANT
