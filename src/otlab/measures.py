@@ -123,8 +123,9 @@ class Ball:
         """Mask of the (k, dim) points in the open ball; its sphere lies outside."""
         if np.shape(points)[1:] != (self.dim,):
             raise ValueError(f"points must be (k, {self.dim}), got shape {np.shape(points)}")
-        # hypot does not overflow where the squared norm would
-        return np.hypot.reduce(points - self.center, axis=1) < self.radius
+        # hypot does not overflow where the squared norm would; abs keeps a
+        # one-element (1-D) reduction from passing a negative coordinate
+        return np.hypot.reduce(np.abs(points - self.center), axis=1) < self.radius
 
     @staticmethod
     def at_origin(radius: float, dim: int = 2) -> "Ball":

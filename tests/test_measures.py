@@ -44,6 +44,9 @@ class TestRestrictAndKappa:
         assert ball.contains(np.array([[1e190, 0.0], [0.0, -1e190]])).tolist() == [True, True]
         mu = DiscreteMeasure([[1e190, 0.0], [2e200, 0.0]], [1.0, 2.0])
         assert restrict(mu, ball).total_mass == 1.0
+        # on the line the norm is |x|: points left of the ball stay outside
+        line = Ball.at_origin(1.0, dim=1)
+        assert line.contains(np.array([[-2.0], [-1.0], [0.5]])).tolist() == [False, False, True]
 
     def test_empty_passthrough(self):
         out = restrict(DiscreteMeasure.empty(2), Ball.at_origin(1.0))
