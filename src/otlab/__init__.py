@@ -48,7 +48,6 @@ from .trajectories import (
     bound2_check,
     crossing_times,
     entry_exit_atoms,
-    entry_exit_measures,
     linfty_displacement,
     omega_mask,
     path_integral,

@@ -264,15 +264,6 @@ class InequalityResult:
     passed: bool
     witness: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "worst_constant": self.worst_constant,
-            "reference": self.reference,
-            "pass": self.passed,
-            "witness": [list(np.atleast_1d(w)) for w in self.witness],
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class AssumptionReport:
@@ -291,17 +282,6 @@ class AssumptionReport:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "certified_lambda": self.spec.lambda_cap,
-            "fenchel_young_defect": self.fenchel_young_defect,
-            "pass": self.passed,
-            "inequalities": [r.to_dict() for r in self.results],
-        }
 
 
 def _sample_points(n: int, rng: np.random.Generator) -> np.ndarray:

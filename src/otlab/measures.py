@@ -1,11 +1,12 @@
 """Discrete measures on the line and the plane, and boundary densities.
 
 Everything downstream consumes measures in one of two shapes: weighted
-atom clouds (DiscreteMeasure) and angular histograms on a sphere
-boundary (BoundaryData).  This module supplies the constructors, the
-restriction and density bookkeeping, midpoint Lebesgue quadratures on
-balls, the radial projection onto a sphere, mollification of boundary
-densities, and a numerical check of the radial projection estimate
+atom clouds (DiscreteMeasure, on the line or in the plane) and angular
+histograms on a circle (BoundaryData, planar only).  This module
+supplies the constructors, the restriction and density bookkeeping,
+midpoint Lebesgue quadratures on balls, the radial projection of a
+planar measure onto a circle, mollification of boundary densities, and
+a numerical check of the radial projection estimate
 
     R^{1-d} (int g)^p  <~  int_{dB_R} ghat^p  <~  sup g^{p-1} int |R-|x||^{p-1} g
 
@@ -92,10 +93,6 @@ class DiscreteMeasure:
             raise ValueError("cannot renormalize a zero measure")
         return DiscreteMeasure(self.points, self.weights * (mass / m))
 
-    @staticmethod
-    def empty(dim: int) -> "DiscreteMeasure":
-        return DiscreteMeasure(np.zeros((0, dim)), np.zeros(0))
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Ball:
@@ -134,13 +131,12 @@ class Ball:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BoundaryData:
-    """Angular mass histogram on the sphere of a given radius.
+    """Angular mass histogram on the circle of a given radius.
 
-    In the plane the bins are the n equal arcs [2 pi b / n, 2 pi (b+1) / n);
-    on the line they are the two endpoints {-R, +R}.  Densities are mass
-    per boundary measure (arc length, or counting measure on the line).
-    Histograms of actual measures are non-negative; a signed instance
-    opts out of that check and carries a net flux such as g - f.
+    The bins are the n equal arcs [2 pi b / n, 2 pi (b+1) / n), and
+    densities are mass per arc length.  dim must be 2.  Histograms of
+    actual measures are non-negative; a signed instance opts out of
+    that check and carries a net flux such as g - f.
     """
 
     radius: float
@@ -156,11 +152,9 @@ class BoundaryData:
             raise ValueError("bin masses must be finite")
         if np.any(m < 0) and not self.signed:
             raise ValueError("bin masses must be non-negative")
-        if self.dim not in (1, 2):
-            raise ValueError(f"boundary data live in dimension 1 or 2, got {self.dim}")
-        if self.dim == 1 and len(m) != 2:
-            raise ValueError("line boundary has exactly two bins")
-        if self.dim == 2 and len(m) < 1:
+        if self.dim != 2:
+            raise ValueError(f"boundary data live on a circle, in dimension 2, got {self.dim}")
+        if len(m) < 1:
             raise ValueError("need at least one angular bin")
         object.__setattr__(self, "masses", m)
 
@@ -170,15 +164,13 @@ class BoundaryData:
 
     @property
     def bin_width(self) -> float:
-        """Angular width of one bin (2 pi / n); undefined on the line."""
-        if self.dim == 1:
-            raise ValueError("no angular bins in dimension 1")
+        """Angular width of one bin (2 pi / n)."""
         return 2.0 * math.pi / self.n_bins
 
     @property
     def bin_measure(self) -> float:
-        """Boundary measure of one bin: arc length, or 1 on the line."""
-        return self.radius * self.bin_width if self.dim == 2 else 1.0
+        """Arc length of one bin."""
+        return self.radius * self.bin_width
 
     @property
     def densities(self) -> np.ndarray:
@@ -242,28 +234,21 @@ def lebesgue_quadrature(ball: Ball, resolution: int) -> DiscreteMeasure:
 
 
 def radial_project(mu: DiscreteMeasure, radius: float, n_theta: int) -> BoundaryData:
-    """Push every atom to the sphere along its ray and bin the masses.
+    """Push each planar atom to the circle along its ray and bin the masses.
 
     Realizes x -> R x / |x| on atoms; total mass is preserved exactly.
     An atom at the origin has no ray and is rejected.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    r = mu.radii()
-    if np.any(r == 0.0) :
+    if mu.dim != 2:
+        raise ValueError("radial projection is planar")
+    if np.any(mu.radii() == 0.0):
         raise ValueError("cannot project an atom at the origin")
-    if mu.dim == 1:
-        masses = np.array([
-            mu.weights[mu.points[:, 0] < 0].sum(),
-            mu.weights[mu.points[:, 0] > 0].sum(),
-        ])
-        return BoundaryData(radius, masses, dim=1)
     if n_theta < 1:
         raise ValueError("need at least one angular bin")
     ang = np.arctan2(mu.points[:, 1], mu.points[:, 0]) % (2.0 * math.pi)
     idx = np.minimum((ang / (2.0 * math.pi) * n_theta).astype(int), n_theta - 1)
     masses = np.bincount(idx, weights=mu.weights, minlength=n_theta)
-    return BoundaryData(radius, masses, dim=2)
+    return BoundaryData(radius, masses)
 
 
 def mollify_boundary(b: BoundaryData, r: float) -> BoundaryData:
@@ -274,8 +259,6 @@ def mollify_boundary(b: BoundaryData, r: float) -> BoundaryData:
     normalized on the bin grid, so mass is conserved and the density sup
     cannot increase.
     """
-    if b.dim != 2:
-        raise ValueError("mollification needs angular bins")
     if not (math.isfinite(r) and r >= b.bin_width * (1.0 - 1e-12)):
         raise ValueError(f"mollification scale r = {r} must be finite and at least one bin width")
     n = b.n_bins
@@ -290,7 +273,7 @@ def mollify_boundary(b: BoundaryData, r: float) -> BoundaryData:
     if not b.signed:
         # convolution of non-negative data is non-negative up to roundoff
         out = np.maximum(out, 0.0)
-    return BoundaryData(b.radius, out, dim=2, signed=b.signed)
+    return BoundaryData(b.radius, out, signed=b.signed)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -69,8 +69,8 @@ class DiskMesh:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        if not self.R > 0.0:
-            raise ValueError("R must be positive")
+        if not (math.isfinite(self.R) and self.R > 0.0):
+            raise ValueError(f"R must be finite and positive, got {self.R}")
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("nodes must be an (n, 2) array")
         try:
@@ -111,11 +111,6 @@ class DiskMesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    @functools.cached_property
-    def area(self) -> float:
-        """Total mesh area; below pi R^2 by the polygonal rim deficit."""
-        return float(self.areas.sum())
 
     @functools.cached_property
     def centroids(self) -> np.ndarray:
@@ -159,8 +154,8 @@ def build_mesh(R: float, target_h: float) -> DiskMesh:
     avoid the flat triangle pairs an aligned layout produces.  The
     realized maximum element diameter stays below 1.5 target_h.
     """
-    if not 0.0 < target_h < R:
-        raise ValueError("need 0 < target_h < R")
+    if not (0.0 < target_h < R < math.inf):
+        raise ValueError("need 0 < target_h < R < inf")
     radii = _ring_radii(R, target_h)
     pts = [(0.0, 0.0)]
     prev = 0.0

@@ -72,11 +72,9 @@ _Apply = Callable[[np.ndarray], np.ndarray]
 
 def net_boundary_flux(g: BoundaryData, f: BoundaryData) -> BoundaryData:
     """Signed flux density g - f on a shared circle histogram."""
-    if g.dim != 2 or f.dim != 2:
-        raise ValueError("net flux needs planar boundary histograms")
     if g.n_bins != f.n_bins or abs(g.radius - f.radius) > 1e-12 * g.radius:
         raise ValueError("histograms must share radius and binning")
-    return BoundaryData(g.radius, g.masses - f.masses, dim=2, signed=True)
+    return BoundaryData(g.radius, g.masses - f.masses, signed=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,8 +164,6 @@ class NeumannProblem:
 
     def __post_init__(self):
         g = self.g_boundary
-        if g.dim != 2:
-            raise ValueError("planar boundary data required")
         if abs(g.radius - self.mesh.R) > 1e-12 * self.mesh.R:
             raise ValueError("boundary data radius must match the mesh")
 
@@ -415,7 +411,6 @@ class DiagnosticsReport:
     """
 
     p: float
-    beta: float
     interior_radius: float
     gradient_energy: float
     dual_cost_energy: float
@@ -485,7 +480,6 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
 
     return DiagnosticsReport(
         p=spec.p,
-        beta=HOLDER_BETA,
         interior_radius=mesh.R - 0.5,
         gradient_energy=float(mesh.areas @ gnorm_q),
         dual_cost_energy=float(mesh.areas @ cost_eval(spec, flux)),

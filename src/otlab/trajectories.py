@@ -27,7 +27,6 @@ __all__ = [
     "crossing_times",
     "omega_mask",
     "entry_exit_atoms",
-    "entry_exit_measures",
     "approximate_boundary_data",
     "select_radius",
     "RadiusSelection",
@@ -82,8 +81,11 @@ def _windows(x: np.ndarray, y: np.ndarray, radius: float):
 
     |X(t)|^2 is a quadratic in t; the sub-level set {|X(t)| <= R} is its
     root interval, intersected with [0, 1].  Returns (hit, sigma, tau)
-    arrays; segments missing the closed ball carry nan.
+    arrays; segments missing the closed ball carry nan.  The radius must
+    be finite and positive.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     d = y - x
     a = np.einsum("ij,ij->i", d, d)
     b = 2.0 * np.einsum("ij,ij->i", x, d)
@@ -108,8 +110,6 @@ def _windows(x: np.ndarray, y: np.ndarray, radius: float):
 
 def crossing_times(traj: Trajectory, radius: float) -> Optional[CrossingTimes]:
     """Entry and exit times of the closed ball, or None if missed."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     hit, sigma, tau = _windows(traj.x[None], traj.y[None], radius)
     return CrossingTimes(float(sigma[0]), float(tau[0])) if hit[0] else None
 
@@ -151,11 +151,6 @@ def entry_exit_atoms(plan, radius: float):
     inside), and in the exit measure at X(tau) symmetrically.
     """
     return tuple(DiscreteMeasure(p, plan.masses[k]) for k, p in _sphere_crossings(plan, radius))
-
-
-def entry_exit_measures(plan, radius: float, n_theta: int):
-    """Entry and exit measures binned as boundary histograms."""
-    return tuple(radial_project(atoms, radius, n_theta) for atoms in entry_exit_atoms(plan, radius))
 
 
 def _uniform_composition(marginal: DiscreteMeasure, spec: CostSpec, resolution: int):
@@ -257,10 +252,6 @@ class RadiusSelection:
     scores: dict
     components: dict
 
-    @property
-    def average(self) -> float:
-        return float(np.mean(list(self.scores.values())))
-
 
 def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec,
                   candidates: Optional[Sequence[float]] = None, n_theta: int = 64,
@@ -273,8 +264,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     (0, 3]: beyond the window the crossings it does not count would
     lower the score.  The argmin
     is returned with all scores and their breakdown; ties break to the
-    smallest radius.  By averaging, the selected score is at most the
-    candidate mean, which the tests assert.  Each marginal's composition
+    smallest radius.  Each marginal's composition
     with its uniform density on B_4 does not depend on the radius and is
     built at most once per call; every error of the construction is
     radius-independent and propagates.

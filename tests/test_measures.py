@@ -49,7 +49,7 @@ class TestRestrictAndKappa:
         assert line.contains(np.array([[-2.0], [-1.0], [0.5]])).tolist() == [False, False, True]
 
     def test_empty_passthrough(self):
-        out = restrict(DiscreteMeasure.empty(2), Ball.at_origin(1.0))
+        out = restrict(DiscreteMeasure(np.zeros((0, 2)), np.zeros(0)), Ball.at_origin(1.0))
         assert out.n_atoms == 0
 
     def test_idempotent_and_monotone(self):
@@ -65,7 +65,7 @@ class TestRestrictAndKappa:
     def test_uniform_density(self):
         mu = DiscreteMeasure([[0.1, 0.0], [-0.2, 0.3]], [1.0, 1.0])
         assert kappa(mu, Ball.at_origin(1.0)) == pytest.approx(2.0 / math.pi)
-        assert kappa(DiscreteMeasure.empty(2), Ball.at_origin(1.0)) == 0.0
+        assert kappa(DiscreteMeasure(np.zeros((0, 2)), np.zeros(0)), Ball.at_origin(1.0)) == 0.0
 
     def test_quadrature_density_is_one(self):
         q = lebesgue_quadrature(Ball.at_origin(4.0), 80)
@@ -140,11 +140,10 @@ class TestRadialProjection:
         bd = radial_project(mu, 2.0, 8)
         assert np.abs(bd.masses - 1.0 / 8.0).max() <= 1.0 / math.sqrt(4000)
 
-    def test_line_projection_splits_by_sign(self):
-        mu = DiscreteMeasure([[-0.5], [0.25], [3.0]], [1.0, 2.0, 4.0])
-        bd = radial_project(mu, 1.0, 1)
-        assert bd.dim == 1
-        assert bd.masses.tolist() == [1.0, 6.0]
+    def test_line_measure_rejected(self):
+        # boundary data live on a circle: no consumer takes a line histogram
+        with pytest.raises(ValueError, match="planar"):
+            radial_project(DiscreteMeasure([[-0.5], [0.25], [3.0]], [1.0, 2.0, 4.0]), 1.0, 1)
 
 
 class TestMollification:
@@ -240,7 +239,7 @@ class TestProjectionEstimate:
         assert chk.passed
 
     def test_zero_measure_degenerate_pass(self):
-        chk = projection_lemma_check(DiscreteMeasure.empty(2), 2.0, 8)
+        chk = projection_lemma_check(DiscreteMeasure(np.zeros((0, 2)), np.zeros(0)), 2.0, 8)
         assert chk.degenerate == "zero measure"
         assert chk.passed
 
@@ -303,6 +302,9 @@ class TestValidation:
             BoundaryData(1.0, [-0.5, 1.0])
         with pytest.raises(ValueError):
             BoundaryData(1.0, [1.0, 2.0, 3.0], dim=1)
+        # two bins on the line were accepted as the endpoints {-R, +R}
+        with pytest.raises(ValueError, match="dimension"):
+            BoundaryData(1.0, [0.3, 0.7], dim=1)
         with pytest.raises(ValueError, match="dimension"):
             BoundaryData(1.0, [1.0, 2.0, 3.0], dim=3)
 

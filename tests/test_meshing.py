@@ -22,7 +22,7 @@ class TestBuildContracts:
         m = build_mesh(1.0, 0.5)
         assert m.n_triangles == 27
         assert m.n_triangles >= 4
-        deficit = math.pi - m.area
+        deficit = math.pi - m.areas.sum()
         assert 0.0 < deficit < 0.5 ** 2
         assert m.h <= 1.5 * 0.5
 
@@ -44,7 +44,7 @@ class TestBuildContracts:
             assert m.h <= 1.5 * h
 
     def test_area_converges_quadratically(self):
-        deficits = [math.pi * 4.0 - build_mesh(2.0, h).area for h in (0.2, 0.1)]
+        deficits = [math.pi * 4.0 - build_mesh(2.0, h).areas.sum() for h in (0.2, 0.1)]
         assert deficits[1] > 0.0
         assert 2.5 <= deficits[0] / deficits[1] <= 6.0
 
@@ -55,6 +55,10 @@ class TestBuildContracts:
             build_mesh(1.0, 0.0)
         with pytest.raises(ValueError):
             build_mesh(-1.0, 0.1)
+        # at R = inf the ring step is nan, and the ring loop would never stop
+        for R in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="R < inf"):
+                build_mesh(R, 0.1)
 
     def test_deterministic(self):
         a = build_mesh(2.0, 0.15)
@@ -86,7 +90,7 @@ class TestGeometry:
 
     def test_lumped_mass_totals_area(self):
         m = build_mesh(2.0, 0.2)
-        assert math.isclose(float(m.lumped_mass.sum()), m.area, rel_tol=1e-12)
+        assert math.isclose(float(m.lumped_mass.sum()), m.areas.sum(), rel_tol=1e-12)
         assert np.all(m.lumped_mass > 0.0)
 
     def test_boundary_edges_walk_counterclockwise(self):
@@ -199,6 +203,8 @@ class TestValidation:
         nodes = build_mesh(1.0, 0.5).nodes
         with pytest.raises(ValueError):
             DiskMesh(0.0, nodes)
+        with pytest.raises(ValueError, match="R must be finite"):
+            DiskMesh(math.inf, nodes)
         with pytest.raises(ValueError):
             DiskMesh(1.0, nodes[:, :1])
         with pytest.raises(ValueError):
@@ -227,7 +233,7 @@ def test_mesh_contract_properties(R, frac):
     h = R * frac
     m = build_mesh(R, h)
     assert m.h <= 1.5 * h
-    assert 0.0 < m.area < math.pi * R * R
+    assert 0.0 < m.areas.sum() < math.pi * R * R
     rb = np.linalg.norm(m.nodes[m.boundary_nodes], axis=1)
     assert np.abs(rb - R).max() <= 1e-10 * max(1.0, R)
     assert np.all(m.areas > 0.0)

@@ -143,12 +143,6 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             NeumannProblem(mesh, CostSpec.radial(2.0), unit_data(1.2))
 
-    def test_line_data_rejected(self):
-        mesh = build_mesh(1.0, 0.4)
-        line = BoundaryData(1.0, [0.3, 0.7], dim=1)
-        with pytest.raises(ValueError):
-            NeumannProblem(mesh, CostSpec.radial(2.0), line)
-
 
 class TestNetFlux:
     def test_signed_difference(self):
@@ -657,7 +651,6 @@ class TestDiagnostics:
         assert math.isclose(rep.dual_energy_ratio, rep.energy_ratio / 2.0,
                             rel_tol=1e-12)
         assert 0.25 <= rep.interior_ratio <= 0.4
-        assert rep.beta == 0.5
         assert math.isclose(rep.interior_radius, 0.5)
 
     def test_mollification_ladder_fits_positive_exponent(self):

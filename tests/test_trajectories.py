@@ -31,7 +31,6 @@ from otlab.trajectories import (
     bound2_check,
     crossing_times,
     entry_exit_atoms,
-    entry_exit_measures,
     linfty_displacement,
     omega_mask,
     path_integral,
@@ -86,6 +85,19 @@ def test_crossing_passthrough_two_sided():
     ct = crossing_times(Trajectory([-3.0, 0.0], [3.0, 0.0], 1.0), 1.0)
     assert ct.sigma == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert ct.tau == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("radius", [0.0, -2.0, math.nan, math.inf])
+def test_window_radius_must_be_finite_and_positive(radius):
+    # omega_mask at -2 read the R = 2 mask, entry_exit_atoms at -2 and nan
+    # read empty measures, and crossing_times at inf read (0, 1)
+    plan = solve_exact(DiscreteMeasure([[3.0, 0.0]], [1.0]), DiscreteMeasure([[0.0, 0.0]], [1.0]), P2)
+    traj = Trajectory([3.0, 0.0], [0.0, 0.0], 1.0)
+    for call in (omega_mask, entry_exit_atoms):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            call(plan, radius)
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        crossing_times(traj, radius)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,14 +183,10 @@ def test_entry_exit_histograms():
     lam = DiscreteMeasure([[3.0, 0.0]], [1.0])
     mu = DiscreteMeasure([[0.0, 0.0]], [1.0])
     plan = solve_exact(lam, mu, P2)
-    f, g = entry_exit_measures(plan, 2.0, 16)
+    f, g = (radial_project(atoms, 2.0, 16) for atoms in entry_exit_atoms(plan, 2.0))
     assert f.masses[0] == pytest.approx(1.0)
     assert f.total_mass == pytest.approx(1.0)
     assert g.dim == 2 and np.array_equal(g.masses, np.zeros(16))
-    # a 1-d plan that never reaches the sphere: two empty sides per measure
-    plan = solve_exact(DiscreteMeasure([[2.5]], [1.0]), DiscreteMeasure([[2.8]], [1.0]), P2)
-    for h in entry_exit_measures(plan, 2.0, 16):
-        assert h.dim == 1 and np.array_equal(h.masses, np.zeros(2))
 
 
 @given(st.floats(-math.pi, math.pi), st.integers(0, 2 ** 16))
@@ -317,7 +325,7 @@ def test_select_radius_quiet_ties_to_smallest():
                         resolution=40)
     assert max(sel.scores.values()) <= 1e-12
     assert sel.selected == cands[0]
-    assert min(sel.scores.values()) <= sel.average + 1e-15
+    assert min(sel.scores.values()) <= float(np.mean(list(sel.scores.values()))) + 1e-15
 
 
 def test_select_radius_avoids_crossing_band():

@@ -690,6 +690,31 @@ def test_smallness_is_covariant_under_dilation(seed, spec, s):
         assert abs(dilated.D_values[s * r] - want) <= tol + 1e-12 * abs(want)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
+@pytest.mark.parametrize("spec", SPECS + [ANISO], ids=lambda s: f"{s.family}-p{s.p}")
+def test_plan_cost_and_energy_are_rotation_invariant(spec, seed, theta, where):
+    # turning both clouds by Q takes c_A(x - y) to c_{Q A Q^T}(Qx - Qy), so
+    # the optimum is unchanged, and each certified plan costs at most
+    # 1e-9 * scale * mass above it.  R sits midway between two adjacent
+    # atom radii, so rounding in the turn moves no atom across the sphere
+    rng = np.random.default_rng(seed)
+    lam = gamma_cloud(rng, 20)
+    mu = gamma_cloud(rng, 24).with_mass(lam.total_mass)
+    q = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    turned = spec if spec.matrix is None else \
+        CostSpec.anisotropic(spec.p, q @ spec.matrix @ q.T, spec.lambda_cap)
+    plan = solve_exact(lam, mu, spec)
+    moved = solve_exact(*(DiscreteMeasure(m.points @ q.T, m.weights) for m in (lam, mu)), turned)
+    tol = 2e-9 * cost_scale(lam, mu, spec) * lam.total_mass
+    assert abs(moved.total_cost - plan.total_cost) <= tol
+    radii = np.unique(np.concatenate([lam.radii(), mu.radii()]))
+    k = min(int(where * (len(radii) - 1)), len(radii) - 2)
+    r = 0.5 * (radii[k] + radii[k + 1])
+    got, want = energy_E(moved, r, turned), energy_E(plan, r, spec)
+    assert abs(got - want) <= tol / (math.pi * r ** 2 * r ** spec.p)
+
+
 def test_data_point_vs_uniform_1d():
     lam = DiscreteMeasure([[0.0]], [2.0])
     quad = lebesgue_quadrature(Ball.at_origin(1.0, dim=1), 64)
