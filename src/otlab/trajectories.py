@@ -55,6 +55,8 @@ class Trajectory:
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if x.shape != y.shape:
             raise ValueError("endpoint dimensions differ")
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and math.isfinite(self.mass)):
+            raise ValueError("endpoints and mass must be finite")
         if self.mass < 0:
             raise ValueError("mass must be non-negative")
         object.__setattr__(self, "x", x)

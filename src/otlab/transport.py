@@ -52,8 +52,14 @@ __all__ = [
     "data_restriction_check",
 ]
 
-# dense n*m cost matrices beyond this size are refused
-_MAX_MATRIX_ENTRIES = 4_000_000
+# an LP's one n x m array is its float64 cost matrix; a call whose matrix
+# would pass this budget is refused before anything is allocated (3,000 x
+# 3,000 atoms take 72 MB)
+_MATRIX_BUDGET_BYTES = 128 * 2 ** 20
+# the matrix is filled, seeded and priced in blocks of whole rows (or, for
+# the seed's column lanes, whole columns) of at most this many entries; a
+# row longer than this is a block of its own
+_BLOCK_ENTRIES = 2 ** 13
 
 _MARGINAL_RTOL = 1e-10
 
@@ -193,12 +199,77 @@ def _check_balanced(lam: DiscreteMeasure, mu: DiscreteMeasure) -> DiscreteMeasur
     return mu.with_mass(ml)
 
 
+def _lanes(n: int, m: int) -> list:
+    """Slices cutting n lanes of length m into blocks of at most _BLOCK_ENTRIES entries.
+
+    A lane longer than that is a block of its own.
+    """
+    step = max(1, _BLOCK_ENTRIES // m)
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+
 def _cost_matrix(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> np.ndarray:
+    """The n x m cost matrix, each row block through `cost_eval` on its own difference stack."""
     n, m = lam.n_atoms, mu.n_atoms
-    if n * m > _MAX_MATRIX_ENTRIES:
-        raise ValueError(f"cost matrix {n}x{m} exceeds the dense cap")
-    diff = lam.points[:, None, :] - mu.points[None, :, :]
-    return np.asarray(cost_eval(spec, diff))
+    if 8 * n * m > _MATRIX_BUDGET_BYTES:
+        raise ValueError(f"cost matrix {n}x{m} needs {8 * n * m} bytes, "
+                         f"past the budget of {_MATRIX_BUDGET_BYTES} bytes")
+    cmat = np.empty((n, m))
+    # one coordinate at a time: the broadcast (rows, m, d) difference runs
+    # length-d inner loops, about 4x slower at 150 x 180 atoms
+    for rows in _lanes(n, m):
+        z = np.empty((rows.stop - rows.start, m, lam.dim))
+        for c in range(lam.dim):
+            np.subtract.outer(lam.points[rows, c], mu.points[:, c], out=z[..., c])
+        cmat[rows] = cost_eval(spec, z)
+    return cmat
+
+
+def _seed_cells(cmat: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted flat cells: the cheapest partners of every row and column, and the staircase.
+
+    Rows take their partners from row blocks and columns from column
+    blocks of cmat, so no (n, m) index array is formed.
+    """
+    n, m = cmat.shape
+    kr, kc = min(_SEED_NEIGHBOURS, m), min(_SEED_NEIGHBOURS, n)
+    nw_i, nw_j = _north_west_corner(a, b)
+    parts = [nw_i * m + nw_j]
+    for rows in _lanes(n, m):
+        near_j = np.argpartition(cmat[rows], kr - 1, axis=1)[:, :kr]
+        parts.append((np.arange(rows.start, rows.stop)[:, None] * m + near_j).ravel())
+    for cols in _lanes(m, n):
+        near_i = np.argpartition(cmat[:, cols], kc - 1, axis=0)[:kc, :]
+        parts.append((near_i * m + np.arange(cols.start, cols.stop)).ravel())
+    return np.unique(np.concatenate(parts))
+
+
+def _price(cmat: np.ndarray, u: np.ndarray, v: np.ndarray, cells: np.ndarray) -> tuple:
+    """Most violated cell of each row and each column off the support, in row blocks.
+
+    The slack C - u - v is formed one row block at a time with the
+    support's cells at inf.  Returns (best_j, row_min, best_i, col_min):
+    each row's argmin and its slack, and each column's first argmin over
+    the rows, as `argmin(axis=0)` would pick it, and its slack.
+    """
+    n, m = cmat.shape
+    taken = np.sort(cells)
+    best_j, row_min = np.empty(n, dtype=int), np.empty(n)
+    best_i, col_min = np.zeros(m, dtype=int), np.full(m, np.inf)
+    for rows in _lanes(n, m):
+        first = rows.start
+        slack = cmat[rows] - u[rows, None]
+        slack -= v
+        lo, hi = np.searchsorted(taken, (first * m, rows.stop * m))
+        slack.ravel()[taken[lo:hi] - first * m] = np.inf
+        j = slack.argmin(axis=1)
+        best_j[rows], row_min[rows] = j, slack[np.arange(len(j)), j]
+        i = slack.argmin(axis=0)
+        low = slack[i, np.arange(m)]
+        # strict: an earlier block keeps the column on ties
+        better = low < col_min
+        best_i[better], col_min[better] = first + i[better], low[better]
+    return best_j, row_min, best_i, col_min
 
 
 def _identical(lam: DiscreteMeasure, mu: DiscreteMeasure) -> bool:
@@ -260,19 +331,12 @@ def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tupl
     t0 = time.perf_counter()
     cmat = _cost_matrix(lam, mu, spec)
     n, m = cmat.shape
-    scale = max(float(np.abs(cmat).max()), 1.0)
+    # costs are non-negative, so the largest one is the largest magnitude
+    scale = max(float(cmat.max()), 1.0)
 
     # the support is a cell list: flat indices i * m + j, sorted in the seed
     # and then extended in the order the cells joined
-    kr, kc = min(_SEED_NEIGHBOURS, m), min(_SEED_NEIGHBOURS, n)
-    near_j = np.argpartition(cmat, kr - 1, axis=1)[:, :kr]
-    near_i = np.argpartition(cmat, kc - 1, axis=0)[:kc, :]
-    nw_i, nw_j = _north_west_corner(lam.weights, mu.weights)
-    cells = np.unique(np.concatenate([
-        (np.arange(n)[:, None] * m + near_j).ravel(),
-        (near_i * m + np.arange(m)).ravel(),
-        nw_i * m + nw_j,
-    ]))
+    cells = _seed_cells(cmat, lam.weights, mu.weights)
 
     model = _Highs()
     for option, value in _HIGHS_OPTIONS.items():
@@ -292,17 +356,12 @@ def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tupl
         info, solution = model.getInfo(), model.getSolution()
         iterations += info.simplex_iteration_count
         model.setOptionValue("simplex_strategy", _WARM_SIMPLEX_STRATEGY)
-        duals = np.append(solution.row_dual, 0.0)
-        slack = cmat - duals[:n, None] - duals[None, n:]
+        u, v = np.split(np.append(solution.row_dual, 0.0), [n])
         # price outside the support: the most violated entry of each row
-        # and of each column joins it; the support's own slacks are kept
-        # in `on`, in cell order, for the certificate
-        on = slack.flat[cells]
-        slack.flat[cells] = np.inf
-        best_j = slack.argmin(axis=1)
-        rows = np.flatnonzero(slack[np.arange(n), best_j] < tol)
-        best_i = slack.argmin(axis=0)
-        cols = np.flatnonzero(slack[best_i, np.arange(m)] < tol)
+        # and of each column joins it
+        best_j, row_min, best_i, col_min = _price(cmat, u, v, cells)
+        rows = np.flatnonzero(row_min < tol)
+        cols = np.flatnonzero(col_min < tol)
         if len(rows) == 0 and len(cols) == 0:
             break
         new = np.unique(np.concatenate([rows * m + best_j[rows], best_i[cols] * m + cols]))
@@ -312,9 +371,14 @@ def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tupl
             f"transport LP not priced out after {_MAX_PRICING_ROUNDS} rounds")
 
     # certificate against the full matrix: u_i + v_j <= C_ij everywhere,
-    # equality wherever the plan carries mass
+    # equality wherever the plan carries mass; the last round's row minima
+    # cover every cell off the support, and `on` holds the support's own
+    # slacks (C - u) - v in cell order
+    on = cmat.ravel()[cells]
+    on -= u[cells // m]
+    on -= v[cells % m]
     x = np.asarray(solution.col_value)
-    dual_infeas = max(0.0, float(-min(slack.min(), on.min())))
+    dual_infeas = max(0.0, float(-min(row_min.min(), on.min())))
     carried = x > 1e-12 * max(lam.weights.max(), 1e-300)
     # entries in row-major order, whenever their columns joined
     order = np.argsort(cells[carried])
@@ -348,19 +412,33 @@ def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> Tr
     LP is feasible.  The first solve runs the dual simplex with devex
     pricing and without presolve at tightened feasibility tolerances,
     and most measured LPs price out there; each pricing round then
-    prices all n * m entries with the model's duals, appends the most
-    violated entry of every row and column to the cell list as new
-    columns, and re-solves with the primal simplex from the basis the
-    model kept.
+    forms the slack C - u - v under the model's duals one row block at
+    a time, appends the most violated entry off the support of every
+    row and column to the cell list as new columns (a column's first
+    row on ties), and re-solves with the primal simplex from the basis
+    the model kept.
     Every step is deterministic for a fixed instance.  Rounds stop once
     no slack is below -1e-10 of the cost scale, and a solve that is not
     priced out within a fixed round limit raises ArithmeticError, as
     does a restricted solve that HiGHS does not report optimal.  The
-    plan is certified against the final duals over the full cost matrix:
-    u_i + v_j <= C_ij everywhere and equality on the support, to 1e-9 of
-    the cost scale, or the call raises; the certificate residual is
-    stored on the plan as dual_gap, and the plan's `lp` record holds the
-    restricted solves, simplex iterations, final support size and seconds.
+    plan is certified against the final duals over every cell: the last
+    round's row minima off the support and the support's own slacks
+    give u_i + v_j <= C_ij everywhere and equality on the support, to
+    1e-9 of the cost scale, or the call raises; the certificate residual
+    is stored on the plan as dual_gap, and the plan's `lp` record holds
+    the restricted solves, simplex iterations, final support size and
+    seconds.
+
+    The float64 cost matrix is the kernel's one n x m array.  It is
+    filled in row blocks of at most 2^13 entries, each through
+    `cost_eval`; the seed (row blocks for rows, column blocks for
+    columns) and the pricing rounds read it in blocks too, and the
+    certificate per support cell, so the rest of the kernel holds
+    arrays of the size of one block, the atoms or the support.  At
+    600 x 600 atoms its traced peak stays under 1.25 x 8nm bytes plus
+    1 MB, where forming every n x m array at once took 6.1 x 8nm.  A
+    matrix past 128 MiB (4,096 x 4,096 atoms) is refused with
+    ValueError before anything is allocated.
 
     Certified plans are cached: the spec and the shapes and bytes of lam
     and the rescaled mu key an `lru_cache` of 32 (a few chain instances'
@@ -371,7 +449,7 @@ def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> Tr
     Identical inputs short-circuit to the diagonal plan, which is
     optimal for any non-negative cost vanishing at 0; this keeps
     self-distance tests exact and permits large identical clouds that
-    the dense matrix cap would otherwise refuse.
+    the matrix budget would otherwise refuse.
     """
     mu = _check_balanced(lam, mu)
     if _identical(lam, mu):

@@ -70,6 +70,19 @@ def test_trajectory_parametrization():
     assert mid.shape == (3, 2) and np.allclose(mid[1], [2.0, 0.0])
 
 
+@pytest.mark.parametrize("x, y, mass", [
+    ([math.nan, 0.0], [0.0, 0.0], math.nan),
+    ([math.inf, 0.0], [0.0, 0.0], 1.0),
+    ([0.0, 0.0], [0.0, -math.inf], 1.0),
+    ([3.0, 0.0], [0.0, 0.0], math.inf),
+])
+def test_trajectory_must_be_finite(x, y, mass):
+    # a nan endpoint and mass constructed and crossing_times read None; an
+    # infinite endpoint warned inside the crossing windows and read None
+    with pytest.raises(ValueError, match="must be finite"):
+        Trajectory(x, y, mass)
+
+
 def test_crossing_frozen_examples():
     ct = crossing_times(Trajectory([3.0, 0.0], [0.0, 0.0], 1.0), 2.0)
     assert ct.sigma == pytest.approx(1.0 / 3.0, abs=1e-12)
