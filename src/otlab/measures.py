@@ -233,6 +233,12 @@ def lebesgue_quadrature(ball: Ball, resolution: int) -> DiscreteMeasure:
     return meas.with_mass(ball.volume)
 
 
+def _angular_bins(points: np.ndarray, n: int) -> np.ndarray:
+    """Bin of each planar point's angle among n equal bins of [0, 2 pi)."""
+    ang = np.arctan2(points[:, 1], points[:, 0]) % (2.0 * math.pi)
+    return np.minimum((ang / (2.0 * math.pi) * n).astype(int), n - 1)
+
+
 def radial_project(mu: DiscreteMeasure, radius: float, n_theta: int) -> BoundaryData:
     """Push each planar atom to the circle along its ray and bin the masses.
 
@@ -245,9 +251,8 @@ def radial_project(mu: DiscreteMeasure, radius: float, n_theta: int) -> Boundary
         raise ValueError("cannot project an atom at the origin")
     if n_theta < 1:
         raise ValueError("need at least one angular bin")
-    ang = np.arctan2(mu.points[:, 1], mu.points[:, 0]) % (2.0 * math.pi)
-    idx = np.minimum((ang / (2.0 * math.pi) * n_theta).astype(int), n_theta - 1)
-    masses = np.bincount(idx, weights=mu.weights, minlength=n_theta)
+    masses = np.bincount(_angular_bins(mu.points, n_theta), weights=mu.weights,
+                         minlength=n_theta)
     return BoundaryData(radius, masses)
 
 
@@ -331,9 +336,9 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
     # radial moment int |1 - |x||^{p-1} dg at the unit scale
     moment = float(np.sum(np.abs(1.0 - rr) ** (p - 1.0) * unit.weights))
 
-    # sup-density proxy on polar cells; angular width equals the bin
-    # width, radial width comparable, so the proxy resolves what the
-    # histogram resolves
+    # sup-density proxy on polar cells; the angular cells are the
+    # projection bins, radial width comparable, so the proxy resolves what
+    # the histogram resolves
     dth = 2.0 * math.pi / n_theta
     rmin, rmax = float(rr.min()), float(rr.max())
     span = rmax - rmin
@@ -344,8 +349,7 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
                                degenerate="support on a single sphere")
     n_r = max(1, int(math.ceil(span / dth)))
     dr = span / n_r
-    ang = np.arctan2(unit.points[:, 1], unit.points[:, 0]) % (2.0 * math.pi)
-    ia = np.minimum((ang / dth).astype(int), n_theta - 1)
+    ia = _angular_bins(unit.points, n_theta)
     ir = np.minimum(((rr - rmin) / dr).astype(int), n_r - 1)
     cell_mass = np.bincount(ir * n_theta + ia, weights=unit.weights,
                             minlength=n_r * n_theta).reshape(n_r, n_theta)

@@ -17,7 +17,7 @@ import functools
 import math
 
 import numpy as np
-from scipy import spatial
+from scipy import sparse, spatial
 
 __all__ = ["DiskMesh", "build_mesh"]
 
@@ -58,6 +58,12 @@ class DiskMesh:
         The counterclockwise walk of those nodes; its first column is `boundary_nodes`.
     h : float
         The realized largest element diameter.
+
+    Derived on first use and cached: `centroids`, `lumped_mass`,
+    `boundary_normals`, and the P1 operators `grad` (2t x n; rows 2k and
+    2k + 1 hold triangle k's hat-gradient components, so grad @ phi is the
+    flattened element gradients) and `div` = grad^T diag(areas) (n x 2t),
+    which maps per-triangle covectors f to the loads int f . grad hat_i.
 
     `locate` searches the same triangulation, so its ids index
     `triangles`.  The convex hull of the nodes must be exactly the nodes
@@ -122,6 +128,18 @@ class DiskMesh:
         # corner-major, so each node sums its triangles corner by corner
         return np.bincount(self.triangles.T.ravel(), weights=np.tile(self.areas / 3.0, 3),
                            minlength=self.n_nodes)
+
+    @functools.cached_property
+    def grad(self) -> sparse.csr_array:
+        t = self.n_triangles
+        return sparse.csr_array(
+            (np.swapaxes(self.shape_gradients, 1, 2).ravel(),
+             np.repeat(self.triangles, 2, axis=0).ravel(), np.arange(0, 6 * t + 1, 3)),
+            shape=(2 * t, self.n_nodes))
+
+    @functools.cached_property
+    def div(self) -> sparse.csr_array:
+        return (self.grad.T * np.repeat(self.areas, 2)).tocsr()
 
     @functools.cached_property
     def boundary_normals(self) -> np.ndarray:

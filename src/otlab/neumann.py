@@ -28,10 +28,11 @@ Methods for Linear and Nonlinear Equations, 1995, eq. 6.20): 0.5 target
 An Armijo test guards every step and falls back to the preconditioned
 gradient when the direction fails to descend.
 
-Each mesh carries one operator, built on first use and kept in the
-mesh's ``__dict__`` for the mesh's lifetime: the discrete gradient, its
-area-weighted transpose and the LU of [[K2, m], [m^T, 0]], the mesh's one
-factorisation, made through this module's ``splu`` binding.
+The discrete gradient, its area-weighted transpose and the lumped mass
+are the mesh's own (`DiskMesh.grad`, `div`, `lumped_mass`).  This module
+adds one piece of per-mesh state: the LU of [[K2, m], [m^T, 0]], the
+mesh's one factorisation, made on first use through this module's
+``splu`` binding and kept in the mesh's ``__dict__`` for its lifetime.
 """
 from __future__ import annotations
 
@@ -124,7 +125,7 @@ class ScalarField:
     @functools.cached_property
     def element_gradients(self) -> np.ndarray:
         """Constant gradient per triangle, shape (t, 2)."""
-        return (_operator(self.mesh).grad @ self.values).reshape(-1, 2)
+        return (self.mesh.grad @ self.values).reshape(-1, 2)
 
     @functools.cached_property
     def nodal_gradients(self) -> np.ndarray:
@@ -205,56 +206,31 @@ def _boundary_load(mesh: DiskMesh, g: BoundaryData) -> np.ndarray:
     return np.bincount(ends.ravel(), weights=shares.ravel(), minlength=mesh.n_nodes)
 
 
-class _MeshOperator:
-    """P1 gradient of one mesh, its area-weighted transpose and the
-    lumped mass m.
+def _stiffness(mesh: DiskMesh, W: np.ndarray) -> _Apply:
+    """v -> div (W grad v) for coefficient blocks W, shape (t, 2, 2);
+    applied, never formed."""
+    def apply(v: np.ndarray) -> np.ndarray:
+        g = (mesh.grad @ v).reshape(-1, 2)
+        return mesh.div @ np.einsum("tab,tb->ta", W, g).ravel()
 
-    grad (2t x n) holds triangle k's hat-gradient components in rows 2k
-    and 2k + 1, so grad @ phi is the flattened element gradients; div =
-    grad^T diag(areas) (n x 2t) maps per-triangle covectors f to the loads
-    int f . grad hat_i.  The stiffness of coefficient blocks W is div (W
-    grad), applied, never formed.  No reference to the mesh is held: the
-    operator lives in the mesh's ``__dict__``, and a back-reference would
-    be a cycle that only the cyclic collector frees.
-    """
+    return apply
 
-    def __init__(self, mesh: DiskMesh):
-        t = mesh.n_triangles
-        self.grad = sparse.csr_array(
-            (np.swapaxes(mesh.shape_gradients, 1, 2).ravel(),
-             np.repeat(mesh.triangles, 2, axis=0).ravel(), np.arange(0, 6 * t + 1, 3)),
-            shape=(2 * t, mesh.n_nodes))
-        self.div = (self.grad.T * np.repeat(mesh.areas, 2)).tocsr()
-        self.mass = mesh.lumped_mass
 
-    def stiffness(self, W: np.ndarray) -> _Apply:
-        """v -> div (W grad v) for coefficient blocks W, shape (t, 2, 2)."""
-        def apply(v: np.ndarray) -> np.ndarray:
-            g = (self.grad @ v).reshape(-1, 2)
-            return self.div @ np.einsum("tab,tb->ta", W, g).ravel()
-
-        return apply
-
-    @functools.cached_property
-    def solve_k2(self) -> _Apply:
-        """Bordered p = 2 stiffness solve.  The mean constraint moves any
-        mass-aligned part of a right-hand side into the multiplier."""
-        m = self.mass
-        lu = splu(sparse.bmat([[self.div @ self.grad, m[:, None]], [m[None, :], None]],
+def _k2_solve(mesh: DiskMesh) -> _Apply:
+    """Bordered p = 2 stiffness solve of the mesh, factored on first use
+    and kept on the mesh.  The mean constraint moves any mass-aligned
+    part of a right-hand side into the multiplier."""
+    solve = mesh.__dict__.get("_k2_solve")
+    if solve is None:
+        m = mesh.lumped_mass
+        lu = splu(sparse.bmat([[mesh.div @ mesh.grad, m[:, None]], [m[None, :], None]],
                               format="csc"))
 
-        def apply(rhs: np.ndarray) -> np.ndarray:
+        def solve(rhs: np.ndarray) -> np.ndarray:
             return lu.solve(np.append(rhs, 0.0))[:-1]
 
-        return apply
-
-
-def _operator(mesh: DiskMesh) -> _MeshOperator:
-    """The mesh's operator, built on first use and kept on the mesh."""
-    op = mesh.__dict__.get("_neumann_operator")
-    if op is None:
-        op = mesh.__dict__["_neumann_operator"] = _MeshOperator(mesh)
-    return op
+        mesh.__dict__["_k2_solve"] = solve
+    return solve
 
 
 def _pcg(hess: _Apply, precond: _Apply, r: np.ndarray, rd: np.ndarray, eta: float):
@@ -310,26 +286,25 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
         raise ValueError("max_iter must be at least 1")
     mesh, spec, g = prob.mesh, prob.cost, prob.g_boundary
     dens_sup = float(np.abs(g.densities).max())
-    area, op = mesh.areas, _operator(mesh)
-    mass = op.mass
+    area, mass, grad, div = mesh.areas, mesh.lumped_mass, mesh.grad, mesh.div
     lin = _boundary_load(mesh, g) + prob.c_R * mass
     g_lp = g.lp_mass(spec.p) ** (1.0 / spec.p)
     target = tol * (1.0 + g_lp)
 
     def grad_of(phi: np.ndarray) -> np.ndarray:
-        return (op.grad @ phi).reshape(-1, 2)
+        return (grad @ phi).reshape(-1, 2)
 
     def objective(phi: np.ndarray, grads: np.ndarray) -> float:
         return float(area @ dual_eval(spec, grads) - lin @ phi)
 
     def residual(grads: np.ndarray) -> np.ndarray:
-        r = op.div @ dual_grad(spec, grads).ravel() - lin
+        r = div @ dual_grad(spec, grads).ravel() - lin
         # the polygon's area deficit leaves a mass component in r that the
         # bordered solves move into the multiplier; its roundoff pairing
         # with their solutions would set the floor of the measured residual
         return r - (r.sum() / mass.sum()) * mass
 
-    solve_k2 = op.solve_k2
+    solve_k2 = _k2_solve(mesh)
     phi = solve_k2(lin)
     q = spec.p_prime
     A, L = float(area @ dual_eval(spec, grad_of(phi))), float(lin @ phi)
@@ -353,7 +328,7 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
         eta = _ETA_MAX if steps == 0 else 0.9 * (rn / history[-2]) ** 2
         eta = min(_ETA_MAX, max(eta, 0.5 * target / rn))
         delta = min(max(rn / (1.0 + g_lp), _DELTA_MIN), _DELTA_MAX) * scale
-        hess = op.stiffness(_dual_hessian(spec, grads, delta))
+        hess = _stiffness(mesh, _dual_hessian(spec, grads, delta))
         d, k, hit_cap = _pcg(hess, solve_k2, r, rd, eta)
         pcg_iters, capped = pcg_iters + k, capped + hit_cap
         dj = float(r @ d)
@@ -451,11 +426,17 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
     gradient energy int |D phi|^{p'}, the transported cost
     int c(grad c*(D phi)), the sup of |D phi|^{p'} over the ball
     shrunk by 0.5, and one gap per mollified companion field (r, phi_r),
-    whose scale r must be positive.
+    whose scale r must be positive.  phi and every phi_r must live on the
+    problem's mesh: the same object, or one with equal nodes and triangles.
     """
     mesh, spec = prob.mesh, prob.cost
     if mesh.R <= 0.5:
         raise ValueError("interior diagnostics need R > 0.5")
+    for field in (phi, *(phi_r for _, phi_r in phi_r_pairs)):
+        other = field.mesh
+        if not (other is mesh or (np.array_equal(other.nodes, mesh.nodes)
+                                  and np.array_equal(other.triangles, mesh.triangles))):
+            raise ValueError("fields must live on the problem's mesh")
     q = spec.p_prime
     grads = phi.element_gradients
     gnorm_q = np.linalg.norm(grads, axis=1) ** q
@@ -466,8 +447,6 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
     for r, phi_r in phi_r_pairs:
         if not r > 0.0:
             raise ValueError("companion scales must be positive")
-        if phi_r.mesh.n_nodes != mesh.n_nodes:
-            raise ValueError("companion fields must share the mesh")
         diff = grads - phi_r.element_gradients
         gaps.append((float(r),
                      float(mesh.areas @ np.linalg.norm(diff, axis=1) ** q)))

@@ -223,6 +223,20 @@ def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
     return BoundaryApproximation(f_bar, g_bar, f_sup, g_sup, k_lam, k_mu, f_drop, g_drop)
 
 
+def _check_marginals(plan, lam: DiscreteMeasure, mu: DiscreteMeasure):
+    """Refuse lam and mu unless they are the plan's marginals: the same
+    points, and weights within 1e-9 of the total mass, the tolerance of
+    `solve_exact`'s mass balance.  Both callers index them by the plan's
+    entry indices."""
+    for given, own, side in ((lam, plan.source, "lam"), (mu, plan.target, "mu")):
+        if given is own:
+            continue
+        scale = max(given.total_mass, own.total_mass)
+        if not (np.array_equal(given.points, own.points)
+                and np.abs(given.weights - own.weights).sum() <= 1e-9 * scale):
+            raise ValueError(f"{side} is not the plan's marginal")
+
+
 def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
                               spec: CostSpec, radius: float, n_theta: int,
                               moll_scale: float, resolution: int = 12) -> BoundaryApproximation:
@@ -236,11 +250,15 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     side symmetric through the sources.  Crossing mass anchored at an
     atom outside B_4 is not carried and is reported as f_dropped or
     g_dropped.  Plans with no sphere-crossing mass return zero
-    histograms.  The default `resolution` is `select_radius`'s, so with
-    both defaults the data at a selected radius are the ones it scored.
+    histograms.  `resolution` counts quadrature rings on B_4, as
+    `select_radius`'s does, and not on B_R as `data_D`'s does; its
+    default is `select_radius`'s, so with both defaults the data at a
+    selected radius are the ones it scored.  lam and mu must be the
+    plan's marginals.
     """
     if plan.source.dim != 2:
         raise ValueError("boundary data construction is planar")
+    _check_marginals(plan, lam, mu)
     return _boundary_approximation(
         plan, radius, _sphere_crossings(plan, radius), n_theta, moll_scale,
         [functools.partial(_uniform_composition, m, spec, resolution) for m in (lam, mu)])
@@ -269,10 +287,12 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     smallest radius.  Each marginal's composition
     with its uniform density on B_4 does not depend on the radius and is
     built at most once per call; every error of the construction is
-    radius-independent and propagates.
+    radius-independent and propagates.  lam and mu must be the plan's
+    marginals.
 
     `resolution` counts quadrature rings at the reference radius 4 and
-    is rescaled per candidate by `_rings_at`.
+    is rescaled per candidate by `_rings_at`; `data_D` and
+    `compute_smallness` count them on B_R itself (see `data_D`).
     """
     if candidates is None:
         candidates = np.linspace(2.05, 2.95, 11)
@@ -283,6 +303,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
         raise ValueError(f"candidate radii must lie in (0, {_WINDOW:g}], the B_{_WINDOW:g} window")
     if plan.source.dim != 2:
         raise ValueError("boundary data construction is planar")
+    _check_marginals(plan, lam, mu)
 
     x, y = plan.pairs()
     entry_cost = np.asarray(cost_eval(spec, x - y)) * plan.masses

@@ -573,6 +573,13 @@ def data_D(lam: DiscreteMeasure, mu: DiscreteMeasure, radius: float, spec: CostS
     Scale invariant four-term sum: for each of lam and mu, the transport
     cost under the spec's c to the kappa-weighted Lebesgue quadrature of
     B_R divided by |B_R| R^p, plus (kappa - 1)^p / kappa^{p-1}.
+
+    `resolution` counts quadrature rings on B_R itself, as in
+    `compute_smallness` and `c2measures_check`.  `select_radius`,
+    `approximate_boundary_data` and `data_restriction_check` count them
+    at radius 4 instead, rescaled per radius by `_rings_at`: at
+    resolution 6, D(2) from `compute_smallness` uses 6 rings where the
+    radius scan's D(2.05) uses 3.
     """
     total = _data_half(lam, radius, spec, resolution) + _data_half(mu, radius, spec, resolution)
     return total / radius ** spec.p
@@ -580,7 +587,10 @@ def data_D(lam: DiscreteMeasure, mu: DiscreteMeasure, radius: float, spec: CostS
 
 def compute_smallness(plan: TransportPlan, spec: CostSpec, radii: Sequence[float],
                       resolution: int) -> SmallnessReport:
-    """The scale invariant E(R) and D(R) of a plan over a family of radii."""
+    """The scale invariant E(R) and D(R) of a plan over a family of radii.
+
+    `resolution` counts quadrature rings on each B_R itself (see `data_D`).
+    """
     e_vals = {r: energy_E(plan, r, spec) for r in radii}
     d_vals = {r: data_D(plan.source, plan.target, r, spec, resolution) for r in radii}
     return SmallnessReport(e_vals, d_vals)
@@ -722,6 +732,7 @@ def c2measures_check(xi: Callable[[np.ndarray], np.ndarray], alpha: float,
     estimate over a subset of those pairs, and rhs grows with it, so the
     check passes wherever such an estimate would.  Raises ValueError
     unless xi gives one finite value per point of mu and the quadrature.
+    `resolution` counts quadrature rings on B_R itself (see `data_D`).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -812,7 +823,7 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
     cross the boundary, which the trapezoid rule tolerates.
 
     `resolution` counts quadrature rings at radius 4 and is rescaled
-    per scan radius by `_rings_at`.
+    per scan radius by `_rings_at`, unlike `data_D`'s (see there).
     """
     if radii is None:
         radii = np.linspace(2.0, 3.0, 11)

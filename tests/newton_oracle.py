@@ -1,9 +1,9 @@
 """Reference loops for ``otlab.neumann.solve_neumann``.
 
-Everything here is assembled from the mesh's own element data
-(``shape_gradients``, ``areas`` and the lumped mass), never through the
-solver's operator.  ``bordered`` sums one 3x3 element block per triangle
-into [[K_W, m], [m^T, 0]], and ``nodal_load`` sums each triangle's
+Everything here is assembled from the mesh's element data
+(``shape_gradients``, ``areas`` and the lumped mass), never through its
+``grad`` and ``div``.  ``bordered`` sums one 3x3 element block per
+triangle into [[K_W, m], [m^T, 0]], and ``nodal_load`` sums each triangle's
 integrals int f . grad hat_i onto its vertices.  ``boundary_load``
 integrates the histogram flux against the boundary hats one edge and one
 bin cut at a time.  ``newton_every_step`` is the damped Newton iteration

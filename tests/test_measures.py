@@ -238,6 +238,23 @@ class TestProjectionEstimate:
         assert 0.0 < chk.upper_ratio < math.inf
         assert chk.passed
 
+    def test_density_cells_are_the_projection_bins(self):
+        # at 60 bins the atom at angle 7 * 2 pi / 60 falls in bin 6 of the
+        # projection; the density proxy, binned by ang / (2 pi / 60), put it in
+        # cell 7 and so split bin 6's mass over two cells
+        n = 60
+        edge, mid, far = (k * (2.0 * math.pi / n) for k in (7, 6.5, 30.5))
+        mu = DiscreteMeasure([[math.cos(edge), math.sin(edge)],
+                              [math.cos(mid), math.sin(mid)],
+                              [1.02 * math.cos(far), 1.02 * math.sin(far)]], [1.0, 1.0, 1.0])
+        bins = radial_project(mu, 1.0, n).masses
+        assert bins[6] == 2.0
+        chk = projection_lemma_check(mu, 1.0, n)
+        # one radial cell [1, 1.02] spans the support, so the fullest cell
+        # holds the fullest bin's mass
+        cell_area = 1.01 * 0.02 * (2.0 * math.pi / n)
+        assert chk.sup_density == pytest.approx(2.0 / cell_area, rel=1e-12)
+
     def test_zero_measure_degenerate_pass(self):
         chk = projection_lemma_check(DiscreteMeasure(np.zeros((0, 2)), np.zeros(0)), 2.0, 8)
         assert chk.degenerate == "zero measure"

@@ -26,7 +26,7 @@ from newton_oracle import boundary_load, newton_every_step, residual_norm, start
 from otlab import costs, neumann
 from otlab.costs import CostSpec, dual_grad
 from otlab.measures import Ball, BoundaryData, mollify_boundary
-from otlab.meshing import build_mesh
+from otlab.meshing import DiskMesh, build_mesh
 from otlab.neumann import (
     NeumannProblem,
     NewtonRecord,
@@ -353,16 +353,15 @@ class TestMeshOperator:
         rng = np.random.default_rng(5)
         A = rng.normal(size=(mesh.n_triangles, 2, 2))
         v = rng.normal(size=mesh.n_nodes)
-        op = neumann._operator(mesh)
         # sign-indefinite blocks, one symmetric set and one non-symmetric
         for W in (A + np.swapaxes(A, 1, 2), A):
             want = dense_stiffness(mesh, W) @ v
-            got = op.stiffness(W)(v)
+            got = neumann._stiffness(mesh, W)(v)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the one matrix the solver factors is the bordered p = 2 stiffness
         counter = CountingSplu()
         monkeypatch.setattr(neumann, "splu", counter)
-        op.solve_k2(v)
+        neumann._k2_solve(mesh)(v)
         want = dense_bordered(mesh)
         got = counter.matrices[0].toarray()
         assert counter.calls == 1
@@ -370,13 +369,16 @@ class TestMeshOperator:
 
     def test_operator_lives_on_its_mesh(self):
         mesh = build_mesh(1.0, 0.3)
-        op = neumann._operator(mesh)
-        assert neumann._operator(mesh) is op
-        assert neumann._operator(build_mesh(1.0, 0.3)) is not op
+        other = build_mesh(1.0, 0.3)
+        for get in (lambda m: m.grad, lambda m: m.div, neumann._k2_solve):
+            op = get(mesh)
+            assert get(mesh) is op
+            assert get(other) is not op
 
     def test_operator_leaves_no_reference_cycle(self):
-        # the operator lives in its mesh's __dict__, so a reference back to
-        # the mesh would keep every mesh alive until the cyclic collector ran
+        # the operators and the p = 2 solve live in their mesh's __dict__, so
+        # a reference back to the mesh would keep every mesh alive until the
+        # cyclic collector ran
         def solve_and_check():
             mesh = build_mesh(1.0, 0.2)
             spec = CostSpec.radial(1.5)
@@ -475,12 +477,11 @@ class TestNewtonPCG:
         """The dense bordered shifted Hessian, the solver's action of it, a
         mass-free right-hand side and the p = 2 solve of it, as one Newton
         step of the solver sees them."""
-        op = neumann._operator(mesh)
         d = harmonic_cubic(mesh).element_gradients
         W = neumann._dual_hessian(spec, d, 1e-2)
         r = np.random.default_rng(2).normal(size=mesh.n_nodes)
         r -= (r.sum() / mesh.lumped_mass.sum()) * mesh.lumped_mass
-        return dense_bordered(mesh, W), op.stiffness(W), r, op.solve_k2
+        return dense_bordered(mesh, W), neumann._stiffness(mesh, W), r, neumann._k2_solve(mesh)
 
     @pytest.mark.parametrize("spec", PCG_SPECS, ids=["1.5", "3.0", "tilted"])
     def test_pcg_matches_dense_bordered_solve(self, monkeypatch, spec):
@@ -685,6 +686,26 @@ class TestDiagnostics:
         alien = ScalarField(other, np.zeros(other.n_nodes))
         with pytest.raises(ValueError):
             regularity_diagnostics(prob, phi, [(0.1, alien)])
+        # the same nodes in another order: equal node counts, another
+        # numbering, so gradients compared triangle by triangle mismatch (a
+        # gap of 0.633 for the solution against itself, and an energy ratio
+        # of 0.8387 instead of 0.8524, were returned without an error)
+        mesh = build_mesh(1.0, 0.1)
+        perm = np.random.default_rng(0).permutation(mesh.n_nodes)
+        permuted = DiskMesh(1.0, mesh.nodes[perm])
+        spec, g = CostSpec.radial(3.0), fourier_data(1.0)
+        prob = NeumannProblem(mesh, spec, g)
+        prob_p = NeumannProblem(permuted, spec, g)
+        phi, phi_p = solve_neumann(prob, tol=1e-9), solve_neumann(prob_p, tol=1e-9)
+        with pytest.raises(ValueError, match="mesh"):
+            regularity_diagnostics(prob_p, phi_p, [(0.1, phi)])
+        with pytest.raises(ValueError, match="mesh"):
+            regularity_diagnostics(prob, phi_p)
+        # a copy of the problem's mesh is the same mesh
+        copy = DiskMesh(1.0, mesh.nodes.copy())
+        twin = ScalarField(copy, phi.values)
+        rep = regularity_diagnostics(prob, twin, [(0.1, phi)])
+        assert rep.mollification == ((0.1, 0.0),)
 
     def test_nonpositive_companion_scale_rejected(self):
         mesh = build_mesh(1.0, 0.3)

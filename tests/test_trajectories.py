@@ -404,6 +404,28 @@ def test_select_radius_composes_each_marginal_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_marginals_must_be_the_plans():
+    # both functions index lam and mu by the plan's entry indices, so
+    # reversed atoms read other masses at other points; they changed the
+    # scores without an error
+    plan = crossing_plan()
+    lam, mu = plan.source, plan.target
+    cands = [2.2, 2.5, 2.8]
+    for bad_lam, bad_mu in ((DiscreteMeasure(lam.points[::-1], lam.weights[::-1]), mu),
+                            (lam, DiscreteMeasure(mu.points[::-1], mu.weights[::-1])),
+                            (lam, mu.with_mass(1.01 * mu.total_mass))):
+        with pytest.raises(ValueError, match="marginal"):
+            select_radius(plan, bad_lam, bad_mu, P2, candidates=cands, n_theta=32,
+                          resolution=8)
+        with pytest.raises(ValueError, match="marginal"):
+            approximate_boundary_data(plan, bad_lam, bad_mu, P2, 2.5, 32, 0.4, resolution=8)
+    # copies within the mass balance tolerance are the plan's marginals
+    near = DiscreteMeasure(lam.points.copy(), lam.weights * (1.0 + 1e-12))
+    want = select_radius(plan, lam, mu, P2, candidates=cands, n_theta=32, resolution=8)
+    got = select_radius(plan, near, mu, P2, candidates=cands, n_theta=32, resolution=8)
+    assert got.selected == want.selected
+
+
 def test_select_radius_raises_for_a_side_without_mass_in_b4():
     # the entry at (4.8, 0) crosses every candidate sphere inwards, and
     # lam has no mass in B_4 to spread it over
