@@ -1,12 +1,12 @@
-"""Discrete measures on the line and the plane, and boundary densities.
+"""Discrete measures in the plane, and boundary densities.
 
 Everything downstream consumes measures in one of two shapes: weighted
-atom clouds (DiscreteMeasure, on the line or in the plane) and angular
-histograms on a circle (BoundaryData, planar only).  This module
-supplies the constructors, the restriction and density bookkeeping,
-midpoint Lebesgue quadratures on balls, the radial projection of a
-planar measure onto a circle, mollification of boundary densities, and
-a numerical check of the radial projection estimate
+atom clouds in the plane (DiscreteMeasure) and angular histograms on a
+circle (BoundaryData).  This module supplies the constructors, the
+restriction and density bookkeeping, midpoint Lebesgue quadratures on
+discs, the radial projection of a measure onto a circle, mollification
+of boundary densities, and a numerical check of the radial projection
+estimate
 
     R^{1-d} (int g)^p  <~  int_{dB_R} ghat^p  <~  sup g^{p-1} int |R-|x||^{p-1} g
 
@@ -42,10 +42,11 @@ ANNULUS_EPS = 0.1
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Non-negative weighted atoms in dimension 1 or 2.
+    """Non-negative weighted atoms in the plane.
 
-    points has shape (n, d); weights has shape (n,).  Zero-atom measures
-    are allowed and flow through every operation.
+    points has shape (n, 2); weights has shape (n,).  Zero-atom measures
+    are allowed, with points of shape (0, 2), and flow through every
+    operation.
     """
 
     points: np.ndarray
@@ -54,10 +55,10 @@ class DiscreteMeasure:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         w = np.asarray(self.weights, dtype=float).ravel()
-        if pts.size == 0:
-            pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 and pts.shape[1] else 2)
-        if pts.ndim != 2 or pts.shape[1] not in (1, 2):
-            raise ValueError("points must be (n, 1) or (n, 2)")
+        if pts.size == 0 and pts.shape[1] == 0:
+            pts = pts.reshape(0, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"points must be (n, 2), got shape {pts.shape}")
         if len(w) != len(pts):
             raise ValueError("points and weights length mismatch")
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
@@ -66,10 +67,6 @@ class DiscreteMeasure:
             raise ValueError("weights must be non-negative")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     @property
     def n_atoms(self) -> int:
@@ -96,37 +93,34 @@ class DiscreteMeasure:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Ball:
+    """Open disc of the given centre (a 2-vector) and radius."""
+
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if c.ndim != 1 or len(c) not in (1, 2):
-            raise ValueError("center must be a 1- or 2-vector")
+        if c.shape != (2,):
+            raise ValueError(f"center must be a 2-vector, got shape {c.shape}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
         object.__setattr__(self, "center", c)
 
     @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    @property
     def volume(self) -> float:
-        # omega_1 = 2, omega_2 = pi
-        return (2.0 if self.dim == 1 else math.pi) * self.radius ** self.dim
+        return math.pi * self.radius ** 2
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Mask of the (k, dim) points in the open ball; its sphere lies outside."""
-        if np.shape(points)[1:] != (self.dim,):
-            raise ValueError(f"points must be (k, {self.dim}), got shape {np.shape(points)}")
-        # hypot does not overflow where the squared norm would; abs keeps a
-        # one-element (1-D) reduction from passing a negative coordinate
-        return np.hypot.reduce(np.abs(points - self.center), axis=1) < self.radius
+        """Mask of the (k, 2) points in the open disc; its circle lies outside."""
+        if np.shape(points)[1:] != (2,):
+            raise ValueError(f"points must be (k, 2), got shape {np.shape(points)}")
+        # hypot does not overflow where the squared norm would
+        d = points - self.center
+        return np.hypot(d[:, 0], d[:, 1]) < self.radius
 
     @staticmethod
-    def at_origin(radius: float, dim: int = 2) -> "Ball":
-        return Ball(np.zeros(dim), float(radius))
+    def at_origin(radius: float) -> "Ball":
+        return Ball(np.zeros(2), float(radius))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -201,52 +195,43 @@ def kappa(mu: DiscreteMeasure, ball: Ball) -> float:
 
 
 def lebesgue_quadrature(ball: Ball, resolution: int) -> DiscreteMeasure:
-    """Midpoint quadrature of Lebesgue measure on the ball.
+    """Midpoint quadrature of Lebesgue measure on the disc.
 
-    In the plane the grid is polar with `resolution` equal-width rings
-    and 6(2j+1) cells in ring j, which makes every cell area identical;
-    on the line it is the uniform midpoint grid.  Weights are normalized
-    so the total mass equals |O| exactly.  Two quadratures of concentric
-    balls agree atom-for-atom where they overlap whenever the ring width
-    divides both radii, which downstream zero-data constructions use.
+    The grid is polar with `resolution` equal-width rings and 6(2j+1)
+    cells in ring j, which makes every cell area identical.  Weights are
+    normalized so the total mass equals |O| exactly.  Two quadratures of
+    concentric discs agree atom-for-atom where they overlap whenever the
+    ring width divides both radii, which downstream zero-data
+    constructions use.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if ball.dim == 1:
-        n = 2 * resolution
-        xs = ball.center[0] - ball.radius + (np.arange(n) + 0.5) * (2 * ball.radius / n)
-        w = np.full(n, 2.0 * ball.radius / n)
-        meas = DiscreteMeasure(xs[:, None], w)
-    else:
-        dr = ball.radius / resolution
-        pts, ws = [], []
-        for j in range(resolution):
-            r = (j + 0.5) * dr
-            n_j = 6 * (2 * j + 1)
-            th = 2.0 * math.pi * (np.arange(n_j) + 0.5) / n_j
-            ring = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-            pts.append(ball.center[None, :] + ring)
-            # exact ring area split evenly; all cells share pi dr^2 / 6
-            area_j = math.pi * dr * dr * (2 * j + 1)
-            ws.append(np.full(n_j, area_j / n_j))
-        meas = DiscreteMeasure(np.concatenate(pts), np.concatenate(ws))
-    return meas.with_mass(ball.volume)
+    dr = ball.radius / resolution
+    pts, ws = [], []
+    for j in range(resolution):
+        r = (j + 0.5) * dr
+        n_j = 6 * (2 * j + 1)
+        th = 2.0 * math.pi * (np.arange(n_j) + 0.5) / n_j
+        ring = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+        pts.append(ball.center[None, :] + ring)
+        # exact ring area split evenly; all cells share pi dr^2 / 6
+        area_j = math.pi * dr * dr * (2 * j + 1)
+        ws.append(np.full(n_j, area_j / n_j))
+    return DiscreteMeasure(np.concatenate(pts), np.concatenate(ws)).with_mass(ball.volume)
 
 
 def _angular_bins(points: np.ndarray, n: int) -> np.ndarray:
-    """Bin of each planar point's angle among n equal bins of [0, 2 pi)."""
+    """Bin of each point's angle among n equal bins of [0, 2 pi)."""
     ang = np.arctan2(points[:, 1], points[:, 0]) % (2.0 * math.pi)
     return np.minimum((ang / (2.0 * math.pi) * n).astype(int), n - 1)
 
 
 def radial_project(mu: DiscreteMeasure, radius: float, n_theta: int) -> BoundaryData:
-    """Push each planar atom to the circle along its ray and bin the masses.
+    """Push each atom to the circle along its ray and bin the masses.
 
     Realizes x -> R x / |x| on atoms; total mass is preserved exactly.
     An atom at the origin has no ray and is rejected.
     """
-    if mu.dim != 2:
-        raise ValueError("radial projection is planar")
     if np.any(mu.radii() == 0.0):
         raise ValueError("cannot project an atom at the origin")
     if n_theta < 1:
@@ -320,8 +305,6 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
     """
     if not p > 1.0:
         raise ValueError("exponent must satisfy p > 1")
-    if g.dim != 2:
-        raise ValueError("projection check is planar")
     if g.n_atoms == 0 or g.total_mass == 0.0:
         return ProjectionCheck(math.inf, math.inf, 0.0, degenerate="zero measure")
     rr = g.radii() / radius

@@ -482,8 +482,6 @@ def holder_product_check(phi: ScalarField, cost: CostSpec, ball: Ball) -> float:
     branch and bound with the floats of an all-pairs sweep, in O(k)
     memory plus at most 2^16 leaf or node pairs however little it prunes.
     """
-    if ball.dim != 2:
-        raise ValueError("planar ball required")
     mesh = phi.mesh
     sel = np.linalg.norm(mesh.nodes - ball.center, axis=1) <= ball.radius
     if sel.sum() < 2:

@@ -165,7 +165,7 @@ def _uniform_composition(marginal: DiscreteMeasure, spec: CostSpec, resolution: 
     quadrature with the cell volumes as weights, kappa).
     """
     k4, quad, aux = _plan_to_uniform(marginal, 4.0, spec, resolution)
-    anchored = Ball.at_origin(4.0, dim=marginal.dim).contains(marginal.points)
+    anchored = Ball.at_origin(4.0).contains(marginal.points)
     atom = np.flatnonzero(anchored)  # marginal atom of each row of the plan's source
     row_weight = np.bincount(aux.idx_source, weights=aux.masses, minlength=len(atom))
     share = aux.masses / row_weight[aux.idx_source]
@@ -202,7 +202,9 @@ def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
     """
     def one_side(sel: np.ndarray, idx: np.ndarray, composition):
         if len(sel) == 0:
-            return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan, 0.0
+            # mollified zeros are exactly zeros; moll_scale is checked either way
+            empty = mollify_boundary(BoundaryData(radius, np.zeros(n_theta)), moll_scale)
+            return empty, 0.0, math.nan, 0.0
         atom, cell, share, anchored, cells, k4 = composition()
         atoms, masses = idx[sel], plan.masses[sel]
         crossing = np.bincount(atoms, weights=masses, minlength=len(anchored))
@@ -254,10 +256,13 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     `select_radius`'s does, and not on B_R as `data_D`'s does; its
     default is `select_radius`'s, so with both defaults the data at a
     selected radius are the ones it scored.  lam and mu must be the
-    plan's marginals.
+    plan's marginals.  The radius must lie in (0, 3], as
+    `select_radius`'s candidates must: beyond the B_3 window a crossing
+    whose ends both lie outside B_3 would be lost, counted neither in the
+    data nor as dropped.
     """
-    if plan.source.dim != 2:
-        raise ValueError("boundary data construction is planar")
+    if not 0.0 < radius <= _WINDOW:
+        raise ValueError(f"radius must lie in (0, {_WINDOW:g}], the B_{_WINDOW:g} window")
     _check_marginals(plan, lam, mu)
     return _boundary_approximation(
         plan, radius, _sphere_crossings(plan, radius), n_theta, moll_scale,
@@ -301,8 +306,6 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
         raise ValueError("need at least 3 distinct candidate radii")
     if not (0.0 < candidates[0] and candidates[-1] <= _WINDOW):
         raise ValueError(f"candidate radii must lie in (0, {_WINDOW:g}], the B_{_WINDOW:g} window")
-    if plan.source.dim != 2:
-        raise ValueError("boundary data construction is planar")
     _check_marginals(plan, lam, mu)
 
     x, y = plan.pairs()
@@ -343,17 +346,17 @@ class DisplacementReport:
 def linfty_displacement(plan, spec: CostSpec, resolution: int = 12) -> DisplacementReport:
     """Sup displacement over the B_3 window against the smallness power.
 
-    bound_check = sup |x - y| / (4^p (E(4) + D(4)))^{1/(p+d)}, the
-    smallness taken in its volume-only form; the exponent is
-    the displacement law's 1/(p+d).  Stability of bound_check across a
-    scaling family is the actual test; a single value is diagnostic
-    only.
+    bound_check = sup |x - y| / (4^p (E(4) + D(4)))^{1/(p+2)}, the
+    smallness taken in its volume-only form; the exponent is the
+    displacement law's 1/(p+d) in the plane, d = 2.  Stability of
+    bound_check across a scaling family is the actual test; a single
+    value is diagnostic only.
     """
     x, y = plan.pairs()
     window = plan.anchored_in(_WINDOW)
     sup_disp = float(np.linalg.norm((x - y)[window], axis=1).max()) if window.any() else 0.0
     small = 4.0 ** spec.p * compute_smallness(plan, spec, (4.0,), resolution).total(4.0)
-    expo = 1.0 / (spec.p + plan.source.dim)
+    expo = 1.0 / (spec.p + 2.0)
     check = sup_disp / small ** expo if small > 0 else (0.0 if sup_disp == 0.0 else math.inf)
     return DisplacementReport(sup_disp, small, expo, check)
 

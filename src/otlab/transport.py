@@ -168,7 +168,7 @@ class TransportPlan:
 
     def anchored_in(self, radius: float) -> np.ndarray:
         """Entry mask: source or target in the open ball B_radius."""
-        ball = Ball.at_origin(radius, dim=self.source.dim)
+        ball = Ball.at_origin(radius)
         x, y = self.pairs()
         return ball.contains(x) | ball.contains(y)
 
@@ -188,9 +188,7 @@ class SmallnessReport:
 
 
 def _check_balanced(lam: DiscreteMeasure, mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Check equal dimension and |lam| = |mu| to 1e-9 relative; return mu rescaled exactly."""
-    if lam.dim != mu.dim:
-        raise ValueError(f"dimension mismatch: {lam.dim} vs {mu.dim}")
+    """Check |lam| = |mu| to 1e-9 relative; return mu rescaled exactly."""
     ml, mm = lam.total_mass, mu.total_mass
     if ml <= 0 or mm <= 0:
         raise ValueError("measures must have positive mass")
@@ -215,11 +213,11 @@ def _cost_matrix(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> n
         raise ValueError(f"cost matrix {n}x{m} needs {8 * n * m} bytes, "
                          f"past the budget of {_MATRIX_BUDGET_BYTES} bytes")
     cmat = np.empty((n, m))
-    # one coordinate at a time: the broadcast (rows, m, d) difference runs
-    # length-d inner loops, about 4x slower at 150 x 180 atoms
+    # one coordinate at a time: the broadcast (rows, m, 2) difference runs
+    # length-2 inner loops, about 4x slower at 150 x 180 atoms
     for rows in _lanes(n, m):
-        z = np.empty((rows.stop - rows.start, m, lam.dim))
-        for c in range(lam.dim):
+        z = np.empty((rows.stop - rows.start, m, 2))
+        for c in range(2):
             np.subtract.outer(lam.points[rows, c], mu.points[:, c], out=z[..., c])
         cmat[rows] = cost_eval(spec, z)
     return cmat
@@ -521,7 +519,7 @@ def energy_E(plan: TransportPlan, radius: float, spec: CostSpec) -> float:
     x, y = plan.pairs()
     mask = plan.anchored_in(radius)
     total = float(np.sum(plan.masses[mask] * cost_eval(spec, (x - y)[mask]))) if mask.any() else 0.0
-    vol = Ball.at_origin(radius, dim=plan.source.dim).volume
+    vol = Ball.at_origin(radius).volume
     return total / (vol * radius ** spec.p)
 
 
@@ -544,7 +542,7 @@ def _plan_to_uniform(nu: DiscreteMeasure, radius: float, spec: CostSpec,
     mass.  Returns (kappa, quadrature, plan); the plan's source is the
     restricted measure.
     """
-    ball = Ball.at_origin(radius, dim=nu.dim)
+    ball = Ball.at_origin(radius)
     local = restrict(nu, ball)
     k = local.total_mass / ball.volume
     if k <= 0.0:
@@ -562,7 +560,7 @@ def _data_half(nu: DiscreteMeasure, radius: float, spec: CostSpec, resolution: i
     volume-normalized, following the defining display.
     """
     k, _, plan = _plan_to_uniform(nu, radius, spec, resolution)
-    w_term = plan.total_cost / Ball.at_origin(radius, dim=nu.dim).volume
+    w_term = plan.total_cost / Ball.at_origin(radius).volume
     return w_term + radius ** spec.p * abs(k - 1.0) ** spec.p / k ** (spec.p - 1.0)
 
 
@@ -748,10 +746,10 @@ def c2measures_check(xi: Callable[[np.ndarray], np.ndarray], alpha: float,
     lhs = abs(float(np.sum(xi_mu * local.weights) - k * np.sum(xi_quad * quad.weights)))
     sem, = _holder_maxima(quad.points, (xi_quad[:, None],), alpha, np.finfo(float).tiny)
 
-    rhs = sem * w ** (alpha / spec.p) * radius ** (2.0 * mu.dim * (spec.p - alpha) / spec.p)
+    rhs = sem * w ** (alpha / spec.p) * radius ** (4.0 * (spec.p - alpha) / spec.p)
     mass = local.total_mass
     k_const = (spec.lambda_cap ** (alpha / spec.p) * mass ** ((spec.p - alpha) / spec.p)
-               / radius ** (2.0 * mu.dim * (spec.p - alpha) / spec.p)) * 1.25
+               / radius ** (4.0 * (spec.p - alpha) / spec.p)) * 1.25
     passed = lhs <= k_const * rhs + 1e-12
     return C2MeasuresReport(lhs, rhs, k_const, w, sem, passed)
 
@@ -785,7 +783,7 @@ def localisation_check(plan: TransportPlan, radius: float, spec: CostSpec,
     lhs = float(np.sum(plan.masses[mask] * cost_eval(spec, (x - y)[mask])))
 
     f_r, g_r = entry_exit_atoms(plan, radius)
-    ball = Ball.at_origin(radius, dim=plan.source.dim)
+    ball = Ball.at_origin(radius)
     lam_in = restrict(plan.source, ball)
     mu_in = restrict(plan.target, ball)
     lam_aug = DiscreteMeasure(np.concatenate([lam_in.points, f_r.points]),

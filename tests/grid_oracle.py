@@ -20,20 +20,17 @@ def fenchel_conjugate(spec, xi):
 
 
 def grid_constant_loop(spec, which: str) -> float:
-    d = 2 if spec.matrix is None else spec.matrix.shape[0]
     th = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
     rr = np.concatenate([np.geomspace(1e-3, 1e3, 121), [1.0]])
     grid = np.stack([np.cos(th)[:, None] * rr[None, :],
                      np.sin(th)[:, None] * rr[None, :]], -1).reshape(-1, 2)
-    if d == 1:
-        grid = np.unique(np.concatenate([rr, -rr]))[:, None]
     tau = np.linspace(0.01, 0.99, 57)
-    base_dirs = [np.eye(d)[0]] if spec.family == RADIAL else [
+    base_dirs = [np.array([1.0, 0.0])] if spec.family == RADIAL else [
         np.array([np.cos(a), np.sin(a)]) for a in np.linspace(0.0, np.pi, 17)
     ]
 
     if which == "vdiff":
-        z1 = np.eye(d)[0]
+        z1 = np.array([1.0, 0.0])
         v1 = v_p(spec.p, z1, grid)
         ng = np.linalg.norm(grid, axis=1)
         worst = 0.0

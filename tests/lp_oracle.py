@@ -1,7 +1,7 @@
 """Reference solvers for `otlab.transport.solve_exact`.
 
 `brute_force` minimises over all permutations of small equal-weight
-clouds, and `monotone_1d` is the quantile coupling on the line.
+clouds, and `monotone_1d` is the quantile coupling of collinear clouds.
 `dense_solve` is the dense LP over all n * m couplings, the solver
 `solve_exact` used before it moved to a sparse support grown by pricing
 rounds.  It assembles the marginal equalities over every pair, solves
@@ -94,16 +94,24 @@ def dense_solve(lam, mu, spec) -> TransportPlan:
 
 
 def monotone_1d(lam, mu, spec) -> TransportPlan:
-    """Quantile coupling on the line, optimal for convex costs.
+    """Quantile coupling of clouds on one line {a + t e}, optimal there.
 
-    Classic two-pointer sweep over the sorted atoms, splitting masses
-    where the cumulative distributions cross.
+    On the line c(x - y) = c(e) |t_x - t_y|^p is a convex function of
+    t_x - t_y for both cost families, so the monotone coupling is
+    optimal.  Classic two-pointer sweep over the atoms sorted by t,
+    splitting masses where the cumulative distributions cross.  Clouds
+    off a common line are refused.
     """
-    if lam.dim != 1 or mu.dim != 1:
-        raise ValueError("monotone coupling is one-dimensional")
     mu = _check_balanced(lam, mu)
-    order_l = np.argsort(lam.points[:, 0], kind="stable")
-    order_m = np.argsort(mu.points[:, 0], kind="stable")
+    pts = np.concatenate([lam.points, mu.points])
+    d = pts - pts[0]
+    far = d[np.argmax(np.hypot(d[:, 0], d[:, 1]))]
+    e = far / np.hypot(*far) if far.any() else np.array([1.0, 0.0])
+    t = d @ e
+    if np.abs(d[:, 0] * e[1] - d[:, 1] * e[0]).max() > 1e-12 * max(np.abs(pts).max(), 1.0):
+        raise ValueError("monotone coupling needs collinear clouds")
+    order_l = np.argsort(t[:lam.n_atoms], kind="stable")
+    order_m = np.argsort(t[lam.n_atoms:], kind="stable")
     wl = lam.weights[order_l].copy()
     wm = mu.weights[order_m].copy()
     ii, jj, mm = [], [], []

@@ -44,9 +44,6 @@ class TestRestrictAndKappa:
         assert ball.contains(np.array([[1e190, 0.0], [0.0, -1e190]])).tolist() == [True, True]
         mu = DiscreteMeasure([[1e190, 0.0], [2e200, 0.0]], [1.0, 2.0])
         assert restrict(mu, ball).total_mass == 1.0
-        # on the line the norm is |x|: points left of the ball stay outside
-        line = Ball.at_origin(1.0, dim=1)
-        assert line.contains(np.array([[-2.0], [-1.0], [0.5]])).tolist() == [False, False, True]
 
     def test_empty_passthrough(self):
         out = restrict(DiscreteMeasure(np.zeros((0, 2)), np.zeros(0)), Ball.at_origin(1.0))
@@ -77,10 +74,6 @@ class TestLebesgueQuadrature:
         for res in (2, 7, 40):
             q = lebesgue_quadrature(Ball.at_origin(1.0), res)
             assert q.total_mass == pytest.approx(math.pi, abs=1e-12)
-
-    def test_line_mass(self):
-        q = lebesgue_quadrature(Ball.at_origin(4.0, dim=1), 10)
-        assert q.total_mass == pytest.approx(8.0, abs=1e-12)
 
     def test_second_moment_second_order(self):
         # int_{B_1} |x|^2 dx = pi/2; midpoint error must decay like res^{-2}
@@ -139,11 +132,6 @@ class TestRadialProjection:
         mu = ring_cloud(rng, 4000, 1.9, 1.9)
         bd = radial_project(mu, 2.0, 8)
         assert np.abs(bd.masses - 1.0 / 8.0).max() <= 1.0 / math.sqrt(4000)
-
-    def test_line_measure_rejected(self):
-        # boundary data live on a circle: no consumer takes a line histogram
-        with pytest.raises(ValueError, match="planar"):
-            radial_project(DiscreteMeasure([[-0.5], [0.25], [3.0]], [1.0, 2.0, 4.0]), 1.0, 1)
 
 
 class TestMollification:
@@ -303,16 +291,29 @@ class TestValidation:
             BoundaryData(radius, np.ones(4))
 
     def test_ball_volume(self):
-        assert Ball.at_origin(3.0, dim=1).volume == 6.0
         assert Ball.at_origin(2.0).volume == pytest.approx(4.0 * math.pi)
 
     def test_ball_contains_rejects_points_of_another_dimension(self):
         with pytest.raises(ValueError, match="points must be"):
-            Ball.at_origin(1.0, dim=1).contains([[0.5, 0.5], [0.9, -0.9]])
+            Ball.at_origin(1.0).contains(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="points must be"):
             Ball.at_origin(1.0).contains(np.zeros((3, 1)))
         with pytest.raises(ValueError, match="points must be"):
             Ball.at_origin(1.0).contains(np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (0, 1), (3, 3), (2, 2, 2)])
+    def test_measure_refuses_points_off_the_plane(self, shape):
+        with pytest.raises(ValueError, match=r"points must be \(n, 2\)"):
+            DiscreteMeasure(np.zeros(shape), np.ones(shape[0]))
+
+    @pytest.mark.parametrize("center", [[0.0], [0.0, 0.0, 0.0], 0.0, [[0.0, 0.0]]])
+    def test_ball_refuses_a_centre_off_the_plane(self, center):
+        with pytest.raises(ValueError, match="center must be a 2-vector"):
+            Ball(center, 1.0)
+
+    def test_empty_measure_is_planar(self):
+        for points in ([], np.zeros(0), np.zeros((0, 2))):
+            assert DiscreteMeasure(points, []).points.shape == (0, 2)
 
     def test_boundary_data_invariants(self):
         with pytest.raises(ValueError):

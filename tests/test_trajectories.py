@@ -289,13 +289,14 @@ def test_boundary_density_within_cap():
 
 def test_boundary_data_reports_mass_anchored_outside_b4():
     # one trajectory leaves B_R towards a target atom outside B_4, where the
-    # uniform density the composition spreads into does not reach
+    # uniform density the composition spreads into does not reach; R lies
+    # in the B_3 window, between the source radius 2.9 and 3
     quad = lebesgue_quadrature(Ball.at_origin(4.0), 8)
     a, b, m = np.array([2.9, 0.0]), np.array([4.5, 0.0]), 0.05
     lam = DiscreteMeasure(np.vstack([quad.points, a]), np.append(quad.weights, m))
     mu = DiscreteMeasure(np.vstack([quad.points, b]), np.append(quad.weights, m))
     plan = white_box_plan(lam, mu)
-    rep = approximate_boundary_data(plan, lam, mu, P2, 3.2, 32, 0.4, resolution=8)
+    rep = approximate_boundary_data(plan, lam, mu, P2, 2.95, 32, 0.4, resolution=8)
     assert rep.g_dropped == pytest.approx(m, rel=1e-12)
     assert rep.g_bar.total_mass == 0.0
     assert rep.f_dropped == 0.0
@@ -317,11 +318,29 @@ def test_boundary_data_carries_the_crossing_mass():
     assert dropped > 0.0
 
 
-def test_boundary_data_planar_only():
-    lam = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-    plan = solve_exact(lam, lam, P2)
-    with pytest.raises(ValueError):
-        approximate_boundary_data(plan, lam, lam, P2, 2.5, 16, 0.5)
+def test_boundary_data_refuses_a_radius_past_the_window():
+    # at R = 3.5 two unit masses leave the sphere, but (3.2, 0) -> (3.8, 0)
+    # has neither end in B_3: the data carried 1.0 and dropped 0
+    lam = DiscreteMeasure([[3.2, 0.0], [2.9, 0.5], [0.5, 0.0]], np.ones(3))
+    mu = DiscreteMeasure([[3.8, 0.0], [3.8, 0.5], [0.6, 0.0]], np.ones(3))
+    plan = white_box_plan(lam, mu)
+    assert entry_exit_atoms(plan, 3.5)[1].total_mass == 1.0
+    for radius in (3.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="window"):
+            approximate_boundary_data(plan, lam, mu, P2, radius, 16, 0.5, resolution=8)
+
+
+@pytest.mark.parametrize("moll_scale", [math.nan, -1.0, 1e-6])
+def test_boundary_data_checks_the_mollifier_without_crossings(moll_scale):
+    # no trajectory meets the sphere of radius 2.5; the scale was checked
+    # only where some did
+    lam = DiscreteMeasure([[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0])
+    mu = DiscreteMeasure([[0.6, 0.0], [0.0, 0.6]], [1.0, 1.0])
+    plan = white_box_plan(lam, mu)
+    rep = approximate_boundary_data(plan, lam, mu, P2, 2.5, 16, 0.5, resolution=8)
+    assert rep.f_bar.total_mass == rep.g_bar.total_mass == 0.0
+    with pytest.raises(ValueError, match="mollification scale"):
+        approximate_boundary_data(plan, lam, mu, P2, 2.5, 16, moll_scale, resolution=8)
 
 
 # ------------------------------------------------------------ radius scan

@@ -2,14 +2,14 @@
 
 Frozen reference values, each derivable by hand or by an in-file oracle:
 
-  * two-atom 1-d instance: monotone matching costs 0.005, crossed 0.505
+  * two atoms on the x-axis: monotone matching costs 0.005, crossed 0.505
   * single entry ((0,0),(1,0)), p=2, R=4: E = 1/(512 pi) scale invariant,
     1/(32 pi) plain volume
   * triangle constant C(eps) = (1 - (1+eps)^(-1/(p-1)))^(1-p):
     C(0.5, p=2) = 3, C(0.1, p=2) = 11, C(0.5, p=3) = 1.5/(sqrt(1.5)-1)^2
   * kappa mismatch delta on one side contributes R^p delta^p/(1+delta)^(p-1)
-  * point mass vs uniform on [-1,1], p=2: W-term -> 1/6 as the quadrature
-    refines (midpoint rule on |x|^2/2)
+  * point mass vs uniform on the unit disc, p=2: W-term
+    1/4 - 1/(8 n^2) at n rings (midpoint rule on |x|^2/2), -> 1/4
 """
 import dataclasses
 import math
@@ -49,12 +49,23 @@ SPECS = [CostSpec.radial(1.5), P2, CostSpec.radial(3.0)]
 ANISO = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)
 
 
-def uniform_cloud(rng, n, dim=2, scale=1.0):
-    return DiscreteMeasure(rng.normal(size=(n, dim)) * scale, np.full(n, 1.0 / n))
+def on_axis(x):
+    """The points (x, 0) of the x-axis."""
+    x = np.ravel(x)
+    return np.column_stack([x, np.zeros_like(x)])
 
 
-def gamma_cloud(rng, n, dim=2):
-    return DiscreteMeasure(rng.uniform(-3.0, 3.0, (n, dim)), rng.gamma(2.0, size=n))
+def uniform_cloud(rng, n, scale=1.0, collinear=False):
+    """n equal atoms, normal with the given scale; on the x-axis if collinear."""
+    if collinear:
+        return DiscreteMeasure(on_axis(rng.normal(size=n) * scale), np.full(n, 1.0 / n))
+    return DiscreteMeasure(rng.normal(size=(n, 2)) * scale, np.full(n, 1.0 / n))
+
+
+def gamma_cloud(rng, n, collinear=False):
+    """n gamma-weighted atoms, uniform on [-3, 3]^2, or on [-3, 3] of the x-axis."""
+    pts = on_axis(rng.uniform(-3.0, 3.0, n)) if collinear else rng.uniform(-3.0, 3.0, (n, 2))
+    return DiscreteMeasure(pts, rng.gamma(2.0, size=n))
 
 
 @pytest.fixture
@@ -77,8 +88,8 @@ def lp_solves(monkeypatch):
 # ---------------------------------------------------------------- solvers
 
 def test_two_atom_monotone_example():
-    lam = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-    mu = DiscreteMeasure([[0.1], [1.1]], [0.5, 0.5])
+    lam = DiscreteMeasure(on_axis([0.0, 1.0]), [0.5, 0.5])
+    mu = DiscreteMeasure(on_axis([0.1, 1.1]), [0.5, 0.5])
     for solver in (solve_exact, brute_force, monotone_1d):
         assert solver(lam, mu, P2).total_cost == pytest.approx(0.005, abs=1e-12)
     # the crossed matching costs 0.505, so the optimum is strictly monotone
@@ -100,8 +111,7 @@ def test_brute_force_single_and_collinear():
     plan = brute_force(one, other, P2)
     assert plan.total_cost == pytest.approx(cost_eval(P2, np.array([-0.7, -0.9])))
 
-    pts = [[0.0], [1.0], [2.0]]
-    same = DiscreteMeasure(pts, np.full(3, 1 / 3))
+    same = DiscreteMeasure(on_axis([0.0, 1.0, 2.0]), np.full(3, 1 / 3))
     plan = brute_force(same, same, P2)
     assert plan.total_cost == 0.0
     assert np.array_equal(plan.idx_source, plan.idx_target)
@@ -112,7 +122,7 @@ def test_brute_force_preconditions():
     big = uniform_cloud(rng, 9)
     with pytest.raises(ValueError):
         brute_force(big, big, P2)
-    lop = DiscreteMeasure([[0.0], [1.0]], [0.3, 0.7])
+    lop = DiscreteMeasure(on_axis([0.0, 1.0]), [0.3, 0.7])
     with pytest.raises(ValueError):
         brute_force(lop, lop, P2)
 
@@ -134,8 +144,8 @@ def test_solve_exact_matches_brute_force():
 def test_solve_exact_matches_monotone_1d():
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
-        lam = DiscreteMeasure(rng.normal(size=(50, 1)), rng.uniform(0.5, 1.5, 50))
-        mu = DiscreteMeasure(rng.normal(size=(50, 1)), rng.uniform(0.5, 1.5, 50))
+        lam = DiscreteMeasure(on_axis(rng.normal(size=50)), rng.uniform(0.5, 1.5, 50))
+        mu = DiscreteMeasure(on_axis(rng.normal(size=50)), rng.uniform(0.5, 1.5, 50))
         mu = mu.with_mass(lam.total_mass)
         spec = SPECS[seed % 3]
         assert solve_exact(lam, mu, spec).total_cost == pytest.approx(
@@ -146,15 +156,39 @@ def test_solve_exact_matches_monotone_1d():
 @given(st.integers(0, 10 ** 6), st.integers(2, 6))
 def test_monotone_matches_lp_property(seed, n):
     rng = np.random.default_rng(seed)
-    lam = DiscreteMeasure(rng.normal(size=(n, 1)), np.full(n, 1.0 / n))
-    mu = DiscreteMeasure(rng.normal(size=(n, 1)), np.full(n, 1.0 / n))
+    lam = uniform_cloud(rng, n, collinear=True)
+    mu = uniform_cloud(rng, n, collinear=True)
     assert monotone_1d(lam, mu, P2).total_cost == pytest.approx(
         solve_exact(lam, mu, P2).total_cost, abs=1e-10)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 30), st.integers(2, 30),
+       st.sampled_from(SPECS + [ANISO]))
+def test_monotone_matches_lp_on_any_line(seed, n, m, spec):
+    # on a line {a + t e} both costs are c(e) |t|^p, convex in t, so the
+    # quantile coupling is optimal for either family
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, 2)
+    angle = rng.uniform(0.0, math.pi)
+    e = np.array([math.cos(angle), math.sin(angle)])
+    lam, mu = (DiscreteMeasure(a + rng.uniform(-3.0, 3.0, (k, 1)) * e, rng.gamma(2.0, size=k))
+               for k in (n, m))
+    mu = mu.with_mass(lam.total_mass)
+    assert solve_exact(lam, mu, spec).total_cost == pytest.approx(
+        monotone_1d(lam, mu, spec).total_cost, rel=1e-9)
+
+
+def test_monotone_oracle_refuses_clouds_off_a_line():
+    lam = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    mu = DiscreteMeasure([[2.0, 2.0], [3.0, 3.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="collinear"):
+        monotone_1d(lam, mu, P2)
+
+
 def test_mass_mismatch_rejected():
-    lam = DiscreteMeasure([[0.0]], [1.0])
-    mu = DiscreteMeasure([[1.0]], [1.1])
+    lam = DiscreteMeasure([[0.0, 0.0]], [1.0])
+    mu = DiscreteMeasure([[1.0, 0.0]], [1.1])
     with pytest.raises(ValueError):
         solve_exact(lam, mu, P2)
 
@@ -174,18 +208,18 @@ def test_marginals_conserved_and_validated():
         TransportPlan(lam, mu, plan.idx_source, plan.idx_target, plan.masses * 1.5)
 
 
-# (n, m, dim, gamma-distributed weights, spec)
+# (n, m, collinear on the x-axis, gamma-distributed weights, spec)
 ORACLE_BATTERY = [
-    (40, 40, 2, False, SPECS[0]),
-    (60, 60, 2, False, SPECS[1]),
-    (50, 50, 2, True, SPECS[2]),
-    (45, 80, 2, True, SPECS[0]),
-    (90, 35, 2, True, SPECS[1]),
-    (70, 55, 2, True, SPECS[2]),
-    (60, 75, 2, True, ANISO),
-    (50, 50, 2, False, ANISO),
-    (80, 60, 1, True, SPECS[1]),
-    (50, 50, 1, False, SPECS[2]),
+    (40, 40, False, False, SPECS[0]),
+    (60, 60, False, False, SPECS[1]),
+    (50, 50, False, True, SPECS[2]),
+    (45, 80, False, True, SPECS[0]),
+    (90, 35, False, True, SPECS[1]),
+    (70, 55, False, True, SPECS[2]),
+    (60, 75, False, True, ANISO),
+    (50, 50, False, False, ANISO),
+    (80, 60, True, True, SPECS[1]),
+    (50, 50, True, False, SPECS[2]),
 ]
 
 
@@ -205,16 +239,17 @@ def assert_matches_oracle(lam, mu, spec):
 
 
 def battery_case(case, seed):
-    n, m, dim, gamma_weights, spec = case
+    n, m, collinear, gamma_weights, spec = case
     rng = np.random.default_rng(1000 + seed)
-    make = gamma_cloud if gamma_weights else (lambda r, k, d: uniform_cloud(r, k, d, 1.5))
-    lam = make(rng, n, dim)
-    return lam, make(rng, m, dim).with_mass(lam.total_mass), spec
+    make = gamma_cloud if gamma_weights else (lambda r, k, c: uniform_cloud(r, k, 1.5, c))
+    lam = make(rng, n, collinear)
+    return lam, make(rng, m, collinear).with_mass(lam.total_mass), spec
 
 
 def battery_id(case):
-    n, m, dim, gamma_weights, spec = case
-    return f"{n}x{m}-d{dim}-{'gamma' if gamma_weights else 'equal'}-{spec.family}-p{spec.p}"
+    n, m, collinear, gamma_weights, spec = case
+    return (f"{n}x{m}-{'axis' if collinear else 'd2'}-{'gamma' if gamma_weights else 'equal'}"
+            f"-{spec.family}-p{spec.p}")
 
 
 battery = pytest.mark.parametrize("case", ORACLE_BATTERY, ids=battery_id)
@@ -478,14 +513,6 @@ def test_cache_hit_equals_the_cold_solve(seed, n, m, spec):
     assert hit.target.points is mu2.points
 
 
-def test_dimension_mismatch_rejected():
-    line = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-    plane = DiscreteMeasure([[0.0, 5.0], [1.0, -5.0]], [0.5, 0.5])
-    for lam, mu in ((line, plane), (plane, line)):
-        with pytest.raises(ValueError, match="dimension"):
-            solve_exact(lam, mu, P2)
-
-
 def traced_peak(call):
     """The tracemalloc peak, in bytes, of call(); call's exceptions propagate."""
     tracemalloc.start()
@@ -567,8 +594,8 @@ def test_optimal_plan_has_no_violations():
 
 
 def test_planted_swap_is_detected():
-    lam = DiscreteMeasure([[0.0], [1.0], [2.0], [3.0]], np.full(4, 0.25))
-    mu = DiscreteMeasure([[0.1], [1.1], [2.1], [3.1]], np.full(4, 0.25))
+    lam = DiscreteMeasure(on_axis([0.0, 1.0, 2.0, 3.0]), np.full(4, 0.25))
+    mu = DiscreteMeasure(on_axis([0.1, 1.1, 2.1, 3.1]), np.full(4, 0.25))
     good = monotone_1d(lam, mu, P2)
     swapped = dataclasses.replace(
         good, idx_target=good.idx_target[::-1].copy(), total_cost=math.nan)
@@ -687,10 +714,15 @@ def test_data_self_quadrature_is_zero():
 
 
 def test_data_misaligned_quadratures_small():
-    # 1-d midpoint grids at 64 vs 63 cells; displacement <= half a cell
-    fine = lebesgue_quadrature(Ball.at_origin(4.0, dim=1), 64)
+    # polar grids on B_4 at 12 vs 11 rings, dr = 4/n.  A point at angle phi
+    # from the midpoint of a ring-j cell, |phi| <= pi/(6(2j+1)), lies at a
+    # squared distance <= (dr/2)^2 + r r_mid phi^2 <= dr^2 (1/4 + pi^2/72)
+    # = delta_n^2 from it, so W(q_n, dx) <= |B_4| delta_n^2 / 2.  sqrt(2 W)
+    # is a metric, so 4^2 D = 2 W(q_12, q_11) / |B_4| <= (delta_12 + delta_11)^2
+    fine = lebesgue_quadrature(Ball.at_origin(4.0), 12)
     lam = DiscreteMeasure(fine.points, fine.weights)
-    assert 4.0 ** P2.p * data_D(lam, lam, 4.0, P2, 63) <= 1e-3
+    delta = [4.0 / n * math.sqrt(0.25 + math.pi ** 2 / 72.0) for n in (12, 11)]
+    assert 4.0 ** P2.p * data_D(lam, lam, 4.0, P2, 11) <= sum(delta) ** 2
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"p{s.p}")
@@ -780,15 +812,16 @@ def test_plan_cost_and_energy_are_rotation_invariant(spec, seed, theta, where):
     assert abs(got - want) <= tol / (math.pi * r ** 2 * r ** spec.p)
 
 
-def test_data_point_vs_uniform_1d():
-    lam = DiscreteMeasure([[0.0]], [2.0])
-    quad = lebesgue_quadrature(Ball.at_origin(1.0, dim=1), 64)
+@pytest.mark.parametrize("n", [8, 32])
+def test_data_point_vs_uniform_disc(n):
+    # the point's only plan sends every cell to the origin: its W-term is
+    # sum_j pi dr^2 (2j+1) r_j^2 / 2 / pi with r_j = (j + 1/2) dr, dr = 1/n,
+    # which is 1/4 - 1/(8 n^2); mu against its own quadrature costs 0
+    lam = DiscreteMeasure([[0.0, 0.0]], [math.pi])
+    quad = lebesgue_quadrature(Ball.at_origin(1.0), n)
     mu = DiscreteMeasure(quad.points, quad.weights)
-    got = 1.0 ** P2.p * data_D(lam, mu, 1.0, P2, 64)
-    # the W-term is the quantile coupling of a point against the midpoints
-    oracle = monotone_1d(lam, mu.with_mass(2.0), P2).total_cost / 2.0
-    assert got == pytest.approx(oracle, rel=1e-12)
-    assert got == pytest.approx(1.0 / 6.0, abs=2e-4)
+    got = 1.0 ** P2.p * data_D(lam, mu, 1.0, P2, n)
+    assert got == pytest.approx(0.25 - 1.0 / (8 * n * n), rel=1e-12)
 
 
 # ------------------------------------------------------ triangle and friends
@@ -830,14 +863,14 @@ def test_triangle_battery():
 
 
 def test_add_constant_degenerate_and_stable():
-    m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+    m = DiscreteMeasure(on_axis([0.0, 1.0]), [0.5, 0.5])
     assert math.isnan(add_constant_check(m, m, P2))
 
     n, ratios = 40, []
     x = (np.arange(n) + 0.5) / n
     for shift in (0.05, 0.1, 0.2, 0.4):
-        m1 = DiscreteMeasure(x[:, None], np.full(n, 1.0 / n))
-        m2 = DiscreteMeasure((x + shift)[:, None], np.full(n, 1.0 / n))
+        m1 = DiscreteMeasure(on_axis(x), np.full(n, 1.0 / n))
+        m2 = DiscreteMeasure(on_axis(x + shift), np.full(n, 1.0 / n))
         ratios.append(add_constant_check(m1, m2, P2))
     ratios = np.array(ratios)
     assert np.all((1.5 <= ratios) & (ratios <= 2.1))
