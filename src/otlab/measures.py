@@ -27,7 +27,6 @@ __all__ = [
     "BoundaryData",
     "ProjectionCheck",
     "restrict",
-    "kappa",
     "lebesgue_quadrature",
     "radial_project",
     "mollify_boundary",
@@ -187,11 +186,6 @@ def restrict(mu: DiscreteMeasure, ball: Ball) -> DiscreteMeasure:
     """
     keep = ball.contains(mu.points)
     return DiscreteMeasure(mu.points[keep], mu.weights[keep])
-
-
-def kappa(mu: DiscreteMeasure, ball: Ball) -> float:
-    """Mass density mu(O)/|O| of the ball under the measure."""
-    return restrict(mu, ball).total_mass / ball.volume
 
 
 def lebesgue_quadrature(ball: Ball, resolution: int) -> DiscreteMeasure:

@@ -59,11 +59,11 @@ class DiskMesh:
     h : float
         The realized largest element diameter.
 
-    Derived on first use and cached: `centroids`, `lumped_mass`,
-    `boundary_normals`, and the P1 operators `grad` (2t x n; rows 2k and
-    2k + 1 hold triangle k's hat-gradient components, so grad @ phi is the
-    flattened element gradients) and `div` = grad^T diag(areas) (n x 2t),
-    which maps per-triangle covectors f to the loads int f . grad hat_i.
+    Derived on first use and cached: `centroids`, `lumped_mass`, and the
+    P1 operators `grad` (2t x n; rows 2k and 2k + 1 hold triangle k's
+    hat-gradient components, so grad @ phi is the flattened element
+    gradients) and `div` = grad^T diag(areas) (n x 2t), which maps
+    per-triangle covectors f to the loads int f . grad hat_i.
 
     `locate` searches the same triangulation, so its ids index
     `triangles`.  The convex hull of the nodes must be exactly the nodes
@@ -140,15 +140,6 @@ class DiskMesh:
     @functools.cached_property
     def div(self) -> sparse.csr_array:
         return (self.grad.T * np.repeat(self.areas, 2)).tocsr()
-
-    @functools.cached_property
-    def boundary_normals(self) -> np.ndarray:
-        """Outward unit normal of each boundary edge."""
-        a = self.nodes[self.boundary_edges[:, 0]]
-        b = self.nodes[self.boundary_edges[:, 1]]
-        t = b - a
-        n = np.stack([t[:, 1], -t[:, 0]], -1)
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     @functools.cached_property
     def _node_tree(self) -> spatial.cKDTree:

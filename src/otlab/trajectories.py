@@ -33,7 +33,6 @@ __all__ = [
     "linfty_displacement",
     "DisplacementReport",
     "path_integral",
-    "bound2_check",
 ]
 
 # membership tolerance for "the point lies on the sphere"
@@ -51,10 +50,10 @@ class Trajectory:
     mass: float
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        if x.shape != y.shape:
-            raise ValueError("endpoint dimensions differ")
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        if x.shape != (2,) or y.shape != (2,):
+            raise ValueError(f"endpoints must be 2-vectors, got shapes {x.shape} and {y.shape}")
         if not (np.isfinite(x).all() and np.isfinite(y).all() and math.isfinite(self.mass)):
             raise ValueError("endpoints and mass must be finite")
         if self.mass < 0:
@@ -202,9 +201,9 @@ def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
     """
     def one_side(sel: np.ndarray, idx: np.ndarray, composition):
         if len(sel) == 0:
-            # mollified zeros are exactly zeros; moll_scale is checked either way
-            empty = mollify_boundary(BoundaryData(radius, np.zeros(n_theta)), moll_scale)
-            return empty, 0.0, math.nan, 0.0
+            # mollified zeros are exactly zeros; approximate_boundary_data
+            # checks moll_scale, and select_radius's is two bins wide
+            return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan, 0.0
         atom, cell, share, anchored, cells, k4 = composition()
         atoms, masses = idx[sel], plan.masses[sel]
         crossing = np.bincount(atoms, weights=masses, minlength=len(anchored))
@@ -264,6 +263,8 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     if not 0.0 < radius <= _WINDOW:
         raise ValueError(f"radius must lie in (0, {_WINDOW:g}], the B_{_WINDOW:g} window")
     _check_marginals(plan, lam, mu)
+    # refuse a bad moll_scale before any composition LP is posed
+    mollify_boundary(BoundaryData(radius, np.zeros(n_theta)), moll_scale)
     return _boundary_approximation(
         plan, radius, _sphere_crossings(plan, radius), n_theta, moll_scale,
         [functools.partial(_uniform_composition, m, spec, resolution) for m in (lam, mu)])
@@ -341,6 +342,7 @@ class DisplacementReport:
     smallness: float
     exponent: float
     bound_check: float
+    inside_b4: bool
 
 
 def linfty_displacement(plan, spec: CostSpec, resolution: int = 12) -> DisplacementReport:
@@ -350,15 +352,20 @@ def linfty_displacement(plan, spec: CostSpec, resolution: int = 12) -> Displacem
     smallness taken in its volume-only form; the exponent is the
     displacement law's 1/(p+d) in the plane, d = 2.  Stability of
     bound_check across a scaling family is the actual test; a single
-    value is diagnostic only.
+    value is diagnostic only.  inside_b4 is True when every B_3-window
+    trajectory stays inside the closed B_4: |X(t)| is convex along a
+    straight path, so testing both endpoints of every window entry is
+    exact.
     """
     x, y = plan.pairs()
     window = plan.anchored_in(_WINDOW)
     sup_disp = float(np.linalg.norm((x - y)[window], axis=1).max()) if window.any() else 0.0
+    ends = np.concatenate([x[window], y[window]])
+    inside_b4 = bool(np.all(np.linalg.norm(ends, axis=1) <= 4.0))
     small = 4.0 ** spec.p * compute_smallness(plan, spec, (4.0,), resolution).total(4.0)
     expo = 1.0 / (spec.p + 2.0)
     check = sup_disp / small ** expo if small > 0 else (0.0 if sup_disp == 0.0 else math.inf)
-    return DisplacementReport(sup_disp, small, expo, check)
+    return DisplacementReport(sup_disp, small, expo, check, inside_b4)
 
 
 def path_integral(traj: Trajectory, field: Callable[[np.ndarray], np.ndarray],
@@ -377,15 +384,3 @@ def path_integral(traj: Trajectory, field: Callable[[np.ndarray], np.ndarray],
     vals = np.asarray(field(traj.at(t)), dtype=float)
     return float(0.5 * (t1 - t0) * np.sum(_GAUSS_WEIGHTS * vals))
 
-
-def bound2_check(plan) -> bool:
-    """Every B_3-window trajectory stays inside the closed B_4.
-
-    |X(t)| is convex along a straight path, so its maximum over [0, 1]
-    sits at an endpoint: testing both endpoints of every window entry
-    is exact.
-    """
-    window = plan.anchored_in(_WINDOW)
-    x, y = plan.pairs()
-    ends = np.concatenate([x[window], y[window]])
-    return not np.any(np.linalg.norm(ends, axis=1) > 4.0)

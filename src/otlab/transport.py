@@ -12,8 +12,7 @@ On top of the solver sit the quantities steering the linearization
 study: the localized transport energy E(R), the data term D(R)
 comparing each marginal with its own uniform density, a triangle-type
 inequality with an explicit constant, cyclical monotonicity sampling,
-the Benamou-Brenier action in both direct and duality form, and the
-measure-comparison checks used by the lemma suite.
+and the measure-comparison checks used by the lemma suite.
 
 Conventions: couplings are lists of (source index, target index, mass)
 with strictly positive masses; W_c(a, b) denotes the optimal cost; all
@@ -30,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from .costs import CostSpec, _holder_maxima, cost_eval, cost_grad, dual_eval
+from .costs import CostSpec, _holder_maxima, cost_eval
 from .measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "triangle_check",
     "triangle_constant",
     "add_constant_check",
-    "benamou_brenier_action",
     "c2measures_check",
     "localisation_check",
     "data_restriction_check",
@@ -161,10 +159,6 @@ class TransportPlan:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Support points (x_k, y_k) of the plan entries."""
         return self.source.points[self.idx_source], self.target.points[self.idx_target]
-
-    def cost_under(self, spec: CostSpec) -> float:
-        x, y = self.pairs()
-        return float(np.sum(self.masses * cost_eval(spec, x - y)))
 
     def anchored_in(self, radius: float) -> np.ndarray:
         """Entry mask: source or target in the open ball B_radius."""
@@ -649,56 +643,6 @@ def add_constant_check(mu1: DiscreteMeasure, mu2: DiscreteMeasure,
     if den <= 1e-15 and num <= 1e-15:
         return math.nan
     return num / den if den > 0 else math.inf
-
-
-@dataclasses.dataclass(frozen=True)
-class ActionReport:
-    direct: float
-    duality_form: float
-    n_covectors: int
-
-    @property
-    def passed(self) -> bool:
-        return self.duality_form <= self.direct + 1e-9 * (1.0 + abs(self.direct))
-
-
-def benamou_brenier_action(rho_path: Sequence[DiscreteMeasure],
-                           j_path: Sequence[np.ndarray], spec: CostSpec) -> ActionReport:
-    """Action of a discrete density/momentum path, two ways.
-
-    rho_path holds T snapshots; j_path holds the matching per-atom
-    momentum vectors (the flux integrated over each atom's cell).  The
-    direct form integrates c(j/rho) rho over atoms and timesteps with
-    dt = 1/T.  The duality form evaluates
-
-        sup_b  int b . dj - c*(b) drho
-
-    over a finite covector family (gradients of the cost at the mean and
-    the largest observed velocity, plus the origin) and must sit below the
-    direct form, which the report records.
-    """
-    if len(rho_path) != len(j_path) or not rho_path:
-        raise ValueError("need matching, non-empty snapshot lists")
-    dt = 1.0 / len(rho_path)
-    js = [np.asarray(j, dtype=float) for j in j_path]
-    if any(j.shape != rho.points.shape for rho, j in zip(rho_path, js)):
-        raise ValueError("momentum shape must match the snapshot atoms")
-    j = np.concatenate(js)
-    w = np.concatenate([rho.weights for rho in rho_path])
-    massive = w > 0.0
-    if np.any(~massive & (np.linalg.norm(j, axis=1) > 0.0)):
-        raise ValueError("momentum charges an atom with no mass")
-    vel = j[massive] / w[massive, None]
-    direct = dt * float(np.sum(w[massive] * cost_eval(spec, vel)))
-
-    seeds = [np.zeros(j.shape[1])]
-    if len(vel):
-        seeds.append(vel.mean(axis=0))
-        seeds.append(vel[np.argmax(np.linalg.norm(vel, axis=1))])
-    covectors = np.atleast_2d(cost_grad(spec, np.array(seeds)))
-    # the duality form is linear in the path, so the snapshots enter summed
-    values = dt * (covectors @ j.sum(axis=0) - dual_eval(spec, covectors) * w.sum())
-    return ActionReport(direct, float(values.max()), len(covectors))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -26,6 +26,12 @@ def _cost_matrix(lam, mu, spec) -> np.ndarray:
     return np.asarray(cost_eval(spec, lam.points[:, None, :] - mu.points[None, :, :]))
 
 
+def plan_cost(plan, spec) -> float:
+    """Sum over the plan's entries of m c(x - y)."""
+    x, y = plan.pairs()
+    return float(np.sum(plan.masses * cost_eval(spec, x - y)))
+
+
 def brute_force(lam, mu, spec) -> TransportPlan:
     """Exact minimum over all permutations.
 
@@ -130,4 +136,4 @@ def monotone_1d(lam, mu, spec) -> TransportPlan:
         wl[a] -= take
         wm[b] -= take
     plan = TransportPlan(lam, mu, np.array(ii, int), np.array(jj, int), np.array(mm))
-    return dataclasses.replace(plan, total_cost=plan.cost_under(spec))
+    return dataclasses.replace(plan, total_cost=plan_cost(plan, spec))

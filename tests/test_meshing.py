@@ -100,13 +100,13 @@ class TestGeometry:
         assert np.array_equal(m.boundary_edges[:, 1],
                               np.roll(m.boundary_edges[:, 0], -1))
 
-    def test_boundary_normals_outward_unit(self):
+    def test_boundary_walk_has_the_disc_on_its_left(self):
+        # a counterclockwise walk turns its tangent clockwise into the outward normal
         m = build_mesh(2.0, 0.2)
-        n = m.boundary_normals
-        assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-12)
-        mids = 0.5 * (m.nodes[m.boundary_edges[:, 0]] +
-                      m.nodes[m.boundary_edges[:, 1]])
-        assert np.all(np.sum(n * mids, axis=1) > 0.0)
+        a, b = m.nodes[m.boundary_edges[:, 0]], m.nodes[m.boundary_edges[:, 1]]
+        t = b - a
+        outward = np.stack([t[:, 1], -t[:, 0]], -1)
+        assert np.all(np.sum(outward * (a + b), axis=1) > 0.0)
 
     def test_boundary_arcs_close_the_circle(self):
         m = build_mesh(1.0, 0.25)

@@ -619,8 +619,12 @@ class TestFluxField:
             for t, tri in enumerate(mesh.triangles):
                 for k in range(3):
                     owner[frozenset((int(tri[k]), int(tri[(k + 1) % 3])))] = t
+            # outward unit normals: the boundary walk is counterclockwise
+            tang = mesh.nodes[mesh.boundary_edges[:, 1]] - mesh.nodes[mesh.boundary_edges[:, 0]]
+            normals = np.stack([tang[:, 1], -tang[:, 0]], -1)
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             total = 0.0
-            for edge, nrm in zip(mesh.boundary_edges, mesh.boundary_normals):
+            for edge, nrm in zip(mesh.boundary_edges, normals):
                 t = owner[frozenset((int(edge[0]), int(edge[1])))]
                 length = np.linalg.norm(mesh.nodes[edge[1]]
                                         - mesh.nodes[edge[0]])

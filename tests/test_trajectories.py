@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otlab import trajectories
+from otlab import trajectories, transport
 from otlab.costs import CostSpec
 from otlab.measures import (
     Ball,
@@ -28,7 +28,6 @@ from otlab.trajectories import (
     CrossingTimes,
     Trajectory,
     approximate_boundary_data,
-    bound2_check,
     crossing_times,
     entry_exit_atoms,
     linfty_displacement,
@@ -81,6 +80,18 @@ def test_trajectory_must_be_finite(x, y, mass):
     # infinite endpoint warned inside the crossing windows and read None
     with pytest.raises(ValueError, match="must be finite"):
         Trajectory(x, y, mass)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+    (0.0, 1.0),
+    ([[0.0, 0.0]], [[1.0, 1.0]]),
+    ([0.0, 0.0], [1.0, 1.0, 1.0]),
+])
+def test_trajectory_is_planar(x, y):
+    # three-dimensional and scalar endpoints were accepted
+    with pytest.raises(ValueError, match="endpoints must be 2-vectors"):
+        Trajectory(x, y, 1.0)
 
 
 def test_crossing_frozen_examples():
@@ -343,6 +354,27 @@ def test_boundary_data_checks_the_mollifier_without_crossings(moll_scale):
         approximate_boundary_data(plan, lam, mu, P2, 2.5, 16, moll_scale, resolution=8)
 
 
+@pytest.mark.parametrize("moll_scale", [math.nan, -1.0, 1e-6])
+def test_boundary_data_checks_the_mollifier_before_any_lp(monkeypatch, moll_scale):
+    # the scale was refused only after a side's B_4 composition LP
+    rng = np.random.default_rng(5)
+    lam = DiscreteMeasure(rng.uniform(-3.0, 3.0, (40, 2)), np.ones(40))
+    mu = DiscreteMeasure(rng.uniform(-3.0, 3.0, (40, 2)), np.ones(40))
+    plan = solve_exact(lam, mu, P2)
+    assert all(side.total_mass > 0.0 for side in entry_exit_atoms(plan, 2.0))
+    real = transport.solve_exact
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "solve_exact", counted)
+    with pytest.raises(ValueError, match="mollification scale"):
+        approximate_boundary_data(plan, lam, mu, P2, 2.0, 16, moll_scale, resolution=8)
+    assert calls == []
+
+
 # ------------------------------------------------------------ radius scan
 
 def test_select_radius_quiet_ties_to_smallest():
@@ -494,6 +526,20 @@ def test_linfty_ignores_entries_outside_window():
     rep = linfty_displacement(plan, P2, resolution=8)
     assert rep.sup_disp == pytest.approx(0.1, abs=1e-12)
     assert rep.smallness == 4 ** P2.p * compute_smallness(plan, P2, (4.0,), 8).total(4.0)
+    # (3.5, 2) lies outside B_4, but its entry is not in the window
+    assert rep.inside_b4
+
+
+def test_linfty_inside_b4_gate():
+    good = DiscreteMeasure([[2.9, 0.0], [0.0, 0.0]], [1.0, 1.0])
+    good2 = DiscreteMeasure([[2.8, 0.1], [0.1, 0.0]], [1.0, 1.0])
+    assert linfty_displacement(white_box_plan(good, good2), P2, resolution=8).inside_b4
+
+    # the window entry (2.9, 0) -> (5.5, 0) leaves B_4; the second atoms keep
+    # each marginal's mass inside B_4 so that D(4) is defined
+    lam = DiscreteMeasure([[2.9, 0.0], [0.1, 0.0]], [1.0, 1.0])
+    mu = DiscreteMeasure([[5.5, 0.0], [0.2, 0.0]], [1.0, 1.0])
+    assert not linfty_displacement(white_box_plan(lam, mu), P2, resolution=8).inside_b4
 
 
 # ------------------------------------------------------------ line integrals
@@ -510,13 +556,3 @@ def test_path_integral_frozen_values():
         path_integral(seg, lambda P: P[:, 0], 0.7, 0.2)
     with pytest.raises(ValueError):
         path_integral(seg, lambda P: P[:, 0], -0.1, 0.5)
-
-
-def test_bound2_gate():
-    good = DiscreteMeasure([[2.9, 0.0], [0.0, 0.0]], [1.0, 1.0])
-    good2 = DiscreteMeasure([[2.8, 0.1], [0.1, 0.0]], [1.0, 1.0])
-    assert bound2_check(white_box_plan(good, good2))
-
-    lam = DiscreteMeasure([[2.9, 0.0]], [1.0])
-    mu = DiscreteMeasure([[5.5, 0.0]], [1.0])
-    assert not bound2_check(white_box_plan(lam, mu))

@@ -23,14 +23,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from cyclical_oracle import cyclical_violations, popped_tuples
-from lp_oracle import brute_force, dense_solve, monotone_1d
+from lp_oracle import brute_force, dense_solve, monotone_1d, plan_cost
 from otlab import transport
 from otlab.costs import CostSpec, cost_eval
 from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 from otlab.transport import (
     TransportPlan,
     add_constant_check,
-    benamou_brenier_action,
     c2measures_check,
     check_cyclical_monotonicity,
     compute_smallness,
@@ -233,7 +232,7 @@ def assert_matches_oracle(lam, mu, spec):
     got = solve_exact(lam, mu, spec)
     want = dense_solve(lam, mu, spec)
     assert got.total_cost == pytest.approx(want.total_cost, rel=1e-9)
-    assert got.cost_under(spec) == pytest.approx(want.total_cost, rel=1e-9)
+    assert plan_cost(got, spec) == pytest.approx(want.total_cost, rel=1e-9)
     assert got.dual_gap <= 1e-9 * cost_scale(lam, mu, spec)
     return got
 
@@ -788,16 +787,17 @@ def test_smallness_is_covariant_under_dilation(seed, spec, s):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.integers(0, 10 ** 6), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
+@given(st.integers(0, 10 ** 6), st.integers(2, 24), st.integers(2, 24),
+       st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
 @pytest.mark.parametrize("spec", SPECS + [ANISO], ids=lambda s: f"{s.family}-p{s.p}")
-def test_plan_cost_and_energy_are_rotation_invariant(spec, seed, theta, where):
+def test_plan_cost_and_energy_are_rotation_invariant(spec, seed, n, m, theta, where):
     # turning both clouds by Q takes c_A(x - y) to c_{Q A Q^T}(Qx - Qy), so
     # the optimum is unchanged, and each certified plan costs at most
     # 1e-9 * scale * mass above it.  R sits midway between two adjacent
     # atom radii, so rounding in the turn moves no atom across the sphere
     rng = np.random.default_rng(seed)
-    lam = gamma_cloud(rng, 20)
-    mu = gamma_cloud(rng, 24).with_mass(lam.total_mass)
+    lam = gamma_cloud(rng, n)
+    mu = gamma_cloud(rng, m).with_mass(lam.total_mass)
     q = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     turned = spec if spec.matrix is None else \
         CostSpec.anisotropic(spec.p, q @ spec.matrix @ q.T, spec.lambda_cap)
@@ -810,6 +810,29 @@ def test_plan_cost_and_energy_are_rotation_invariant(spec, seed, theta, where):
     r = 0.5 * (radii[k] + radii[k + 1])
     got, want = energy_E(moved, r, turned), energy_E(plan, r, spec)
     assert abs(got - want) <= tol / (math.pi * r ** 2 * r ** spec.p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 24), st.integers(2, 24),
+       st.sampled_from([0.5, 2.0, 3.7]))
+@pytest.mark.parametrize("spec", SPECS + [ANISO], ids=lambda s: f"{s.family}-p{s.p}")
+def test_plan_cost_scales_under_dilation_and_keeps_marginals(spec, seed, n, m, s):
+    # c(s z) = s^p c(z), so dilating both clouds by s scales the optimum by
+    # s^p; each certified plan costs at most 1e-9 * scale * mass above its
+    # LP's optimum.  Row and column sums are the clouds' weights to the
+    # kernel's marginal tolerance
+    rng = np.random.default_rng(seed)
+    lam = gamma_cloud(rng, n)
+    mu = gamma_cloud(rng, m).with_mass(lam.total_mass)
+    grown = [DiscreteMeasure(s * c.points, c.weights) for c in (lam, mu)]
+    plan, dilated = solve_exact(lam, mu, spec), solve_exact(*grown, spec)
+    scale = max(cost_scale(*grown, spec), s ** spec.p * cost_scale(lam, mu, spec))
+    assert abs(dilated.total_cost - s ** spec.p * plan.total_cost) <= 2e-9 * scale * lam.total_mass
+    for got in (plan, dilated):
+        rows = np.bincount(got.idx_source, weights=got.masses, minlength=n)
+        cols = np.bincount(got.idx_target, weights=got.masses, minlength=m)
+        assert np.abs(rows - lam.weights).max() <= 1e-10 * lam.total_mass
+        assert np.abs(cols - mu.weights).max() <= 1e-10 * lam.total_mass
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -887,53 +910,6 @@ def test_add_constant_bounded_family():
     vals = np.array(vals)
     assert np.all(np.isfinite(vals))
     assert vals.max() <= 10 * np.median(vals)
-
-
-# -------------------------------------------------- Benamou-Brenier
-
-def _straight_path(rho0, vel, steps):
-    rhos, js = [], []
-    for k in range(steps + 1):
-        t = k / steps
-        rhos.append(DiscreteMeasure(rho0.points + t * vel, rho0.weights))
-        js.append(rho0.weights[:, None] * vel)
-    return rhos, js
-
-
-def test_bb_zero_momentum_zero_action():
-    rho = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
-    rhos = [rho, rho, rho]
-    js = [np.zeros((2, 2))] * 3
-    rep = benamou_brenier_action(rhos, js, P2)
-    assert rep.direct == 0.0 and rep.passed
-
-
-def test_bb_uniform_constant_velocity():
-    quad = lebesgue_quadrature(Ball.at_origin(1.5), 10)
-    rho = DiscreteMeasure(quad.points, quad.weights)
-    v = np.array([0.4, -0.2])
-    rhos, js = _straight_path(rho, np.tile(v, (rho.n_atoms, 1)), 1)
-    rep = benamou_brenier_action(rhos, js, P2)
-    want = float(cost_eval(P2, v)) * math.pi * 1.5 ** 2
-    assert rep.direct == pytest.approx(want, rel=1e-12)
-    assert rep.duality_form <= rep.direct + 1e-12
-
-
-def test_bb_p2_translation_oracle():
-    rho0 = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.6, 0.4])
-    vel = np.array([[0.3, 0.1], [0.0, 0.2]])
-    rhos, js = _straight_path(rho0, vel, 8)
-    rep = benamou_brenier_action(rhos, js, P2)
-    oracle = 0.6 * np.sum(vel[0] ** 2) / 2 + 0.4 * np.sum(vel[1] ** 2) / 2
-    assert rep.direct == pytest.approx(oracle, rel=1e-12)
-    assert rep.passed
-
-
-def test_bb_momentum_without_mass_rejected():
-    rho = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0])
-    j = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        benamou_brenier_action([rho, rho], [j, j], P2)
 
 
 # -------------------------------------------------- field-vs-measure checks
