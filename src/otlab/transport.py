@@ -7,7 +7,9 @@ grown by pricing rounds (column generation), keeping one HiGHS model per
 LP whose basis warm-starts each round after the round's priced columns
 are added, certifies the result against the full cost matrix, and caches
 recent plans, so an LP posed again (the auxiliary plans onto uniform
-densities, D(4) from several checks) is solved once.
+densities, D(4) from several checks) is solved once.  HiGHS, and with it
+scipy.optimize, is loaded on the first LP, not on import, so code that
+poses no LP (the Neumann layer, the cost checks) never loads it.
 On top of the solver sit the quantities steering the linearization
 study: the localized transport energy E(R), the data term D(R)
 comparing each marginal with its own uniform density, a triangle-type
@@ -27,7 +29,6 @@ import time
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .costs import CostSpec, _holder_maxima, cost_eval
 from .measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
@@ -73,9 +74,10 @@ _SEED_NEIGHBOURS = 12
 _MAX_PRICING_ROUNDS = 100
 
 # HiGHS's incremental interface: columns added to a solved model keep its
-# basis, and the next run starts from it
-_Highs = optimize._highspy._core._Highs
-_OPTIMAL = optimize._highspy._core.HighsModelStatus.kOptimal
+# basis, and the next run starts from it; the model class `_Highs`, its
+# optimal status `_OPTIMAL` and `optimize` itself are bound on the first LP
+# (see `_load_highs`), so importing the package does not load scipy.optimize
+_HIGHS_NAMES = ("optimize", "_Highs", "_OPTIMAL")
 _HIGHS_OPTIONS = {
     "output_flag": False,
     "primal_feasibility_tolerance": 1e-10,
@@ -318,8 +320,29 @@ def _add_columns(model, cmat: np.ndarray, cells: np.ndarray) -> None:
                   starts, index, np.ones(len(index)))
 
 
+def _load_highs() -> None:
+    """Bind scipy.optimize, the HiGHS model class and its optimal status
+    into this module, keeping any of the three already bound (patched)."""
+    from scipy import optimize
+
+    core = optimize._highspy._core
+    names = globals()
+    names.setdefault("optimize", optimize)
+    names.setdefault("_Highs", core._Highs)
+    names.setdefault("_OPTIMAL", core.HighsModelStatus.kOptimal)
+
+
+def __getattr__(name: str):
+    # PEP 562: the HiGHS names resolve for readers before the first LP
+    if name in _HIGHS_NAMES:
+        _load_highs()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _solve_lp(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> tuple:
     """Certified optimum by column generation: (i, j, masses, cost, gap, LPRecord)."""
+    _load_highs()
     t0 = time.perf_counter()
     cmat = _cost_matrix(lam, mu, spec)
     n, m = cmat.shape
@@ -397,7 +420,8 @@ def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> Tr
 
     The LP over the transportation polytope (n + m marginal equalities,
     one dropped for rank) is solved on a sparse support by column
-    generation in one HiGHS model.  The model's rows are the n + m - 1
+    generation in one HiGHS model; the first call in a process imports
+    scipy.optimize for it.  The model's rows are the n + m - 1
     equalities and its columns the support, a sorted list of flat cell
     indices that starts from the 12 cheapest partners of every atom on
     either side plus the north-west-corner staircase, so the restricted

@@ -122,6 +122,17 @@ def rotation(a):
     return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
 
 
+def broadcast_dual_hessian(spec, xi, delta):
+    """The (n, 2, 2) broadcast outer-product form of `_dual_hessian` that
+    its plane-by-plane form replaced, kept as its oracle."""
+    q = spec.p_prime
+    bxi, m = costs._metric(xi, spec.inverse)
+    nr2 = m + delta * delta
+    outer = bxi[:, :, None] * bxi[:, None, :] / nr2[:, None, None]
+    b = np.eye(2) if spec.inverse is None else spec.inverse
+    return (nr2 ** ((q - 2.0) / 2.0))[:, None, None] * (b[None] + (q - 2.0) * outer)
+
+
 @st.composite
 def anisotropic_covectors(draw):
     """An anisotropic cost of random exponent, eigenvalues and eigenbasis,
@@ -205,6 +216,20 @@ class TestOneFormulaPerKernel:
                        for e in np.eye(2)], axis=2)
         H = costs._dual_hessian(spec, xi, 0.0)
         assert max(rel_gap(H[i], fd[i]) for i in range(len(xi))) <= 1e-6
+
+    @given(st.sampled_from(["radial", "scan", "tilted"]), st.floats(1.2, 6.0),
+           st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * math.pi)), max_size=8),
+           st.sampled_from([1e-6, 1e-2]))
+    @settings(max_examples=200, deadline=None)
+    def test_hessian_planes_equal_the_broadcast_form(self, family, p, polar, delta):
+        spec = {"radial": lambda: CostSpec.radial(p, lambda_cap=64.0),
+                "scan": lambda: SCAN_COST,
+                "tilted": lambda: CostSpec.anisotropic(p, [[1.3, 0.2], [0.2, 0.8]], 64.0)}[family]()
+        # the zero covector leads every batch
+        xi = np.array([[0.0, 0.0]] + [[10.0 ** r * math.cos(b), 10.0 ** r * math.sin(b)]
+                                      for r, b in polar])
+        assert np.array_equal(costs._dual_hessian(spec, xi, delta),
+                              broadcast_dual_hessian(spec, xi, delta))
 
     @given(anisotropic_covectors(), st.floats(0.0, 2.0 * math.pi),
            st.sampled_from([0.0, 1e-6, 1e-2]))

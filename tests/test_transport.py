@@ -13,9 +13,13 @@ Frozen reference values, each derivable by hand or by an in-file oracle:
 """
 import dataclasses
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +448,71 @@ def test_failed_solve_is_not_reused(monkeypatch, lp_solves):
     solve_exact(lam, mu, P2)
     assert len(lp_solves) == 3
     assert_matches_oracle(lam, mu, P2)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# a 3 x 3 LP, posed in a fresh interpreter
+FRESH_LP = """
+import numpy as np
+from otlab import CostSpec, DiscreteMeasure, solve_exact
+pts = np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]])
+plan = solve_exact(DiscreteMeasure(pts, np.ones(3)), DiscreteMeasure(pts[::-1] + 0.25, np.ones(3)),
+                   CostSpec.radial(2.0))
+"""
+
+
+def run_fresh(*snippets: str) -> None:
+    """Run the snippets, one after another, in a new interpreter that
+    imports the package from the source tree; their asserts must hold."""
+    code = "\n".join(textwrap.dedent(s) for s in snippets)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_without_lp_does_not_load_scipy_optimize():
+    run_fresh("""
+        import sys
+        import numpy as np
+        import otlab
+        from otlab import BoundaryData, CostSpec, NeumannProblem, build_mesh, solve_neumann
+        mesh = build_mesh(1.0, 0.2)
+        g = BoundaryData(1.0, np.cos(np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)), signed=True)
+        solve_neumann(NeumannProblem(mesh, CostSpec.radial(3.0), g))
+        otlab.verify_assumptions(CostSpec.radial(3.0), 256, 0)
+        assert "scipy.optimize" not in sys.modules
+    """)
+
+
+def test_first_lp_loads_scipy_optimize():
+    run_fresh("import sys", FRESH_LP, "assert 'scipy.optimize' in sys.modules")
+
+
+def test_highs_names_resolve_before_the_first_lp():
+    run_fresh("""
+        import scipy.optimize
+        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+        from otlab import transport
+        assert transport.optimize is scipy.optimize
+        assert transport._Highs is _Highs
+        assert transport._OPTIMAL == HighsModelStatus.kOptimal
+    """)
+
+
+def test_highs_class_set_before_the_first_lp_is_the_one_used():
+    run_fresh("""
+        from scipy.optimize._highspy._core import _Highs
+        from otlab import transport
+        made = []
+
+        class Counted(_Highs):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        transport._Highs = Counted
+    """, FRESH_LP, "assert len(made) == 1 and transport._Highs is Counted")
 
 
 def test_concurrent_callers_get_the_serial_plans(lp_solves):
