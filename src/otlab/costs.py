@@ -283,12 +283,6 @@ class AssumptionReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def result(self, name: str) -> InequalityResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def _sample_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """Log-uniform radii over |z| in [1e-3, 1e3] plus special directions.

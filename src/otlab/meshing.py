@@ -54,8 +54,6 @@ class DiskMesh:
         Each triangle's area and the gradients of its three vertex hat functions.
     boundary_nodes, boundary_angles : (m,) arrays
         The nodes with |x| = R in angular order, and their angles in [0, 2 pi).
-    boundary_edges : (m, 2) int array
-        The counterclockwise walk of those nodes; its first column is `boundary_nodes`.
     h : float
         The realized largest element diameter.
 
@@ -102,11 +100,9 @@ class DiskMesh:
             raise ValueError("the convex hull of the nodes must be exactly the nodes on |x| = R")
         angles = np.mod(np.arctan2(nodes[rim, 1], nodes[rim, 0]), 2.0 * math.pi)
         order = np.argsort(angles)
-        b = rim[order]
         for name, value in (("nodes", nodes), ("triangles", triangles), ("h", h),
                             ("areas", 0.5 * det), ("shape_gradients", grads / det[:, None, None]),
-                            ("boundary_nodes", b), ("boundary_angles", angles[order]),
-                            ("boundary_edges", np.stack([b, np.roll(b, -1)], axis=1)),
+                            ("boundary_nodes", rim[order]), ("boundary_angles", angles[order]),
                             ("_delaunay", tri)):
             object.__setattr__(self, name, value)
 

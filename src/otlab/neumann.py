@@ -116,13 +116,6 @@ class ScalarField:
             raise ValueError("field must integrate to zero over the disk")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def projected(cls, mesh: DiskMesh, values) -> "ScalarField":
-        """Shift a raw nodal vector to its mean-zero representative."""
-        v = np.asarray(values, dtype=float).ravel()
-        m = mesh.lumped_mass
-        return cls(mesh, v - (m @ v) / m.sum())
-
     @functools.cached_property
     def element_gradients(self) -> np.ndarray:
         """Constant gradient per triangle, shape (t, 2)."""
@@ -386,12 +379,15 @@ def _ratio(num: float, den: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class DiagnosticsReport:
-    """Regularity ratios of one solved potential.
+    """Regularity diagnostics of one solved potential.
 
-    Every energy is normalized by the boundary budget int |g|^p ds;
-    mollification holds (r, gap) pairs with gap = int |D phi - D phi^r|^{p'}
-    and fitted_exponent the log-log slope of gap against r (nan when
-    fewer than two positive gaps are available).
+    The fields are raw: energies and sups as integrated, boundary_lp the
+    boundary budget int |g|^p ds.  energy_ratio, gradient_energy over
+    boundary_lp, is the one derived ratio; any other is its raw field
+    over boundary_lp.  mollification holds (r, gap) pairs with
+    gap = int |D phi - D phi^r|^{p'} and fitted_exponent the log-log
+    slope of gap against r (nan when fewer than two positive gaps are
+    available).
     """
 
     p: float
@@ -407,31 +403,13 @@ class DiagnosticsReport:
     def energy_ratio(self) -> float:
         return _ratio(self.gradient_energy, self.boundary_lp)
 
-    @property
-    def dual_energy_ratio(self) -> float:
-        return _ratio(self.dual_cost_energy, self.boundary_lp)
-
-    @property
-    def interior_ratio(self) -> float:
-        return _ratio(self.interior_sup, self.boundary_lp)
-
-    def mollification_ratios(self) -> list:
-        """(r, gap / (r^s budget)) per scale with the fitted s."""
-        s = self.fitted_exponent
-        out = []
-        for r, gap in self.mollification:
-            ratio = _ratio(gap, r ** s * self.boundary_lp) \
-                if math.isfinite(s) else math.nan
-            out.append((r, ratio))
-        return out
-
 
 def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
                            phi_r_pairs: Sequence[Tuple[float, ScalarField]] = ()
                            ) -> DiagnosticsReport:
     """Energy and mollification diagnostics of a solved potential.
 
-    Ratios reported against the boundary budget int |g|^p ds: the dual
+    Reports, next to the boundary budget int |g|^p ds, the dual
     gradient energy int |D phi|^{p'}, the transported cost
     int c(grad c*(D phi)), the sup of |D phi|^{p'} over the ball
     shrunk by 0.5, and one gap per mollified companion field (r, phi_r),

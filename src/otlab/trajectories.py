@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .costs import CostSpec, cost_eval
-from .measures import Ball, BoundaryData, DiscreteMeasure, mollify_boundary, radial_project
+from .measures import (Ball, BoundaryData, DiscreteMeasure, mollify_boundary, radial_project,
+                       restrict)
 from .transport import _plan_to_uniform, _rings_at, compute_smallness, data_D
 
 __all__ = [
@@ -355,15 +356,20 @@ def linfty_displacement(plan, spec: CostSpec, resolution: int = 12) -> Displacem
     value is diagnostic only.  inside_b4 is True when every B_3-window
     trajectory stays inside the closed B_4: |X(t)| is convex along a
     straight path, so testing both endpoints of every window entry is
-    exact.
+    exact.  When a marginal has no mass in the open B_4, D(4) is
+    undefined: the smallness is inf, the kappa -> 0 limit of its
+    (kappa - 1)^p / kappa^{p-1} term, and bound_check is 0.
     """
     x, y = plan.pairs()
     window = plan.anchored_in(_WINDOW)
     sup_disp = float(np.linalg.norm((x - y)[window], axis=1).max()) if window.any() else 0.0
     ends = np.concatenate([x[window], y[window]])
     inside_b4 = bool(np.all(np.linalg.norm(ends, axis=1) <= 4.0))
-    small = 4.0 ** spec.p * compute_smallness(plan, spec, (4.0,), resolution).total(4.0)
     expo = 1.0 / (spec.p + 2.0)
+    b4 = Ball.at_origin(4.0)
+    if min(restrict(plan.source, b4).total_mass, restrict(plan.target, b4).total_mass) <= 0.0:
+        return DisplacementReport(sup_disp, math.inf, expo, 0.0, inside_b4)
+    small = 4.0 ** spec.p * compute_smallness(plan, spec, (4.0,), resolution).total(4.0)
     check = sup_disp / small ** expo if small > 0 else (0.0 if sup_disp == 0.0 else math.inf)
     return DisplacementReport(sup_disp, small, expo, check, inside_b4)
 

@@ -7,7 +7,8 @@ clouds, and `monotone_1d` is the quantile coupling of collinear clouds.
 rounds.  It assembles the marginal equalities over every pair, solves
 them with the same HiGHS call and tolerances, and certifies the result
 with the same dual check, so the kernel's costs and certificates can be
-compared against it.
+compared against it.  `triangle_constant` is the C(eps) of the glued
+triangle-type bound that the suite asserts on exact solves.
 """
 from __future__ import annotations
 
@@ -137,3 +138,22 @@ def monotone_1d(lam, mu, spec) -> TransportPlan:
         wm[b] -= take
     plan = TransportPlan(lam, mu, np.array(ii, int), np.array(jj, int), np.array(mm))
     return dataclasses.replace(plan, total_cost=plan_cost(plan, spec))
+
+
+def triangle_constant(eps: float, p: float) -> float:
+    """Constant C(eps) in W_c(m1,m3) <= (1+eps) W_c(m1,m2) + C(eps) W_c(m2,m3).
+
+    For the p-homogeneous convex costs of the lab the pointwise split
+    c(a+b) = c(t (a/t) + (1-t) (b/(1-t))) <= t^{1-p} c(a) + (1-t)^{1-p} c(b)
+    is exact; choosing t with t^{1-p} = 1 + eps gives
+
+        C(eps) = (1 - (1+eps)^{-1/(p-1)})^{1-p}.
+
+    Gluing the optimal plans of (m1, m2) and (m2, m3) couples (m1, m3),
+    so the bound holds for every triple up to LP rounding: on exact
+    solves it tests that the plans are optimal.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    t = (1.0 + eps) ** (-1.0 / (p - 1.0))
+    return (1.0 - t) ** (1.0 - p)

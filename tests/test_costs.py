@@ -301,6 +301,11 @@ class TestFenchelYoung:
         assert abs(eq_gap) <= 1e-10 * (1.0 + np.linalg.norm(x) ** p)
 
 
+def by_name(rep):
+    """The report's inequality results keyed by name."""
+    return {r.name: r for r in rep.results}
+
+
 class TestAssumptionChecks:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_radial_passes_with_certified_lambda(self, p):
@@ -312,8 +317,9 @@ class TestAssumptionChecks:
         # every primal inequality is an identity at Lambda = 2 when p = 2
         rep = verify_assumptions(CostSpec.radial(2.0, lambda_cap=2.0), 4096, seed=7)
         assert rep.passed
-        assert rep.result("elliptic").worst_constant == pytest.approx(2.0, rel=1e-9)
-        assert rep.result("growth").worst_constant == pytest.approx(2.0, rel=1e-9)
+        results = by_name(rep)
+        assert results["elliptic"].worst_constant == pytest.approx(2.0, rel=1e-9)
+        assert results["growth"].worst_constant == pytest.approx(2.0, rel=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_fewer_samples_than_special_directions(self, n):
@@ -328,7 +334,7 @@ class TestAssumptionChecks:
         rep = verify_assumptions(CostSpec.radial(p, lambda_cap=8.0), 8192, seed=13)
         names = ("elliptic", "growth", "cgrowth", "controlled_growth")
         for name, ref in zip(names, sharp):
-            got = rep.result(name).worst_constant
+            got = by_name(rep)[name].worst_constant
             # sampling sits below the sharp sup but must come close
             assert got <= ref * 1.001
             assert got >= ref * 0.95, (name, got, ref)
@@ -336,14 +342,14 @@ class TestAssumptionChecks:
     @pytest.mark.parametrize("p, cref", sorted(DUAL_CONVEXITY.items()))
     def test_dual_convexity_reference_matches_frozen_oracle(self, p, cref):
         rep = verify_assumptions(CostSpec.radial(p), 2048, seed=5)
-        r = rep.result("pprime_convex")
+        r = by_name(rep)["pprime_convex"]
         assert r.reference == pytest.approx(cref, abs=2e-3)
         assert r.passed
 
     def test_vdiff_constant_is_two(self):
         for p in (1.5, 2.0, 3.0):
             rep = verify_assumptions(CostSpec.radial(p), 2048, seed=5)
-            assert rep.result("vdiff").worst_constant == pytest.approx(2.0, abs=2e-2)
+            assert by_name(rep)["vdiff"].worst_constant == pytest.approx(2.0, abs=2e-2)
 
     def test_anisotropic_example_within_its_eigenvalue_certificate(self):
         spec = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)
@@ -352,7 +358,7 @@ class TestAssumptionChecks:
         # the closed-form conjugate makes the contact equality a real check
         assert rep.fenchel_young_defect < 1e-12
         # worst primal constant is the gradient one, near 8, far below 64
-        assert rep.result("controlled_growth").worst_constant == pytest.approx(8.0, abs=0.1)
+        assert by_name(rep)["controlled_growth"].worst_constant == pytest.approx(8.0, abs=0.1)
 
     def test_degenerate_exponent_is_rejected(self):
         with pytest.raises(ValueError):

@@ -78,10 +78,18 @@ def dense_bordered(mesh, W=None):
     return B
 
 
+def projected(mesh, values):
+    """The mean-zero field of a raw nodal vector: values shifted by their
+    lumped-mass mean."""
+    v = np.asarray(values, dtype=float).ravel()
+    m = mesh.lumped_mass
+    return ScalarField(mesh, v - (m @ v) / m.sum())
+
+
 def harmonic_cubic(mesh):
     """Mean-zero nodal field of x^3 - 3 x y^2 + x y / 2."""
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    return ScalarField.projected(mesh, x ** 3 - 3.0 * x * y ** 2 + 0.5 * x * y)
+    return projected(mesh, x ** 3 - 3.0 * x * y ** 2 + 0.5 * x * y)
 
 
 class CountingSplu:
@@ -165,7 +173,7 @@ class TestNetFlux:
 class TestScalarField:
     def test_identity_equality_and_hash(self):
         mesh = build_mesh(1.0, 0.4)
-        for make in (lambda: ScalarField.projected(mesh, mesh.nodes[:, 0]),
+        for make in (lambda: projected(mesh, mesh.nodes[:, 0]),
                      lambda: NeumannProblem(mesh, CostSpec.radial(3.0), unit_data(1.0))):
             a, b = make(), make()
             assert a == a and a != b and len({a, b}) == 2
@@ -174,7 +182,7 @@ class TestScalarField:
         mesh = build_mesh(1.0, 0.4)
         with pytest.raises(ValueError, match="zero"):
             ScalarField(mesh, np.ones(mesh.n_nodes))
-        phi = ScalarField.projected(mesh, np.ones(mesh.n_nodes))
+        phi = projected(mesh, np.ones(mesh.n_nodes))
         assert np.abs(phi.values).max() < 1e-14
 
     def test_length_and_finiteness_checked(self):
@@ -188,21 +196,20 @@ class TestScalarField:
 
     def test_linear_field_interpolates_exactly(self):
         mesh = build_mesh(1.0, 0.25)
-        phi = ScalarField.projected(mesh, 2.0 * mesh.nodes[:, 0]
-                                    - mesh.nodes[:, 1])
+        phi = projected(mesh, 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1])
         pts = np.array([[0.2, 0.1], [-0.4, 0.3], [0.0, 0.0]])
         assert np.abs(phi.gradient(pts) - np.array([2.0, -1.0])).max() < 1e-10
 
     def test_outside_points_use_nearest_node(self):
         mesh = build_mesh(1.0, 0.3)
-        phi = ScalarField.projected(mesh, mesh.nodes[:, 0] ** 2)
+        phi = projected(mesh, mesh.nodes[:, 0] ** 2)
         far = np.array([[3.0, 0.0]])
         rim = int(mesh.nearest_node(far)[0])
         assert (phi.gradient(far)[0] == phi.nodal_gradients[rim]).all()
 
     def test_nodal_gradients_exact_for_linear(self):
         mesh = build_mesh(1.0, 0.3)
-        phi = ScalarField.projected(mesh, mesh.nodes[:, 0])
+        phi = projected(mesh, mesh.nodes[:, 0])
         assert np.abs(phi.nodal_gradients - np.array([1.0, 0.0])).max() < 1e-10
 
 
@@ -220,7 +227,7 @@ class TestSolveOracles:
             mesh = build_mesh(1.0, h)
             prob = NeumannProblem(mesh, CostSpec.radial(2.0), cos_data(1.0))
             phi = solve_neumann(prob, tol=1e-9)
-            exact = ScalarField.projected(mesh, mesh.nodes[:, 0])
+            exact = projected(mesh, mesh.nodes[:, 0])
             errs.append(float(np.abs(phi.values - exact.values).max()))
         assert errs[0] < 4e-3
         assert 3.0 <= errs[0] / errs[1] <= 5.0
@@ -237,7 +244,7 @@ class TestSolveOracles:
             prob = NeumannProblem(mesh, CostSpec.radial(p), unit_data(1.0))
             phi = solve_neumann(prob, tol=1e-9)
             r = np.linalg.norm(mesh.nodes, axis=1)
-            exact = ScalarField.projected(mesh, r ** p / p)
+            exact = projected(mesh, r ** p / p)
             errs.append(float(np.abs(phi.values - exact.values).max()))
         assert errs[0] < coarse_bound
         assert ratio_lo <= errs[0] / errs[1] <= 5.0
@@ -248,7 +255,7 @@ class TestSolveOracles:
         prob = NeumannProblem(mesh, CostSpec.radial(p), unit_data(R, 1024))
         phi = solve_neumann(prob, tol=1e-9)
         r = np.linalg.norm(mesh.nodes, axis=1)
-        exact = ScalarField.projected(mesh, r ** p / (p * R ** (p - 1.0)))
+        exact = projected(mesh, r ** p / (p * R ** (p - 1.0)))
         assert np.abs(phi.values - exact.values).max() < 8e-3
 
     def test_p2_matches_direct_linear_solve(self):
@@ -583,7 +590,7 @@ class TestFluxField:
 
     def test_p2_flux_is_the_gradient(self):
         mesh = build_mesh(1.0, 0.3)
-        phi = ScalarField.projected(mesh, mesh.nodes[:, 0] ** 2)
+        phi = projected(mesh, mesh.nodes[:, 0] ** 2)
         fl = flux_field(phi, CostSpec.radial(2.0))
         assert np.array_equal(fl, phi.element_gradients)
 
@@ -620,11 +627,13 @@ class TestFluxField:
                 for k in range(3):
                     owner[frozenset((int(tri[k]), int(tri[(k + 1) % 3])))] = t
             # outward unit normals: the boundary walk is counterclockwise
-            tang = mesh.nodes[mesh.boundary_edges[:, 1]] - mesh.nodes[mesh.boundary_edges[:, 0]]
+            b = mesh.boundary_nodes
+            edges = np.stack([b, np.roll(b, -1)], 1)
+            tang = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
             normals = np.stack([tang[:, 1], -tang[:, 0]], -1)
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             total = 0.0
-            for edge, nrm in zip(mesh.boundary_edges, normals):
+            for edge, nrm in zip(edges, normals):
                 t = owner[frozenset((int(edge[0]), int(edge[1])))]
                 length = np.linalg.norm(mesh.nodes[edge[1]]
                                         - mesh.nodes[edge[0]])
@@ -653,9 +662,9 @@ class TestDiagnostics:
         rep = regularity_diagnostics(prob, phi)
         assert 0.99 <= rep.energy_ratio <= 1.01
         # c(D phi) is half |D phi|^2 at p = 2
-        assert math.isclose(rep.dual_energy_ratio, rep.energy_ratio / 2.0,
+        assert math.isclose(rep.dual_cost_energy / rep.boundary_lp, rep.energy_ratio / 2.0,
                             rel_tol=1e-12)
-        assert 0.25 <= rep.interior_ratio <= 0.4
+        assert 0.25 <= rep.interior_sup / rep.boundary_lp <= 0.4
         assert math.isclose(rep.interior_radius, 0.5)
 
     def test_mollification_ladder_fits_positive_exponent(self):
@@ -672,7 +681,9 @@ class TestDiagnostics:
         assert rep.fitted_exponent > 0.5
         assert len(rep.mollification) == 4
         assert all(gap > 0.0 for _, gap in rep.mollification)
-        ratios = [v for _, v in rep.mollification_ratios()]
+        # each gap against the budget at the fitted power of its scale
+        ratios = [gap / (r ** rep.fitted_exponent * rep.boundary_lp)
+                  for r, gap in rep.mollification]
         assert max(ratios) / min(ratios) < 3.0
 
     def test_underdetermined_fit_is_nan(self):
@@ -726,7 +737,7 @@ class TestDiagnostics:
 class TestHolderProduct:
     def test_exactly_linear_field_scores_zero(self):
         mesh = build_mesh(1.0, 0.2)
-        phi = ScalarField.projected(mesh, mesh.nodes[:, 0])
+        phi = projected(mesh, mesh.nodes[:, 0])
         out = holder_product_check(phi, CostSpec.radial(2.0),
                                    Ball.at_origin(0.7))
         assert out == 0.0
@@ -794,7 +805,7 @@ class TestHolderProduct:
         mesh = build_mesh(1.0, 0.025)
         ball = Ball.at_origin(0.75)
         noise = np.random.default_rng(5).normal(size=mesh.n_nodes)
-        for phi in (harmonic_cubic(mesh), ScalarField.projected(mesh, noise)):
+        for phi in (harmonic_cubic(mesh), projected(mesh, noise)):
             tracemalloc.start()
             try:
                 out = holder_product_check(phi, CostSpec.radial(3.0), ball)

@@ -542,6 +542,19 @@ def test_linfty_inside_b4_gate():
     assert not linfty_displacement(white_box_plan(lam, mu), P2, resolution=8).inside_b4
 
 
+@pytest.mark.parametrize("inner, outer", [(0, 1), (1, 0)], ids=["target_out", "source_out"])
+def test_linfty_marginal_without_mass_in_b4(inner, outer):
+    # one marginal is a single atom outside B_4, so D(4) is undefined; the
+    # gate still reads the window entry leaving B_4
+    ends = [DiscreteMeasure([[2.9, 0.0]], [1.0]), DiscreteMeasure([[5.5, 0.0]], [1.0])]
+    plan = solve_exact(ends[inner], ends[outer], P2)
+    rep = linfty_displacement(plan, P2, resolution=8)
+    assert not rep.inside_b4
+    assert rep.sup_disp == pytest.approx(2.6, rel=1e-12)
+    assert rep.smallness == math.inf
+    assert rep.bound_check == 0.0
+
+
 # ------------------------------------------------------------ line integrals
 
 def test_path_integral_frozen_values():

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from cyclical_oracle import cyclical_violations, popped_tuples
-from lp_oracle import brute_force, dense_solve, monotone_1d, plan_cost
+from lp_oracle import brute_force, dense_solve, monotone_1d, plan_cost, triangle_constant
 from otlab import transport
 from otlab.costs import CostSpec, cost_eval
 from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
@@ -43,8 +43,6 @@ from otlab.transport import (
     localisation_check,
     solve_exact,
     transport_cost,
-    triangle_check,
-    triangle_constant,
 )
 
 P2 = CostSpec.radial(2.0)
@@ -932,14 +930,22 @@ def test_triangle_constant_frozen():
         triangle_constant(1.5, 2.0)
 
 
+def glued_bound(m1, m2, m3, eps, spec):
+    """W13, its glued bound (1 + eps) W12 + C(eps) W23, and W12, each W
+    an exact solve."""
+    w12, w23, w13 = (solve_exact(a, b, spec).total_cost
+                     for a, b in ((m1, m2), (m2, m3), (m1, m3)))
+    return w13, (1.0 + eps) * w12 + triangle_constant(eps, spec.p) * w23, w12
+
+
 def test_triangle_trivial_coincidences():
     rng = np.random.default_rng(2)
     m1 = uniform_cloud(rng, 5)
     m3 = uniform_cloud(rng, 5)
-    rep = triangle_check(m1, m1, m3, 0.5, P2)
-    assert rep.passed and rep.w12 == 0.0
-    rep = triangle_check(m1, m3, m3, 0.5, P2)
-    assert rep.passed and rep.lhs <= (1 + 0.5) * rep.w12 + 1e-12
+    w13, rhs, w12 = glued_bound(m1, m1, m3, 0.5, P2)
+    assert w13 <= rhs + 1e-9 and w12 == 0.0
+    w13, rhs, w12 = glued_bound(m1, m3, m3, 0.5, P2)
+    assert w13 <= rhs + 1e-9 and w13 <= (1 + 0.5) * w12 + 1e-12
 
 
 def test_triangle_battery():
@@ -949,8 +955,8 @@ def test_triangle_battery():
         m1, m2, m3 = (uniform_cloud(rng, 3) for _ in range(3))
         spec = SPECS[seed % 3]
         eps = (0.1, 0.5)[seed % 2]
-        rep = triangle_check(m1, m2, m3, eps, spec)
-        failures += not rep.passed
+        w13, rhs, _ = glued_bound(m1, m2, m3, eps, spec)
+        failures += not w13 <= rhs + 1e-9
     assert failures == 0
 
 
@@ -979,6 +985,22 @@ def test_add_constant_bounded_family():
     vals = np.array(vals)
     assert np.all(np.isfinite(vals))
     assert vals.max() <= 10 * np.median(vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 12), st.integers(2, 12),
+       st.sampled_from(SPECS + [ANISO]))
+def test_add_constant_ratio_is_at_least_one(seed, n, m, spec):
+    # the optimal plan of (m1, m2) plus the identity on m2 couples
+    # (m1 + m2, 2 m2) at cost W(m1, m2), so W(m1 + m2, 2 m2) <= W(m1, m2)
+    # up to the two LP certificates
+    rng = np.random.default_rng(seed)
+    m1 = gamma_cloud(rng, n)
+    m2 = gamma_cloud(rng, m).with_mass(m1.total_mass)
+    num = solve_exact(m1, m2, spec).total_cost
+    den = num / add_constant_check(m1, m2, spec)
+    scale = max(cost_scale(m1, m2, spec), cost_scale(m2, m2, spec))
+    assert num >= den - 2e-9 * scale * m1.total_mass
 
 
 # -------------------------------------------------- field-vs-measure checks
