@@ -46,7 +46,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .costs import CostSpec, _dual_hessian, _holder_maxima, cost_eval, dual_eval, dual_grad
+from .costs import CostSpec, _dual_hessian, _holder_maxima, dual_eval, dual_grad
 from .measures import Ball, BoundaryData
 from .meshing import DiskMesh
 
@@ -382,7 +382,9 @@ class DiagnosticsReport:
     """Regularity diagnostics of one solved potential.
 
     The fields are raw: energies and sups as integrated, boundary_lp the
-    boundary budget int |g|^p ds.  energy_ratio, gradient_energy over
+    boundary budget int |g|^p ds.  dual_cost_energy sums c(grad c*(D phi))
+    as (p' - 1) c*(D phi), which Fenchel-Young equality and the
+    p'-homogeneity of c* make equal.  energy_ratio, gradient_energy over
     boundary_lp, is the one derived ratio; any other is its raw field
     over boundary_lp.  mollification holds (r, gap) pairs with
     gap = int |D phi - D phi^r|^{p'} and fitted_exponent the log-log
@@ -427,7 +429,6 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
     q = spec.p_prime
     grads = phi.element_gradients
     gnorm_q = np.linalg.norm(grads, axis=1) ** q
-    flux = dual_grad(spec, grads)
     inner = np.linalg.norm(mesh.centroids, axis=1) <= mesh.R - 0.5
 
     gaps = []
@@ -448,7 +449,7 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
         p=spec.p,
         interior_radius=mesh.R - 0.5,
         gradient_energy=float(mesh.areas @ gnorm_q),
-        dual_cost_energy=float(mesh.areas @ cost_eval(spec, flux)),
+        dual_cost_energy=(q - 1.0) * float(mesh.areas @ dual_eval(spec, grads)),
         interior_sup=float(gnorm_q[inner].max()) if inner.any() else 0.0,
         boundary_lp=prob.g_boundary.lp_mass(spec.p),
         mollification=tuple(gaps),
@@ -459,11 +460,13 @@ def regularity_diagnostics(prob: NeumannProblem, phi: ScalarField,
 def holder_product_check(phi: ScalarField, cost: CostSpec, ball: Ball) -> float:
     """Ratio in the product bound for c*(D phi) + c(grad c*(D phi)).
 
-    Both sides use discrete Hoelder seminorms (beta = 0.5) over the
-    recovered nodal gradients, restricted to mesh nodes inside the
-    ball and to pairs at least 2h apart; below that scale the
-    piecewise-gradient jumps dominate the quotients.  Returns
-    lhs / (sup |D phi|^{p'-1} [D phi]); 0 when both sides vanish.
+    The field is summed as p' c*(D phi): c(grad c*(xi)) = (p' - 1) c*(xi)
+    by Fenchel-Young equality and the p'-homogeneity of c*.  Both sides
+    use discrete Hoelder seminorms (beta = 0.5) over the recovered nodal
+    gradients, restricted to mesh nodes inside the ball and to pairs at
+    least 2h apart; below that scale the piecewise-gradient jumps
+    dominate the quotients.  Returns lhs / (sup |D phi|^{p'-1} [D phi]);
+    0 when both sides vanish.
 
     Both maxima come from `costs._holder_maxima`, an exact grid-cell
     branch and bound with the floats of an all-pairs sweep, in O(k)
@@ -475,7 +478,7 @@ def holder_product_check(phi: ScalarField, cost: CostSpec, ball: Ball) -> float:
         raise ValueError("ball covers fewer than two mesh nodes")
     x = mesh.nodes[sel]
     dg = phi.nodal_gradients[sel]
-    s = (dual_eval(cost, dg) + cost_eval(cost, dual_grad(cost, dg)))[:, None]
+    s = (cost.p_prime * dual_eval(cost, dg))[:, None]
     maxima = _holder_maxima(x, (s, dg), HOLDER_BETA, 2.0 * mesh.h)
     if maxima is None:
         raise ValueError("no node pairs at separation 2h in the ball")

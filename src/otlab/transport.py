@@ -279,25 +279,14 @@ def _identical(lam: DiscreteMeasure, mu: DiscreteMeasure) -> bool:
 def _north_west_corner(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cells of the north-west-corner staircase for marginals a and b.
 
-    The n + m - 1 cells visit every row and column, and the staircase
-    carries a non-negative coupling, so any support holding it keeps
-    the restricted LP feasible.
+    The stable merge of the row ends cumsum(a)[:-1] and the column ends cumsum(b)[:-1],
+    rows first on ties, steps down at a row end and right at a column end.  The
+    n + m - 1 cells visit every row and column and carry the overlaps of the cumulative
+    intervals, a non-negative coupling, so any support holding them keeps the LP feasible.
     """
-    n, m = len(a), len(b)
-    i = j = 0
-    left_a, left_b = a[0], b[0]
-    cells = [(0, 0)]
-    while i < n - 1 or j < m - 1:
-        if j == m - 1 or (i < n - 1 and left_a <= left_b):
-            left_b -= left_a
-            i += 1
-            left_a = a[i]
-        else:
-            left_a -= left_b
-            j += 1
-            left_b = b[j]
-        cells.append((i, j))
-    return tuple(np.array(cells).T)
+    ends = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+    down = np.argsort(ends, kind="stable") < len(a) - 1
+    return np.cumsum(np.r_[0, down]), np.cumsum(np.r_[0, ~down])
 
 
 def _add_columns(model, cmat: np.ndarray, cells: np.ndarray) -> None:

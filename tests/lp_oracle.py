@@ -9,6 +9,8 @@ them with the same HiGHS call and tolerances, and certifies the result
 with the same dual check, so the kernel's costs and certificates can be
 compared against it.  `triangle_constant` is the C(eps) of the glued
 triangle-type bound that the suite asserts on exact solves.
+`north_west_corner_loop` is the running-remainder walk that the LP
+seed's staircase (`transport._north_west_corner`) replaced by a merge.
 """
 from __future__ import annotations
 
@@ -157,3 +159,27 @@ def triangle_constant(eps: float, p: float) -> float:
         raise ValueError("eps must lie in (0, 1)")
     t = (1.0 + eps) ** (-1.0 / (p - 1.0))
     return (1.0 - t) ** (1.0 - p)
+
+
+def north_west_corner_loop(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of the north-west-corner staircase by running remainders.
+
+    From (0, 0), step down while the row's remainder is at most the
+    column's (or the last column is reached), else right; the step
+    subtracts the smaller remainder from the larger.
+    """
+    n, m = len(a), len(b)
+    i = j = 0
+    left_a, left_b = a[0], b[0]
+    cells = [(0, 0)]
+    while i < n - 1 or j < m - 1:
+        if j == m - 1 or (i < n - 1 and left_a <= left_b):
+            left_b -= left_a
+            i += 1
+            left_a = a[i]
+        else:
+            left_a -= left_b
+            j += 1
+            left_b = b[j]
+        cells.append((i, j))
+    return tuple(np.array(cells).T)

@@ -185,6 +185,16 @@ class TestAnisotropicConjugate:
         assert np.linalg.norm(fd - g) <= 1e-7 * np.linalg.norm(g)
 
 
+def family_spec(family, p):
+    """The radial cost at exponent p, the scan cost, or the tilted anisotropic
+    cost at exponent p; lambda_caps are explicit, so no grid sweep runs."""
+    if family == "radial":
+        return CostSpec.radial(p, lambda_cap=64.0)
+    if family == "scan":
+        return SCAN_COST
+    return CostSpec.anisotropic(p, [[1.3, 0.2], [0.2, 0.8]], 64.0)
+
+
 def rel_gap(got, want):
     return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
 
@@ -222,9 +232,7 @@ class TestOneFormulaPerKernel:
            st.sampled_from([1e-6, 1e-2]))
     @settings(max_examples=200, deadline=None)
     def test_hessian_planes_equal_the_broadcast_form(self, family, p, polar, delta):
-        spec = {"radial": lambda: CostSpec.radial(p, lambda_cap=64.0),
-                "scan": lambda: SCAN_COST,
-                "tilted": lambda: CostSpec.anisotropic(p, [[1.3, 0.2], [0.2, 0.8]], 64.0)}[family]()
+        spec = family_spec(family, p)
         # the zero covector leads every batch
         xi = np.array([[0.0, 0.0]] + [[10.0 ** r * math.cos(b), 10.0 ** r * math.sin(b)]
                                       for r, b in polar])
@@ -299,6 +307,20 @@ class TestFenchelYoung:
         contact = cost_grad(s, x)
         eq_gap = cost_eval(s, x) + dual_eval(s, contact) - np.dot(contact, x)
         assert abs(eq_gap) <= 1e-10 * (1.0 + np.linalg.norm(x) ** p)
+
+    @given(st.sampled_from(["radial", "scan", "tilted"]), st.floats(1.2, 6.0),
+           st.one_of(st.none(), st.floats(-3.0, 3.0)), st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=200, deadline=None)
+    @example("radial", 6.0, None, 0.0)
+    def test_cost_of_the_dual_gradient_is_a_multiple_of_the_conjugate(self, family, p, log_r,
+                                                                       angle):
+        # equality in Fenchel-Young at x = grad c*(xi), with the p'-homogeneity
+        # of c*, gives c(grad c*(xi)) = <xi, grad c*(xi)> - c*(xi) = (p' - 1) c*(xi)
+        spec = family_spec(family, p)
+        r = 0.0 if log_r is None else 10.0 ** log_r
+        xi = r * vec(math.cos(angle), math.sin(angle))
+        want = (spec.p_prime - 1.0) * dual_eval(spec, xi)
+        assert abs(cost_eval(spec, dual_grad(spec, xi)) - want) <= 1e-13 * want
 
 
 def by_name(rep):

@@ -106,6 +106,22 @@ class TestGeometry:
         edges = boundary_edges(m)
         assert np.array_equal(edges[:, 1], np.roll(edges[:, 0], -1))
 
+    @pytest.mark.parametrize("R, h, permuted", [(1.0, 0.25, False), (1.0, 0.1, False),
+                                                (2.5, 0.08, False), (1.0, 0.05, False),
+                                                (1.0, 0.1, True)])
+    def test_boundary_walk_steps_along_mesh_edges(self, R, h, permuted):
+        # each consecutive pair of boundary nodes, wrapping around, is an edge
+        # of exactly one triangle: the walk follows the mesh's boundary edges
+        m = build_mesh(R, h)
+        if permuted:
+            m = DiskMesh(R, m.nodes[np.random.default_rng(5).permutation(m.n_nodes)])
+        t = np.sort(m.triangles, axis=1)
+        sides, owners = np.unique(np.concatenate([t[:, [0, 1]], t[:, [0, 2]], t[:, [1, 2]]]),
+                                  axis=0, return_counts=True)
+        owners = dict(zip(map(tuple, sides.tolist()), owners.tolist()))
+        walk = np.sort(boundary_edges(m), axis=1)
+        assert [owners.get(tuple(e), 0) for e in walk.tolist()] == [1] * len(walk)
+
     def test_boundary_walk_has_the_disc_on_its_left(self):
         # a counterclockwise walk turns its tangent clockwise into the outward normal
         m = build_mesh(2.0, 0.2)

@@ -26,8 +26,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
+import known_maps
 from cyclical_oracle import cyclical_violations, popped_tuples
-from lp_oracle import brute_force, dense_solve, monotone_1d, plan_cost, triangle_constant
+from lp_oracle import (
+    brute_force,
+    dense_solve,
+    monotone_1d,
+    north_west_corner_loop,
+    plan_cost,
+    triangle_constant,
+)
 from otlab import transport
 from otlab.costs import CostSpec, cost_eval
 from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
@@ -281,6 +289,31 @@ def test_solve_exact_matches_dense_oracle_on_degenerate_quadratures():
     local = restrict(mu, ball)
     target = lebesgue_quadrature(ball, 5).with_mass(local.total_mass)
     assert_matches_oracle(local, target, P2)
+
+
+def assert_identity_plan(lam, mu, spec):
+    """solve_exact returns exactly the diagonal entries, with the atoms'
+    masses up to the LP's rounding, at the identity's cost."""
+    plan = solve_exact(lam, mu, spec)
+    order = np.argsort(plan.idx_source)
+    assert np.array_equal(plan.idx_source[order], np.arange(lam.n_atoms))
+    assert np.array_equal(plan.idx_target[order], np.arange(lam.n_atoms))
+    assert np.abs(plan.masses[order] - lam.weights).max() <= 1e-12 * lam.total_mass
+    tol = 2e-9 * cost_scale(lam, mu, spec) * lam.total_mass
+    assert abs(plan.total_cost - known_maps.identity_cost(lam, mu, spec)) <= tol
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("spec", SPECS + [ANISO],
+                         ids=lambda s: f"{s.family}-p{s.p:g}")
+def test_translation_is_solved_by_the_identity(seed, spec):
+    assert_identity_plan(*known_maps.translation(seed), spec)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("eps", [0.02, 0.005])
+def test_convex_gradient_map_is_solved_by_the_identity_at_p2(seed, eps):
+    assert_identity_plan(*known_maps.cubic_p2(seed, eps), P2)
 
 
 def test_pricing_round_limit_raises(monkeypatch):
@@ -646,6 +679,47 @@ def test_kernel_holds_one_cost_matrix():
     lam = gamma_cloud(rng, n)
     mu = gamma_cloud(rng, n).with_mass(lam.total_mass)
     assert traced_peak(lambda: transport._solve_lp(lam, mu, ANISO)) <= 1.25 * 8 * n * n + 1e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12),
+       st.lists(st.integers(0, 6), min_size=1, max_size=12))
+def test_staircase_equals_the_loop_on_integer_weights(a, b):
+    # integer masses tie exactly, so the merge and the running remainders agree
+    a, b = np.array(a, float), np.array(b, float)
+    gap = a.sum() - b.sum()
+    if gap > 0:
+        b[-1] += gap
+    else:
+        a[-1] -= gap
+    merged, walked = transport._north_west_corner(a, b), north_west_corner_loop(a, b)
+    for got, want in zip(merged, walked):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 30), st.integers(1, 30), st.booleans())
+def test_staircase_carries_the_north_west_coupling(seed, n, m, equal):
+    # float near-ties may order the steps differently from the loop, so the
+    # staircase is held to what the seed needs: a monotone path from corner to
+    # corner whose cumulative-interval overlaps couple the two marginals
+    rng = np.random.default_rng(seed)
+    if equal:
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    else:
+        a, b = rng.gamma(2.0, size=n), rng.gamma(2.0, size=m)
+        b *= a.sum() / b.sum()
+    i, j = transport._north_west_corner(a, b)
+    assert len(i) == n + m - 1
+    assert (i[0], j[0], i[-1], j[-1]) == (0, 0, n - 1, m - 1)
+    di, dj = np.diff(i), np.diff(j)
+    assert np.all((di >= 0) & (dj >= 0) & (di + dj == 1))
+    ca, cb = np.r_[0.0, np.cumsum(a)], np.r_[0.0, np.cumsum(b)]
+    overlap = np.minimum(ca[i + 1], cb[j + 1]) - np.maximum(ca[i], cb[j])
+    mass = a.sum()
+    assert overlap.min() >= -1e-12 * mass
+    assert np.abs(np.bincount(i, weights=overlap, minlength=n) - a).max() <= 1e-12 * mass
+    assert np.abs(np.bincount(j, weights=overlap, minlength=m) - b).max() <= 1e-12 * mass
 
 
 # --------------------------------------------- cyclical monotonicity
