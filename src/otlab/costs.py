@@ -614,19 +614,13 @@ def _grid_sup(spec: CostSpec, which: str) -> float:
 
 
 @functools.cache
-def _vdiff(p: float) -> float:
-    """Grid estimate of the V-difference constant, which reads p alone."""
-    return _grid_sup(CostSpec(p), "vdiff")
-
-
-@functools.cache
 def _grid_constant(spec: CostSpec, which: str) -> float:
     """Deterministic coarse-grid estimate of a structural constant, for the
     certified defaults and verify_assumptions' references: the inequality's
     definition in ``_INEQUALITIES`` on the tuples of ``_grid_tuples``.
-    ``vdiff`` is shared per p through ``_vdiff``."""
-    if which == "vdiff":
-        return _vdiff(spec.p)
+    ``vdiff`` reads p alone: every spec of one p shares ``CostSpec(p)``'s entry."""
+    if which == "vdiff" and spec != CostSpec(spec.p):
+        return _grid_constant(CostSpec(spec.p), which)
     sup = _grid_sup(spec, which)
     # p'-convexity's constant is the inf of the reciprocal quotient
     return 1.0 / sup if which == "pprime_convex" else sup

@@ -137,18 +137,10 @@ class DiskMesh:
     def div(self) -> sparse.csr_array:
         return (self.grad.T * np.repeat(self.areas, 2)).tocsr()
 
-    @functools.cached_property
-    def _node_tree(self) -> spatial.cKDTree:
-        return spatial.cKDTree(self.nodes)
-
     def locate(self, points) -> np.ndarray:
         """Index of the triangle containing each point, -1 outside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self._delaunay.find_simplex(pts)
-
-    def nearest_node(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._node_tree.query(pts)[1]
 
 
 def build_mesh(R: float, target_h: float) -> DiskMesh:

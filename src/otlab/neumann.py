@@ -69,6 +69,8 @@ _PCG_CAP = 20
 _ETA_MAX = 0.1
 # Hoelder exponent fixed for all seminorm diagnostics
 HOLDER_BETA = 0.5
+# point-node pairs per block of the off-mesh nearest-node search (2 MB of temporaries)
+_NEAREST_PAIRS = 1 << 16
 _Apply = Callable[[np.ndarray], np.ndarray]
 
 
@@ -132,15 +134,20 @@ class ScalarField:
         return sums[:, :2] / sums[:, 2:]
 
     def gradient(self, points) -> np.ndarray:
-        """Element gradient at each point; nearest recovered nodal
-        gradient for points the mesh does not cover."""
+        """Element gradient at each point.  A point the mesh does not
+        cover takes the recovered nodal gradient of its nearest node by
+        Euclidean distance, the lowest index on ties."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         sidx = self.mesh.locate(pts)
         out = np.empty((len(pts), 2))
         inside = sidx >= 0
         out[inside] = self.element_gradients[sidx[inside]]
-        if (~inside).any():
-            out[~inside] = self.nodal_gradients[self.mesh.nearest_node(pts[~inside])]
+        off, nodes = np.flatnonzero(~inside), self.mesh.nodes
+        step = max(1, _NEAREST_PAIRS // len(nodes))
+        for k in range(0, len(off), step):
+            rows = off[k:k + step]
+            dx, dy = (pts[rows, c, None] - nodes[:, c] for c in (0, 1))
+            out[rows] = self.nodal_gradients[np.argmin(dx * dx + dy * dy, axis=1)]
         return out
 
 

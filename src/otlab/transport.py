@@ -38,7 +38,6 @@ __all__ = [
     "TransportPlan",
     "SmallnessReport",
     "solve_exact",
-    "transport_cost",
     "check_cyclical_monotonicity",
     "energy_E",
     "data_D",
@@ -466,11 +465,6 @@ def solve_exact(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> Tr
                          dual_gap=gap, lp=record)
 
 
-def transport_cost(lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpec) -> float:
-    """W_c(lam, mu), the optimal transport cost."""
-    return solve_exact(lam, mu, spec).total_cost
-
-
 def _draw_tuples(k: int, n_tuple: int, trials: int, seed: int) -> np.ndarray:
     """`trials` rows of n_tuple distinct indices in [0, k), each a uniform ordered draw.
 
@@ -608,11 +602,11 @@ def add_constant_check(mu1: DiscreteMeasure, mu2: DiscreteMeasure,
     on m2 couples (m1 + m2, 2 m2) at cost W_c(m1, m2), so the ratio is
     at least 1 and only its upper bound carries content.
     """
-    num = transport_cost(mu1, mu2, spec)
+    num = solve_exact(mu1, mu2, spec).total_cost
     summed = DiscreteMeasure(np.concatenate([mu1.points, mu2.points]),
                              np.concatenate([mu1.weights, mu2.weights]))
     doubled = DiscreteMeasure(mu2.points, 2.0 * mu2.weights)
-    den = transport_cost(summed, doubled, spec)
+    den = solve_exact(summed, doubled, spec).total_cost
     if den <= 1e-15 and num <= 1e-15:
         return math.nan
     return num / den if den > 0 else math.inf
@@ -707,7 +701,7 @@ def localisation_check(plan: TransportPlan, radius: float, spec: CostSpec,
                               np.concatenate([lam_in.weights, f_r.weights]))
     mu_aug = DiscreteMeasure(np.concatenate([mu_in.points, g_r.points]),
                              np.concatenate([mu_in.weights, g_r.weights]))
-    w_loc = transport_cost(lam_aug, mu_aug, spec)
+    w_loc = solve_exact(lam_aug, mu_aug, spec).total_cost
 
     small = 4.0 ** spec.p * compute_smallness(plan, spec, (4.0,), resolution).total(4.0)
     rhs = (1.0 + delta) * w_loc + tau * small
@@ -727,12 +721,11 @@ class DataRestrictionReport:
 
 
 def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
-                           radii: Optional[Sequence[float]] = None,
-                           resolution: int = 12) -> DataRestrictionReport:
+                           radii: Sequence[float], resolution: int = 12) -> DataRestrictionReport:
     """Trapezoid estimate of the restricted-data integral against D(4).
 
     Approximates int_2^3 [ W_c(mu on B_R, kappa dx on B_R)
-    + (kappa - 1)^p / kappa ] dR on an 11-point grid and returns its
+    + (kappa - 1)^p / kappa ] dR over the given radii and returns its
     ratio to 4^p times the mu half of D(4).  The integrand
     is piecewise smooth in R away from finitely many radii where atoms
     cross the boundary, which the trapezoid rule tolerates.
@@ -740,8 +733,6 @@ def data_restriction_check(mu: DiscreteMeasure, spec: CostSpec,
     `resolution` counts quadrature rings at radius 4 and is rescaled
     per scan radius by `_rings_at`, unlike `data_D`'s (see there).
     """
-    if radii is None:
-        radii = np.linspace(2.0, 3.0, 11)
     radii = np.unique(np.asarray(radii, dtype=float))
     if len(radii) < 2:
         raise ValueError("need at least 2 distinct scan radii")

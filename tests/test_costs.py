@@ -328,6 +328,15 @@ def by_name(rep):
     return {r.name: r for r in rep.results}
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: cost_eval(CostSpec.radial(2.0), [math.nan, 0.0]), "non-finite input"),
+    (lambda: verify_assumptions(CostSpec.radial(2.0), 0, 0), "sample_count must be >= 1"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestAssumptionChecks:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_radial_passes_with_certified_lambda(self, p):
@@ -538,7 +547,6 @@ class TestGridConstants:
     @pytest.fixture(autouse=True)
     def cold_cache(self):
         costs._grid_constant.cache_clear()
-        costs._vdiff.cache_clear()
 
     @pytest.mark.parametrize("which", GRID_KINDS)
     @pytest.mark.parametrize("name", list(GRID_SPECS))

@@ -261,6 +261,21 @@ class TestProjectionEstimate:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: DiscreteMeasure([[0.0, 0.0]], [math.inf]), "non-finite data"),
+        (lambda: DiscreteMeasure([[1.0, 0.0]], [0.0]).with_mass(1.0),
+         "cannot renormalize a zero measure"),
+        (lambda: BoundaryData(1.0, [1.0, math.nan]), "bin masses must be finite"),
+        (lambda: BoundaryData(1.0, []), "need at least one angular bin"),
+        (lambda: radial_project(DiscreteMeasure([[1.0, 0.0]], [1.0]), 1.0, 0),
+         "need at least one angular bin"),
+        (lambda: projection_lemma_check(DiscreteMeasure([[1.0, 0.0]], [1.0]), 1.0, 16, p=1.0),
+         r"exponent must satisfy p > 1"),
+    ])
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMeasure([[0.0, 0.0]], [-1.0])

@@ -208,10 +208,6 @@ class TestPointLocation:
         m = build_mesh(1.0, 0.3)
         assert m.locate([[2.0, 0.0]])[0] == -1
 
-    def test_nearest_node_on_a_node(self):
-        m = build_mesh(1.0, 0.3)
-        assert m.nearest_node(m.nodes[5:6])[0] == 5
-
 
 class TestValidation:
     def test_mesh_is_an_identity_dict_key(self):

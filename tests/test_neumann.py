@@ -204,7 +204,7 @@ class TestScalarField:
         mesh = build_mesh(1.0, 0.3)
         phi = projected(mesh, mesh.nodes[:, 0] ** 2)
         far = np.array([[3.0, 0.0]])
-        rim = int(mesh.nearest_node(far)[0])
+        rim = int(np.argmin(np.linalg.norm(mesh.nodes - far, axis=1)))
         assert (phi.gradient(far)[0] == phi.nodal_gradients[rim]).all()
 
     def test_nodal_gradients_exact_for_linear(self):
@@ -721,6 +721,13 @@ class TestDiagnostics:
         twin = ScalarField(copy, phi.values)
         rep = regularity_diagnostics(prob, twin, [(0.1, phi)])
         assert rep.mollification == ((0.1, 0.0),)
+
+    def test_radius_at_most_the_interior_margin_rejected(self):
+        mesh = build_mesh(0.5, 0.1)
+        prob = NeumannProblem(mesh, CostSpec.radial(2.0), cos_data(0.5, 64))
+        phi = ScalarField(mesh, np.zeros(mesh.n_nodes))
+        with pytest.raises(ValueError, match=r"interior diagnostics need R > 0\.5"):
+            regularity_diagnostics(prob, phi)
 
     def test_nonpositive_companion_scale_rejected(self):
         mesh = build_mesh(1.0, 0.3)

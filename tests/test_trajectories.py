@@ -94,6 +94,15 @@ def test_trajectory_is_planar(x, y):
         Trajectory(x, y, 1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Trajectory([0.0, 0.0], [1.0, 0.0], -1.0), "mass must be non-negative"),
+    (lambda: CrossingTimes(0.6, 0.4), "need 0 <= sigma <= tau <= 1"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_crossing_frozen_examples():
     ct = crossing_times(Trajectory([3.0, 0.0], [0.0, 0.0], 1.0), 2.0)
     assert ct.sigma == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -294,8 +303,38 @@ def test_boundary_density_within_cap():
     mu = DiscreteMeasure(pts + disp, lam.weights)
     plan = solve_exact(lam, mu, P2)
     rep = approximate_boundary_data(plan, lam, mu, P2, 2.5, 48, 0.3, resolution=12)
-    assert rep.f_density_sup <= rep.kappa_lambda * 1.05 + 1e-12
-    assert rep.g_density_sup <= rep.kappa_mu * 1.05 + 1e-12
+    assert rep.f_density_sup <= rep.kappa_lambda * (1.0 + 1e-9)
+    assert rep.g_density_sup <= rep.kappa_mu * (1.0 + 1e-9)
+
+
+def gamma_disk_cloud(rng, n):
+    """n gamma-weighted atoms, uniform on B_4, of total mass 16 pi."""
+    r = 4.0 * np.sqrt(rng.uniform(0.0, 1.0, n))
+    th = rng.uniform(0.0, 2.0 * math.pi, n)
+    w = rng.gamma(2.0, size=n)
+    return DiscreteMeasure(np.stack([r * np.cos(th), r * np.sin(th)], 1),
+                           w * 16.0 * math.pi / w.sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(20, 80), st.integers(20, 80),
+       st.sampled_from([CostSpec.radial(1.5), P2, CostSpec.radial(3.0),
+                        CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)]),
+       st.floats(1.5, 3.0))
+def test_composed_boundary_density_is_at_most_kappa(seed, n, m, spec, radius):
+    # a crossing atom hands on at most its plan mass, split by the row of
+    # the auxiliary plan onto kappa dx, so no cell receives more than its
+    # target mass kappa |cell|: the bound needs no headroom
+    rng = np.random.default_rng(seed)
+    lam = gamma_disk_cloud(rng, n)
+    mu = gamma_disk_cloud(rng, m)
+    plan = solve_exact(lam, mu, spec)
+    rep = approximate_boundary_data(plan, lam, mu, spec, radius, 32, 0.4, resolution=6)
+    for sup, kappa, dropped in ((rep.f_density_sup, rep.kappa_lambda, rep.f_dropped),
+                                (rep.g_density_sup, rep.kappa_mu, rep.g_dropped)):
+        assert dropped >= 0.0
+        # a side without crossing entries composes nothing: sup 0, kappa nan
+        assert sup == 0.0 if math.isnan(kappa) else sup <= kappa * (1.0 + 1e-9)
 
 
 def test_boundary_data_reports_mass_anchored_outside_b4():

@@ -40,6 +40,7 @@ from otlab import transport
 from otlab.costs import CostSpec, cost_eval
 from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 from otlab.transport import (
+    SmallnessReport,
     TransportPlan,
     add_constant_check,
     c2measures_check,
@@ -50,7 +51,6 @@ from otlab.transport import (
     energy_E,
     localisation_check,
     solve_exact,
-    transport_cost,
 )
 
 P2 = CostSpec.radial(2.0)
@@ -481,6 +481,63 @@ def test_failed_solve_is_not_reused(monkeypatch, lp_solves):
     assert_matches_oracle(lam, mu, P2)
 
 
+def test_optimality_certificate_refuses_a_shifted_dual(monkeypatch, lp_solves):
+    # row 0's dual lowered by 1e-6 of the cost scale prices no new cell
+    # in, and leaves a slack on each of row 0's carried cells that the
+    # certificate's 1e-9 of the scale must catch (the clean gap is ~1e-16)
+    rng = np.random.default_rng(3)
+    lam = gamma_cloud(rng, 30)
+    mu = gamma_cloud(rng, 40).with_mass(lam.total_mass)
+    scale = float(cost_eval(P2, lam.points[:, None] - mu.points[None]).max())
+
+    class Shifted(transport._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            dual = np.array(solution.row_dual)
+            dual[0] -= 1e-6 * scale
+            solution.row_dual = dual
+            return solution
+
+    monkeypatch.setattr(transport, "_Highs", Shifted)
+    with pytest.raises(ArithmeticError, match="optimality certificate failed"):
+        solve_exact(lam, mu, P2)
+
+
+def _two_atoms():
+    return DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TransportPlan(_two_atoms(), _two_atoms(), [0, 1], [0], [0.5, 0.5]),
+     "entry arrays must be parallel"),
+    (lambda: TransportPlan(_two_atoms(), _two_atoms(), [0, 1], [0, 1], [0.5, 0.0]),
+     "entry masses must be strictly positive"),
+    (lambda: TransportPlan(_two_atoms(), _two_atoms(), [0, 1], [0, 0], [0.5, 0.5]),
+     "target marginal violated"),
+    (lambda: SmallnessReport({2.0: -1.0}, {}), "smallness quantities are non-negative"),
+    (lambda: solve_exact(DiscreteMeasure([[0.0, 0.0]], [0.0]),
+                         DiscreteMeasure([[1.0, 0.0]], [0.0]), P2),
+     "measures must have positive mass"),
+    (lambda: check_cyclical_monotonicity(solve_exact(_two_atoms(), _two_atoms(), P2), P2,
+                                         1, 10, 0), "tuple size must be between 2 and 6"),
+    (lambda: check_cyclical_monotonicity(solve_exact(_two_atoms(), _two_atoms(), P2), P2,
+                                         7, 10, 0), "tuple size must be between 2 and 6"),
+    (lambda: energy_E(solve_exact(_two_atoms(), _two_atoms(), P2), 0.0, P2),
+     "radius must be positive"),
+    (lambda: c2measures_check(lambda P: P[:, 0], 0.0, _two_atoms(), 2.0, P2, 8),
+     r"alpha must lie in \(0, 1\]"),
+    (lambda: c2measures_check(lambda P: P[:, 0], 1.5, _two_atoms(), 2.0, P2, 8),
+     r"alpha must lie in \(0, 1\]"),
+    (lambda: data_restriction_check(_two_atoms(), P2, [1.5, 2.5], resolution=8),
+     r"scan radii must stay within \[2, 3\]"),
+    (lambda: data_restriction_check(_two_atoms(), P2, [2.5, 3.5], resolution=8),
+     r"scan radii must stay within \[2, 3\]"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 # a 3 x 3 LP, posed in a fresh interpreter
 FRESH_LP = """
@@ -843,8 +900,8 @@ def test_wc_symmetry():
     for spec in SPECS:
         lam = uniform_cloud(rng, 8)
         mu = uniform_cloud(rng, 8)
-        assert transport_cost(lam, mu, spec) == pytest.approx(
-            transport_cost(mu, lam, spec), abs=1e-10)
+        assert solve_exact(lam, mu, spec).total_cost == pytest.approx(
+            solve_exact(mu, lam, spec).total_cost, abs=1e-10)
 
 
 def test_data_self_quadrature_is_zero():
@@ -1194,7 +1251,7 @@ def test_data_restriction_cloud_finite():
     pts = rng.uniform(-3.9, 3.9, size=(120, 2))
     pts = pts[np.linalg.norm(pts, axis=1) < 3.95]
     mu = DiscreteMeasure(pts, np.full(len(pts), 16 * math.pi / len(pts)))
-    rep = data_restriction_check(mu, P2, resolution=8)
+    rep = data_restriction_check(mu, P2, np.linspace(2.0, 3.0, 11), resolution=8)
     assert not rep.degenerate
     assert np.isfinite(rep.ratio) and rep.passed
     assert rep.ratio <= 60.0
