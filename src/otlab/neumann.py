@@ -46,7 +46,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .costs import CostSpec, _dual_hessian, _holder_maxima, dual_eval, dual_grad
+from .costs import CostSpec, _dual_hessian, _holder_maxima, cost_grad, dual_eval, dual_grad
 from .measures import Ball, BoundaryData
 from .meshing import DiskMesh
 
@@ -272,10 +272,10 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
                   max_iter: int = 100_000) -> ScalarField:
     """Minimize the dual functional; see the module docstring.
 
-    Starts from s phi_2, phi_2 the p = 2 solve of the load lin: c* is
-    p'-homogeneous in both cost families, so J(s phi_2) = s^{p'} A - s L,
-    A = int c*(D phi_2) and L = lin . phi_2, is least at
-    s = (L / (p' A))^{1/(p'-1)}, which is 1 at p = 2; s = 1 unless A, L > 0.
+    Starts from phi_0 = K2^-1 div grad c(D phi_2), phi_2 the p = 2 solve
+    of the load lin: the bordered p = 2 projection onto gradients of the
+    covector field whose flux grad c* is D phi_2, the p = 2 flux that
+    balances the load, so phi_0 = phi_2 for the radial cost at p = 2.
     Stops when the weak residual, measured in the dual norm of the
     p = 2 stiffness operator, drops below tol (1 + |g|_{L^p}) for a
     finite tol > 0; raises ArithmeticError with the reached residual
@@ -314,11 +314,7 @@ def solve_neumann(prob: NeumannProblem, tol: float = 1e-8,
         return r - (r.sum() / mass.sum()) * mass
 
     solve_k2 = _k2_solve(mesh)
-    phi = solve_k2(lin)
-    q = spec.p_prime
-    A, L = float(area @ dual_eval(spec, grad_of(phi))), float(lin @ phi)
-    if A > 0.0 and L > 0.0:
-        phi = phi * (L / (q * A)) ** (1.0 / (q - 1.0))
+    phi = solve_k2(div @ cost_grad(spec, grad_of(solve_k2(lin))).ravel())
 
     pcg_iters = capped = backtracks = fallbacks = 0
     history = []

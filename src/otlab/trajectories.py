@@ -162,20 +162,22 @@ def _uniform_composition(marginal: DiscreteMeasure, spec: CostSpec, resolution: 
     restricted to B_4 onto kappa dx on B_4: per entry, the marginal's
     atom, the quadrature cell and the share of the atom's mass the entry
     carries.  Returns (atom, cell, share, mask of the atoms inside B_4,
-    quadrature with the cell volumes as weights, kappa).
+    quadrature with the cell volumes as weights).
     """
-    k4, quad, aux = _plan_to_uniform(marginal, 4.0, spec, resolution)
+    _, quad, aux = _plan_to_uniform(marginal, 4.0, spec, resolution)
     anchored = Ball.at_origin(4.0).contains(marginal.points)
     atom = np.flatnonzero(anchored)  # marginal atom of each row of the plan's source
     row_weight = np.bincount(aux.idx_source, weights=aux.masses, minlength=len(atom))
     share = aux.masses / row_weight[aux.idx_source]
-    return atom[aux.idx_source], aux.idx_target, share, anchored, quad, k4
+    return atom[aux.idx_source], aux.idx_target, share, anchored, quad
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BoundaryApproximation:
     """Approximated entry (f) and exit (g) data with their bookkeeping.
 
+    kappa_lambda/kappa_mu, |nu on B_4| / |B_4| of each marginal nu, are
+    reported for both sides, also for one without crossings (sup 0).
     f_dropped/g_dropped are the crossing masses the composition could
     not carry, because their anchor atom lies outside B_4.
     """
@@ -191,21 +193,23 @@ class BoundaryApproximation:
 
 
 def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
-                            moll_scale: float, compositions) -> BoundaryApproximation:
+                            moll_scale: float, marginals, compose) -> BoundaryApproximation:
     """Per-radius half of the boundary data: compose one radius's crossings.
 
-    crossings is `_sphere_crossings(plan, radius)`; compositions holds
-    two zero-argument callables returning the `_uniform_composition` of
-    lam and of mu, called only for a side with crossing entries.  The
+    crossings is `_sphere_crossings(plan, radius)` and marginals is
+    (lam, mu); compose maps a marginal to its `_uniform_composition`
+    and is called only for a side with crossing entries.  The
     crossing mass follows its anchor atom's share (barycentric
     splitting); mass anchored outside B_4 is not carried but dropped.
     """
-    def one_side(sel: np.ndarray, idx: np.ndarray, composition):
+    def one_side(sel: np.ndarray, idx: np.ndarray, marginal: DiscreteMeasure):
+        b4 = Ball.at_origin(4.0)  # kappa as `_plan_to_uniform` forms it
+        kappa = restrict(marginal, b4).total_mass / b4.volume
         if len(sel) == 0:
             # mollified zeros are exactly zeros; approximate_boundary_data
             # checks moll_scale, and select_radius's is two bins wide
-            return BoundaryData(radius, np.zeros(n_theta)), 0.0, math.nan, 0.0
-        atom, cell, share, anchored, cells, k4 = composition()
+            return BoundaryData(radius, np.zeros(n_theta)), 0.0, kappa, 0.0
+        atom, cell, share, anchored, cells = compose(marginal)
         atoms, masses = idx[sel], plan.masses[sel]
         crossing = np.bincount(atoms, weights=masses, minlength=len(anchored))
         spread = np.bincount(cell, weights=share * crossing[atom], minlength=cells.n_atoms)
@@ -214,11 +218,11 @@ def _boundary_approximation(plan, radius: float, crossings, n_theta: int,
         carried = spread > 0
         projected = radial_project(
             DiscreteMeasure(cells.points[carried], spread[carried]), radius, n_theta)
-        return mollify_boundary(projected, moll_scale), sup, k4, dropped
+        return mollify_boundary(projected, moll_scale), sup, kappa, dropped
 
     (f_sel, _), (g_sel, _) = crossings
-    f_bar, f_sup, k_lam, f_drop = one_side(f_sel, plan.idx_source, compositions[0])
-    g_bar, g_sup, k_mu, g_drop = one_side(g_sel, plan.idx_target, compositions[1])
+    f_bar, f_sup, k_lam, f_drop = one_side(f_sel, plan.idx_source, marginals[0])
+    g_bar, g_sup, k_mu, g_drop = one_side(g_sel, plan.idx_target, marginals[1])
     return BoundaryApproximation(f_bar, g_bar, f_sup, g_sup, k_lam, k_mu, f_drop, g_drop)
 
 
@@ -244,9 +248,10 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     Exit side: every trajectory leaving through the sphere hands its
     mass to its target atom, which the auxiliary plan onto the uniform
     density of B_4 spreads over quadrature cells; the spread measure has
-    cell densities at most kappa by construction, and its
-    radial projection mollified at moll_scale is the returned g.  Entry
-    side symmetric through the sources.  Crossing mass anchored at an
+    cell densities at most kappa by construction, and its radial
+    projection mollified at moll_scale is the returned g.  Entry side
+    symmetric through the sources.  Both sides report their marginal's
+    kappa, also a side without crossings.  Crossing mass anchored at an
     atom outside B_4 is not carried and is reported as f_dropped or
     g_dropped.  Plans with no sphere-crossing mass return zero
     histograms.  `resolution` counts quadrature rings on B_4, as
@@ -264,8 +269,8 @@ def approximate_boundary_data(plan, lam: DiscreteMeasure, mu: DiscreteMeasure,
     # refuse a bad moll_scale before any composition LP is posed
     mollify_boundary(BoundaryData(radius, np.zeros(n_theta)), moll_scale)
     return _boundary_approximation(
-        plan, radius, _sphere_crossings(plan, radius), n_theta, moll_scale,
-        [functools.partial(_uniform_composition, m, spec, resolution) for m in (lam, mu)])
+        plan, radius, _sphere_crossings(plan, radius), n_theta, moll_scale, (lam, mu),
+        functools.partial(_uniform_composition, spec=spec, resolution=resolution))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -307,8 +312,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
 
     x, y = plan.pairs()
     entry_cost = np.asarray(cost_eval(spec, x - y)) * plan.masses
-    compositions = [functools.cache(functools.partial(_uniform_composition, m, spec, resolution))
-                    for m in (lam, mu)]
+    compose = functools.cache(functools.partial(_uniform_composition, spec=spec, resolution=resolution))
 
     scores, parts = {}, {}
     for r in candidates:
@@ -319,7 +323,7 @@ def select_radius(plan, lam: DiscreteMeasure, mu: DiscreteMeasure, spec: CostSpe
 
         d_r = r ** spec.p * data_D(lam, mu, r, spec, _rings_at(r, resolution))
         approx = _boundary_approximation(plan, r, crossings, n_theta,
-                                         4.0 * math.pi / n_theta, compositions)
+                                         4.0 * math.pi / n_theta, (lam, mu), compose)
         lp_mass = approx.f_bar.lp_mass(spec.p) + approx.g_bar.lp_mass(spec.p)
         scores[r] = crossing + d_r + lp_mass
         parts[r] = (crossing, d_r, lp_mass)

@@ -11,9 +11,10 @@ that forms and factors the shifted Hessian on every step, each
 factorisation with SuperLU's default column order.  Its shift walks down
 a fixed ladder of three stages instead of following the residual as
 ``solve_neumann``'s does, so the two reach the same minimizer along
-different paths.  ``start`` is the best multiple of the p = 2 field
-along which ``solve_neumann`` starts, and ``residual_norm`` its measured
-residual.  All are slow and serve only as the tests' oracles.
+different paths.  ``start`` is the field ``solve_neumann`` starts from,
+the p = 2 projection onto gradients of grad c(D phi_2), and
+``residual_norm`` its measured residual.  All are slow and serve only
+as the tests' oracles.
 """
 import math
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from otlab.costs import RADIAL, dual_eval, dual_grad
+from otlab.costs import RADIAL, cost_grad, dual_eval, dual_grad
 from otlab.neumann import _dual_hessian
 
 # Hessian shifts relative to the data scale, coarse to fine, with the
@@ -91,13 +92,11 @@ def load(prob) -> np.ndarray:
 
 
 def start(prob) -> np.ndarray:
-    """s phi_2 with phi_2 the bordered p = 2 solve of the load and s the
-    minimizer (L / (p' A))^{1/(p'-1)} of J(s phi_2) = s^{p'} A - s L."""
-    mesh, spec, lin = prob.mesh, prob.cost, load(prob)
-    phi = _bordered_solve(bordered(mesh, np.eye(2)))(lin)
-    A = float(mesh.areas @ dual_eval(spec, element_gradients(mesh, phi)))
-    L, q = float(lin @ phi), spec.p_prime
-    return phi * (L / (q * A)) ** (1.0 / (q - 1.0)) if A > 0.0 and L > 0.0 else phi
+    """K2^-1 div grad c(D phi_2): the bordered p = 2 solve of the nodal
+    load of grad c(D phi_2), phi_2 the bordered p = 2 solve of the load."""
+    mesh, solve_k2 = prob.mesh, _bordered_solve(bordered(prob.mesh, np.eye(2)))
+    phi = solve_k2(load(prob))
+    return solve_k2(nodal_load(mesh, cost_grad(prob.cost, element_gradients(mesh, phi))))
 
 
 def residual_norm(prob, phi) -> float:

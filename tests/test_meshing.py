@@ -65,6 +65,10 @@ class TestBuildContracts:
         for R in (math.inf, math.nan):
             with pytest.raises(ValueError, match="R < inf"):
                 build_mesh(R, 0.1)
+        # only the rim ring is built: 7 nodes around the centre, whose
+        # spokes of length 1 exceed 1.5 * 0.65
+        with pytest.raises(ValueError, match="element diameter"):
+            build_mesh(1.0, 0.65)
 
     def test_deterministic(self):
         a = build_mesh(2.0, 0.15)

@@ -22,6 +22,7 @@ from otlab.measures import (
     lebesgue_quadrature,
     mollify_boundary,
     radial_project,
+    restrict,
 )
 from otlab.transport import _rings_at, compute_smallness, data_D, solve_exact
 from otlab.trajectories import (
@@ -290,8 +291,10 @@ def test_boundary_data_identity_composition():
     want = mollify_boundary(radial_project(exit_atom, radius, n_theta), moll)
     assert np.allclose(rep.g_bar.masses, want.masses, atol=1e-15)
     assert rep.g_bar.total_mass == pytest.approx(quad.weights[k], abs=1e-12)
-    # the moved source atom starts inside B_R: no entry data
-    assert rep.f_bar.total_mass == 0.0
+    # the moved source atom starts inside B_R: no entry data, and the
+    # side still reports lam's kappa
+    assert rep.f_bar.total_mass == 0.0 and rep.f_density_sup == 0.0
+    assert rep.kappa_lambda == pytest.approx(1.0, abs=1e-12)
 
 
 def test_boundary_density_within_cap():
@@ -330,11 +333,14 @@ def test_composed_boundary_density_is_at_most_kappa(seed, n, m, spec, radius):
     mu = gamma_disk_cloud(rng, m)
     plan = solve_exact(lam, mu, spec)
     rep = approximate_boundary_data(plan, lam, mu, spec, radius, 32, 0.4, resolution=6)
-    for sup, kappa, dropped in ((rep.f_density_sup, rep.kappa_lambda, rep.f_dropped),
-                                (rep.g_density_sup, rep.kappa_mu, rep.g_dropped)):
+    b4 = Ball.at_origin(4.0)
+    for sup, kappa, dropped, nu in ((rep.f_density_sup, rep.kappa_lambda, rep.f_dropped, lam),
+                                    (rep.g_density_sup, rep.kappa_mu, rep.g_dropped, mu)):
         assert dropped >= 0.0
-        # a side without crossing entries composes nothing: sup 0, kappa nan
-        assert sup == 0.0 if math.isnan(kappa) else sup <= kappa * (1.0 + 1e-9)
+        # kappa comes from the marginal, also on a side without crossing
+        # entries, which composes nothing and reads sup 0
+        assert kappa == restrict(nu, b4).total_mass / b4.volume
+        assert sup <= kappa * (1.0 + 1e-9)
 
 
 def test_boundary_data_reports_mass_anchored_outside_b4():
