@@ -5,10 +5,10 @@ Two planar families are implemented, both of the form
     c(z) = (z . A z)^{p/2} / p
 
 with A = I (radial, c(z) = |z|^p / p) or A a symmetric positive definite
-2 x 2 matrix (anisotropic).  The family enters only through A: every
-kernel is one formula in the metric M, with M = A on points and
-M = A^{-1} on covectors, and M = I radially.  This module is the only
-one that reads the family.
+2 x 2 matrix (anisotropic).  The family enters only through A: c and
+its conjugate c* share one power form (z . M z)^{e/2} / e and its
+gradient (``_form``, ``_form_grad``), at (e, M) = (p, A) for c and
+(p', A^{-1}) for c*, and M = I radially.  No other module reads the family.
 
 The module provides c, its gradient, the Legendre conjugate c* with
 gradient (∇c)^{-1} and the Hessian of its shifted density, the
@@ -33,6 +33,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from .measures import _enumerate
 
 __all__ = [
     "CostSpec",
@@ -164,45 +166,38 @@ def _metric(z: np.ndarray, m: Optional[np.ndarray]):
     return zm, zm[..., 0] * z[..., 0] + zm[..., 1] * z[..., 1]
 
 
+def _form(z, m: Optional[np.ndarray], e: float) -> float | np.ndarray:
+    """(z . M z)^{e/2} / e at a 2-vector or a stack (n, 2)."""
+    return _metric(_as_points(z), m)[1] ** (e / 2.0) / e
+
+
+def _form_grad(z, m: Optional[np.ndarray], e: float) -> np.ndarray:
+    """(z . M z)^{(e-2)/2} M z, the gradient of ``_form``, extended by 0 at z = 0."""
+    mz, q = _metric(_as_points(z), m)
+    # guard 0^{negative power}; the q=0 rows are zeroed below anyway
+    w = np.where(q > 0.0, q, 1.0) ** ((e - 2.0) / 2.0)
+    return np.where(q > 0.0, w, 0.0)[..., None] * mz
+
+
 def cost_eval(spec: CostSpec, z) -> float | np.ndarray:
-    """Evaluate c(z).  Accepts a single d-vector or a stack (n, d)."""
-    z = _as_points(z)
-    return _metric(z, spec.matrix)[1] ** (spec.p / 2.0) / spec.p
+    """c(z) = (z . A z)^{p/2} / p, ``_form`` at (p, A)."""
+    return _form(z, spec.matrix, spec.p)
 
 
 def cost_grad(spec: CostSpec, z) -> np.ndarray:
-    """Evaluate the cost gradient (z . A z)^{(p-2)/2} A z.
-
-    For p < 2 the gradient extends continuously by 0 at the origin.
-    """
-    az, q = _metric(_as_points(z), spec.matrix)
-    # guard 0^{negative power}; the q=0 rows are zeroed below anyway
-    w = np.where(q > 0.0, q, 1.0) ** ((spec.p - 2.0) / 2.0)
-    w = np.where(q > 0.0, w, 0.0)
-    return w[..., None] * az
+    """grad c(z) = (z . A z)^{(p-2)/2} A z, ``_form_grad`` at (p, A); 0 at z = 0."""
+    return _form_grad(z, spec.matrix, spec.p)
 
 
 def dual_eval(spec: CostSpec, xi) -> float | np.ndarray:
-    """Legendre conjugate c*(xi) = sup_x <xi, x> - c(x).
-
-    Closed form (1/p') (xi . B xi)^{p'/2} with B = A^{-1} (Rockafellar,
-    Convex Analysis, section 12).
-    """
-    m = _metric(_as_points(xi), spec.inverse)[1]
-    return np.sqrt(m) ** spec.p_prime / spec.p_prime
+    """The Legendre conjugate c*(xi) = sup_x <xi, x> - c(x), ``_form`` at
+    (p', A^{-1}) (Rockafellar, Convex Analysis, section 12)."""
+    return _form(xi, spec.inverse, spec.p_prime)
 
 
 def dual_grad(spec: CostSpec, xi) -> np.ndarray:
-    """Gradient of the conjugate, the inverse map of cost_grad.
-
-    Closed form (xi . B xi)^{(p'-2)/2} B xi with B = A^{-1}, and 0 at
-    xi = 0.
-    """
-    bxi, m = _metric(_as_points(xi), spec.inverse)
-    n = np.sqrt(m)
-    w = np.where(n > 0.0, n, 1.0) ** (spec.p_prime - 2.0)
-    w = np.where(n > 0.0, w, 0.0)
-    return w[..., None] * bxi
+    """grad c*(xi), the inverse map of cost_grad: ``_form_grad`` at (p', A^{-1})."""
+    return _form_grad(xi, spec.inverse, spec.p_prime)
 
 
 def _dual_hessian(spec: CostSpec, xi: np.ndarray, delta: float) -> np.ndarray:
@@ -463,13 +458,6 @@ def _cdist_norms(z: np.ndarray) -> np.ndarray:
     for row in z[1:]:
         s += row * row
     return np.sqrt(s)
-
-
-def _enumerate(count: np.ndarray):
-    """(group, offset within the group) of every item, in order, when
-    group g holds count[g] items."""
-    group = np.repeat(np.arange(len(count)), count)
-    return group, np.arange(len(group)) - (np.cumsum(count) - count)[group]
 
 
 def _holder_maxima(x: np.ndarray, fields, beta: float, min_sep: float):

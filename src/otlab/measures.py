@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Optional
 
 import numpy as np
@@ -188,6 +189,13 @@ def restrict(mu: DiscreteMeasure, ball: Ball) -> DiscreteMeasure:
     return DiscreteMeasure(mu.points[keep], mu.weights[keep])
 
 
+def _enumerate(count: np.ndarray):
+    """(group, offset within the group) of every item, in order, when
+    group g holds count[g] items."""
+    group = np.repeat(np.arange(len(count)), count)
+    return group, np.arange(len(group)) - (np.cumsum(count) - count)[group]
+
+
 def lebesgue_quadrature(ball: Ball, resolution: int) -> DiscreteMeasure:
     """Midpoint quadrature of Lebesgue measure on the disc.
 
@@ -198,20 +206,17 @@ def lebesgue_quadrature(ball: Ball, resolution: int) -> DiscreteMeasure:
     ring width divides both radii, which downstream zero-data
     constructions use.
     """
-    if resolution < 2:
+    if operator.index(resolution) < 2:
         raise ValueError("resolution must be >= 2")
     dr = ball.radius / resolution
-    pts, ws = [], []
-    for j in range(resolution):
-        r = (j + 0.5) * dr
-        n_j = 6 * (2 * j + 1)
-        th = 2.0 * math.pi * (np.arange(n_j) + 0.5) / n_j
-        ring = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        pts.append(ball.center[None, :] + ring)
-        # exact ring area split evenly; all cells share pi dr^2 / 6
-        area_j = math.pi * dr * dr * (2 * j + 1)
-        ws.append(np.full(n_j, area_j / n_j))
-    return DiscreteMeasure(np.concatenate(pts), np.concatenate(ws)).with_mass(ball.volume)
+    count = 6 * (2 * np.arange(resolution) + 1)
+    j, i = _enumerate(count)
+    r = (j + 0.5) * dr
+    th = 2.0 * math.pi * (i + 0.5) / count[j]
+    pts = ball.center[None, :] + np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    # exact ring area split evenly; all cells share pi dr^2 / 6
+    ws = math.pi * dr * dr * (2 * j + 1) / count[j]
+    return DiscreteMeasure(pts, ws).with_mass(ball.volume)
 
 
 def _angular_bins(points: np.ndarray, n: int) -> np.ndarray:
@@ -254,9 +259,6 @@ def mollify_boundary(b: BoundaryData, r: float) -> BoundaryData:
     out = b.masses * kern[k]
     for j in range(k, 0, -1):
         out += (np.roll(b.masses, j) + np.roll(b.masses, -j)) * kern[k - j]
-    if not b.signed:
-        # convolution of non-negative data is non-negative up to roundoff
-        out = np.maximum(out, 0.0)
     return BoundaryData(b.radius, out, signed=b.signed)
 
 

@@ -19,12 +19,17 @@ import math
 import numpy as np
 from scipy import sparse, spatial
 
+from .measures import _enumerate
+
 __all__ = ["DiskMesh", "build_mesh"]
 
 # ring spacing exponent, fixed on the oracle convergence sweep: the
 # halving error ratios sit above 3 for p in [1.5, 3] on this grading
 # and fall below it for the uniform layout
 MESH_GRADING = 0.28
+
+# build_mesh refuses a mesh of more nodes than this, estimated as pi (R / h)^2
+_NODE_BUDGET = 1 << 18
 
 
 def _ring_radii(R: float, h: float) -> np.ndarray:
@@ -149,20 +154,21 @@ def build_mesh(R: float, target_h: float) -> DiskMesh:
     Rings carry ceil(2 pi r / dr) nodes with dr the local ring gap, so
     cells stay near-square, and odd rings are staggered half a cell to
     avoid the flat triangle pairs an aligned layout produces.  The
-    realized maximum element diameter stays below 1.5 target_h.
+    realized maximum element diameter stays below 1.5 target_h.  A mesh
+    of more than _NODE_BUDGET estimated nodes, pi (R / target_h)^2 (never
+    more than it places), is refused before any is placed.
     """
     if not (0.0 < target_h < R < math.inf):
         raise ValueError("need 0 < target_h < R < inf")
+    if (estimate := math.pi * (R / target_h) ** 2) > _NODE_BUDGET:
+        raise ValueError(f"about {estimate:.0f} nodes, past the budget of {_NODE_BUDGET}")
     radii = _ring_radii(R, target_h)
-    pts = [(0.0, 0.0)]
-    prev = 0.0
-    for j, r in enumerate(radii):
-        dr = r - prev
-        n_j = max(6, int(math.ceil(2.0 * math.pi * r / max(dr, 1e-12))))
-        th = 2.0 * math.pi * (np.arange(n_j) + 0.5 * (j % 2)) / n_j
-        pts.extend(zip(r * np.cos(th), r * np.sin(th)))
-        prev = r
-    mesh = DiskMesh(float(R), np.asarray(pts))
+    dr = np.diff(radii, prepend=0.0)
+    count = np.maximum(6, np.ceil(2.0 * math.pi * radii / np.maximum(dr, 1e-12)).astype(int))
+    j, i = _enumerate(count)
+    th = 2.0 * math.pi * (i + 0.5 * (j % 2)) / count[j]
+    r = radii[j]
+    mesh = DiskMesh(float(R), np.vstack([(0.0, 0.0), np.stack([r * np.cos(th), r * np.sin(th)], 1)]))
     if mesh.h > 1.5 * target_h:
         raise ValueError(f"element diameter {mesh.h:.3f} exceeds 1.5 * {target_h:.3f}")
     return mesh

@@ -177,33 +177,27 @@ class NeumannProblem:
 def _boundary_load(mesh: DiskMesh, g: BoundaryData) -> np.ndarray:
     """Boundary-term load vector, int g hat_i ds per boundary node.
 
-    Exact for the piecewise-constant histogram density: every edge arc
-    is split at the bin edges it straddles and the linear hats are
-    integrated piece by piece (midpoint rule, exact for linear factors).
-    Pieces are summed onto the nodes in edge order, left node first.
+    Exact for the piecewise-constant histogram density: one turn from
+    the first node angle is cut at the sorted union of the node angles
+    and the bin edges, ``searchsorted`` finds each piece's rim edge, and
+    the midpoint rule, exact for linear factors, integrates the edge's
+    two hats over the piece; pieces sum onto the nodes in angle order.
     """
-    nodes = mesh.boundary_nodes
-    m = len(nodes)
-    alpha = mesh.boundary_angles
-    beta = np.append(alpha[1:], alpha[0] + 2.0 * math.pi)
+    nodes, alpha = mesh.boundary_nodes, mesh.boundary_angles
     width = 2.0 * math.pi / g.n_bins
-    # bin edges lo * width .. hi * width cut edge k's arc
-    lo = np.floor(alpha / width).astype(np.int64) + 1
-    hi = np.ceil(beta / width).astype(np.int64) - 1
-    pieces = np.maximum(hi - lo + 1, 0) + 1
-    edge = np.repeat(np.arange(m), pieces)
-    j = np.arange(len(edge)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    cut = lo[edge] + j
-    u = np.where(j == 0, alpha[edge], (cut - 1) * width)
-    v = np.where(j == pieces[edge] - 1, beta[edge], cut * width)
-    keep = v > u
-    edge, u, v = edge[keep], u[keep], v[keep]
+    beta = np.append(alpha[1:], alpha[0] + 2.0 * math.pi)
+    # a bin edge c = alpha / width of a node angle is the node's own cut, not an ulp sliver
+    edges = np.setdiff1d(np.arange(math.floor(alpha[0] / width) + 1,
+                                   math.ceil(beta[-1] / width)), alpha / width) * width
+    cut = np.sort(np.concatenate([alpha, beta[-1:], edges]))
+    u, v = cut[:-1], cut[1:]
+    u, v = u[v > u], v[v > u]
+    edge = np.searchsorted(alpha, u, side="right") - 1
     a, b = alpha[edge], beta[edge]
-    span = b - a
     mid = 0.5 * (u + v)
     w = g.densities[(mid / width).astype(np.int64) % g.n_bins] * mesh.R * (v - u)
-    ends = np.stack([nodes[edge], nodes[(edge + 1) % m]], axis=1)
-    shares = np.stack([w * (b - mid) / span, w * (mid - a) / span], axis=1)
+    ends = np.stack([nodes[edge], nodes[(edge + 1) % len(nodes)]], axis=1)
+    shares = np.stack([w * (b - mid) / (b - a), w * (mid - a) / (b - a)], axis=1)
     return np.bincount(ends.ravel(), weights=shares.ravel(), minlength=mesh.n_nodes)
 
 

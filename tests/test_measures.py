@@ -17,6 +17,7 @@ from otlab.measures import (
     radial_project,
     restrict,
 )
+from ring_oracle import quadrature_loop
 
 
 def ring_cloud(rng, n, r_lo, r_hi, mass=1.0):
@@ -94,6 +95,20 @@ class TestLebesgueQuadrature:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             lebesgue_quadrature(Ball.at_origin(1.0), 1)
+
+    # radii 0.5-7.3 with the workloads' candidate, restriction and scan radii,
+    # and the test-only fine grids of B_4
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.6, 0.0), (-1.3, 2.1)])
+    def test_equals_the_ring_loop(self, center):
+        radii = np.unique([0.5, 0.9, 1.0, 1.7, 4.0, 5.5, 7.3, *np.linspace(2.05, 2.95, 5),
+                           *np.linspace(2.0, 3.0, 5)])
+        cases = [(r, res) for r in radii for res in range(2, 37)] + [(4.0, 40), (4.0, 64), (4.0, 80)]
+        for radius, res in cases:
+            ball = Ball(center, radius)
+            q = lebesgue_quadrature(ball, res)
+            loop = DiscreteMeasure(*quadrature_loop(ball, res)).with_mass(ball.volume)
+            assert np.array_equal(q.points, loop.points), (radius, res)
+            assert np.array_equal(q.weights, loop.weights), (radius, res)
 
 
 class TestRadialProjection:
@@ -261,19 +276,22 @@ class TestProjectionEstimate:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("call, message", [
-        (lambda: DiscreteMeasure([[0.0, 0.0]], [math.inf]), "non-finite data"),
-        (lambda: DiscreteMeasure([[1.0, 0.0]], [0.0]).with_mass(1.0),
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: DiscreteMeasure([[0.0, 0.0]], [math.inf]), ValueError, "non-finite data"),
+        (lambda: DiscreteMeasure([[1.0, 0.0]], [0.0]).with_mass(1.0), ValueError,
          "cannot renormalize a zero measure"),
-        (lambda: BoundaryData(1.0, [1.0, math.nan]), "bin masses must be finite"),
-        (lambda: BoundaryData(1.0, []), "need at least one angular bin"),
-        (lambda: radial_project(DiscreteMeasure([[1.0, 0.0]], [1.0]), 1.0, 0),
+        (lambda: BoundaryData(1.0, [1.0, math.nan]), ValueError, "bin masses must be finite"),
+        (lambda: BoundaryData(1.0, []), ValueError, "need at least one angular bin"),
+        (lambda: radial_project(DiscreteMeasure([[1.0, 0.0]], [1.0]), 1.0, 0), ValueError,
          "need at least one angular bin"),
         (lambda: projection_lemma_check(DiscreteMeasure([[1.0, 0.0]], [1.0]), 1.0, 16, p=1.0),
-         r"exponent must satisfy p > 1"),
+         ValueError, r"exponent must satisfy p > 1"),
+        # a ring count that is not an integer
+        (lambda: lebesgue_quadrature(Ball.at_origin(1.0), 6.5), TypeError,
+         "cannot be interpreted as an integer"),
     ])
-    def test_refusals(self, call, message):
-        with pytest.raises(ValueError, match=message):
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=message):
             call()
 
     def test_negative_weight_rejected(self):

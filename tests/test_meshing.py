@@ -7,6 +7,7 @@ Frozen reference values (measured on this generator, grading 0.28):
   boundary node radius error ~ 2e-16
 """
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from otlab import meshing
 from otlab.meshing import DiskMesh, build_mesh
+from ring_oracle import mesh_nodes_loop
 
 
 def boundary_edges(m):
@@ -69,6 +71,31 @@ class TestBuildContracts:
         # spokes of length 1 exceed 1.5 * 0.65
         with pytest.raises(ValueError, match="element diameter"):
             build_mesh(1.0, 0.65)
+
+    def test_node_budget_refuses_before_building(self):
+        # pi (1 / 1e-4)^2 nodes, about 3.1e8, against the 2^18 budget
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"about 314159265 nodes, past the budget of 262144"):
+                build_mesh(1.0, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    # every (R, h) the tests and the benchmark workloads build, the chain's
+    # at each candidate radius; (1, 0.65) is refused
+    @pytest.mark.parametrize("R, h", [
+        *((1.0, h) for h in (0.025, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5)),
+        (0.5, 0.1), (1.5, 0.2), (1.5, 0.4), (2.0, 0.05), (2.0, 0.1), (2.0, 0.15), (2.0, 0.2),
+        (2.5, 0.08), (2.5, 0.1), (3.0, 0.25),
+        *((R, h) for R in np.linspace(2.05, 2.95, 5) for h in (0.08, 0.25)),
+    ])
+    def test_nodes_equal_the_ring_loop(self, R, h):
+        nodes = build_mesh(R, h).nodes
+        assert np.array_equal(nodes, mesh_nodes_loop(R, h))
+        # the budget's estimate never exceeds the nodes placed
+        assert len(nodes) >= math.pi * (R / h) ** 2
 
     def test_deterministic(self):
         a = build_mesh(2.0, 0.15)
