@@ -134,10 +134,12 @@ class ScalarField:
         return sums[:, :2] / sums[:, 2:]
 
     def gradient(self, points) -> np.ndarray:
-        """Element gradient at each point.  A point the mesh does not
-        cover takes the recovered nodal gradient of its nearest node by
-        Euclidean distance, the lowest index on ties."""
+        """Element gradient at each point, which must be finite.  A point
+        the mesh does not cover takes the recovered nodal gradient of its
+        nearest node by Euclidean distance, the lowest index on ties."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         sidx = self.mesh.locate(pts)
         out = np.empty((len(pts), 2))
         inside = sidx >= 0

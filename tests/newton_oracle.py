@@ -13,7 +13,9 @@ a fixed ladder of three stages instead of following the residual as
 ``solve_neumann``'s does, so the two reach the same minimizer along
 different paths.  ``start`` is the field ``solve_neumann`` starts from,
 the p = 2 projection onto gradients of grad c(D phi_2), and
-``residual_norm`` its measured residual.  All are slow and serve only
+``residual_norm`` its measured residual.  ``broadcast_dual_hessian`` is
+the Hessian of c* in its (n, 2, 2) closed form, so the oracle's Newton
+blocks never come from the code it checks.  All are slow and serve only
 as the tests' oracles.
 """
 import math
@@ -22,14 +24,25 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from otlab.costs import RADIAL, cost_grad, dual_eval, dual_grad
-from otlab.neumann import _dual_hessian
+from otlab.costs import RADIAL, _metric, cost_grad, dual_eval, dual_grad
 
 # Hessian shifts relative to the data scale, coarse to fine, with the
 # step budgets of the first two stages and the floor of the last
 DELTA_LADDER = (1e-2, 1e-4, 1e-6)
 WARM_ITER = 12
 FINAL_ITER = 60
+
+
+def broadcast_dual_hessian(spec, xi, delta):
+    """The (n, 2, 2) Hessian blocks of the delta-shifted conjugate density
+    as one broadcast outer product; ``costs._dual_hessian`` fills the same
+    blocks one plane at a time."""
+    q = spec.p_prime
+    bxi, m = _metric(xi, spec.inverse)
+    nr2 = m + delta * delta
+    outer = bxi[:, :, None] * bxi[:, None, :] / nr2[:, None, None]
+    b = np.eye(2) if spec.inverse is None else spec.inverse
+    return (nr2 ** ((q - 2.0) / 2.0))[:, None, None] * (b[None] + (q - 2.0) * outer)
 
 
 def boundary_load(mesh, g) -> np.ndarray:
@@ -151,7 +164,7 @@ def newton_every_step(prob, tol: float = 1e-8, max_iter: int = 100_000):
                 if dual_norm(r, rd) <= target:
                     break
                 try:
-                    H = _dual_hessian(spec, grad_of(phi), delta * scale)
+                    H = broadcast_dual_hessian(spec, grad_of(phi), delta * scale)
                     d = -_bordered_solve(bordered(mesh, H))(r)
                     dj = float(r @ d)
                 except RuntimeError:

@@ -17,6 +17,7 @@ from scipy.spatial.distance import cdist
 
 from grid_oracle import grid_constant_loop
 from holder_oracle import holder_maxima_rows
+from newton_oracle import broadcast_dual_hessian
 from otlab import costs
 from otlab.costs import (
     CostSpec,
@@ -120,17 +121,6 @@ class TestGradientInversion:
 
 def rotation(a):
     return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-
-
-def broadcast_dual_hessian(spec, xi, delta):
-    """The (n, 2, 2) broadcast outer-product form of `_dual_hessian` that
-    its plane-by-plane form replaced, kept as its oracle."""
-    q = spec.p_prime
-    bxi, m = costs._metric(xi, spec.inverse)
-    nr2 = m + delta * delta
-    outer = bxi[:, :, None] * bxi[:, None, :] / nr2[:, None, None]
-    b = np.eye(2) if spec.inverse is None else spec.inverse
-    return (nr2 ** ((q - 2.0) / 2.0))[:, None, None] * (b[None] + (q - 2.0) * outer)
 
 
 @st.composite

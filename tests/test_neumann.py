@@ -207,6 +207,14 @@ class TestScalarField:
         rim = int(np.argmin(np.linalg.norm(mesh.nodes - far, axis=1)))
         assert (phi.gradient(far)[0] == phi.nodal_gradients[rim]).all()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # argmin over NaN or inf distances picked node 0
+        mesh = build_mesh(1.0, 0.3)
+        phi = projected(mesh, mesh.nodes[:, 0] ** 2)
+        with pytest.raises(ValueError, match="points must be finite"):
+            phi.gradient(np.array([[0.2, 0.1], [bad, 0.0]]))
+
     def test_nodal_gradients_exact_for_linear(self):
         mesh = build_mesh(1.0, 0.3)
         phi = projected(mesh, mesh.nodes[:, 0])

@@ -42,7 +42,6 @@ from otlab.measures import Ball, DiscreteMeasure, lebesgue_quadrature, restrict
 from otlab.transport import (
     SmallnessReport,
     TransportPlan,
-    add_constant_check,
     c2measures_check,
     check_cyclical_monotonicity,
     compute_smallness,
@@ -1091,45 +1090,21 @@ def test_triangle_battery():
     assert failures == 0
 
 
-def test_add_constant_degenerate_and_stable():
-    m = DiscreteMeasure(on_axis([0.0, 1.0]), [0.5, 0.5])
-    assert math.isnan(add_constant_check(m, m, P2))
-
-    n, ratios = 40, []
-    x = (np.arange(n) + 0.5) / n
-    for shift in (0.05, 0.1, 0.2, 0.4):
-        m1 = DiscreteMeasure(on_axis(x), np.full(n, 1.0 / n))
-        m2 = DiscreteMeasure(on_axis(x + shift), np.full(n, 1.0 / n))
-        ratios.append(add_constant_check(m1, m2, P2))
-    ratios = np.array(ratios)
-    assert np.all((1.5 <= ratios) & (ratios <= 2.1))
-    assert ratios.max() / ratios.min() <= 1.25
-
-
-def test_add_constant_bounded_family():
-    vals = []
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        m1 = uniform_cloud(rng, 6)
-        m2 = uniform_cloud(rng, 6)
-        vals.append(add_constant_check(m1, m2, P2))
-    vals = np.array(vals)
-    assert np.all(np.isfinite(vals))
-    assert vals.max() <= 10 * np.median(vals)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 12), st.integers(2, 12),
        st.sampled_from(SPECS + [ANISO]))
-def test_add_constant_ratio_is_at_least_one(seed, n, m, spec):
+def test_adding_a_common_measure_never_costs_more(seed, n, m, spec):
     # the optimal plan of (m1, m2) plus the identity on m2 couples
     # (m1 + m2, 2 m2) at cost W(m1, m2), so W(m1 + m2, 2 m2) <= W(m1, m2)
     # up to the two LP certificates
     rng = np.random.default_rng(seed)
     m1 = gamma_cloud(rng, n)
     m2 = gamma_cloud(rng, m).with_mass(m1.total_mass)
+    summed = DiscreteMeasure(np.concatenate([m1.points, m2.points]),
+                             np.concatenate([m1.weights, m2.weights]))
+    doubled = DiscreteMeasure(m2.points, 2.0 * m2.weights)
     num = solve_exact(m1, m2, spec).total_cost
-    den = num / add_constant_check(m1, m2, spec)
+    den = solve_exact(summed, doubled, spec).total_cost
     scale = max(cost_scale(m1, m2, spec), cost_scale(m2, m2, spec))
     assert num >= den - 2e-9 * scale * m1.total_mass
 
@@ -1221,6 +1196,29 @@ def test_localisation_single_crossing():
     plan = solve_exact(lam, mu, P2)
     rep = localisation_check(plan, 1.0, P2, delta=0.25, tau=100.0, resolution=8)
     assert rep.lhs > 0.0 and rep.passed
+
+
+def test_localisation_ball_no_entry_meets(monkeypatch):
+    # the unit shift moves every atom outside B_0.8 by (0.05, 0.05), so no
+    # trajectory meets B_0.3: both augmented measures are empty, and the
+    # only LPs posed are the two of D(4)
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-4.0, 4.0, size=(60, 2))
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.8]
+    ones = np.ones(len(pts))
+    plan = solve_exact(DiscreteMeasure(pts, ones), DiscreteMeasure(pts + 0.05, ones), P2)
+    calls = []
+    solve = transport.solve_exact
+
+    def counted(lam, mu, spec):
+        calls.append((lam.total_mass, mu.total_mass))
+        return solve(lam, mu, spec)
+
+    monkeypatch.setattr(transport, "solve_exact", counted)
+    rep = localisation_check(plan, 0.3, P2, delta=0.25, tau=10.0, resolution=6)
+    assert rep.lhs == 0.0 and rep.w_localized == 0.0 and rep.passed
+    assert rep.rhs == 10.0 * rep.smallness
+    assert len(calls) == 2 and all(m > 0.0 for pair in calls for m in pair)
 
 
 def test_localisation_radius_outside_the_window_rejected():
