@@ -294,6 +294,8 @@ def projection_lemma_check(g: DiscreteMeasure, radius: float, n_theta: int,
     """
     if not p > 1.0:
         raise ValueError("exponent must satisfy p > 1")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     if g.n_atoms == 0 or g.total_mass == 0.0:
         return ProjectionCheck(math.inf, 0.0, degenerate="zero measure")
     rr = g.radii() / radius

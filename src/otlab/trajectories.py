@@ -89,9 +89,9 @@ def _windows(x: np.ndarray, y: np.ndarray, radius: float):
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
     d = y - x
-    a = np.einsum("ij,ij->i", d, d)
-    b = 2.0 * np.einsum("ij,ij->i", x, d)
-    c = np.einsum("ij,ij->i", x, x) - radius * radius
+    a = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    b = 2.0 * (x[:, 0] * d[:, 0] + x[:, 1] * d[:, 1])
+    c = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] - radius * radius
     sigma = np.full(len(a), np.nan)
     tau = np.full(len(a), np.nan)
     still = a == 0.0

@@ -670,6 +670,8 @@ def localisation_check(plan: TransportPlan, radius: float, spec: CostSpec,
 
     if not 0.0 < radius <= _WINDOW:
         raise ValueError(f"radius must lie in (0, {_WINDOW:g}], the B_{_WINDOW:g} window")
+    if not (0.0 <= delta < math.inf and 0.0 <= tau < math.inf):
+        raise ValueError(f"delta and tau must be finite and >= 0, got {delta} and {tau}")
     mask = omega_mask(plan, radius)
     x, y = plan.pairs()
     lhs = float(np.sum(plan.masses[mask] * cost_eval(spec, (x - y)[mask])))

@@ -15,6 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from dot_oracle import (
+    coordinate_distance,
+    einsum_metric,
+    planar_stack,
+    same_bits,
+    sum_fenchel_young,
+)
 from grid_oracle import grid_constant_loop
 from holder_oracle import holder_maxima_rows
 from newton_oracle import broadcast_dual_hessian
@@ -372,6 +379,15 @@ class TestAssumptionChecks:
             rep = verify_assumptions(CostSpec.radial(p), 2048, seed=5)
             assert by_name(rep)["vdiff"].worst_constant == pytest.approx(2.0, abs=2e-2)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("spec", [CostSpec.radial(3.0),
+                                      CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)])
+    def test_fenchel_young_defect_equals_the_sum_form(self, spec, seed):
+        rep = verify_assumptions(spec, 4096, seed)
+        # the report's points are the first draw of its generator
+        x = costs._sample_points(4096, np.random.default_rng(seed))
+        assert rep.fenchel_young_defect == sum_fenchel_young(spec, x)
+
     def test_anisotropic_example_within_its_eigenvalue_certificate(self):
         spec = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)
         rep = verify_assumptions(spec, 4096, seed=11)
@@ -478,6 +494,7 @@ def matmul_metric(z, m):
 
 
 METRIC_SPECS = {
+    "radial-p1.5": CostSpec.radial(1.5),
     "diag-p3.0": CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0),
     "tilted-p1.5": CostSpec.anisotropic(1.5, [[1.3, 0.2], [0.2, 0.8]], 64.0),
     "turned-p2.5": CostSpec.anisotropic(2.5, rotation(0.7) @ np.diag([0.5, 3.0]) @ rotation(-0.7),
@@ -507,6 +524,34 @@ class TestMetricKernel:
         for kernel in (cost_eval, cost_grad, dual_eval, dual_grad):
             with pytest.raises(ValueError):
                 kernel(spec, z)
+
+    @pytest.mark.parametrize("z", [np.ones(3), np.ones((4, 3)), np.ones((4, 1)), np.float64(1.0)])
+    def test_radial_kernels_need_planar_points(self, z):
+        # the unrolled form would read a 3-vector's first two coordinates
+        spec = CostSpec.radial(3.0)
+        for kernel in (cost_eval, cost_grad, dual_eval, dual_grad):
+            with pytest.raises(ValueError, match="points must be planar"):
+                kernel(spec, z)
+        with pytest.raises(ValueError, match="points must be planar"):
+            v_p(3.0, z, z)
+
+    @given(z=st.sampled_from([(2,), (9, 2), (3, 4, 2), (5, 1, 2)]).flatmap(planar_stack))
+    @example(z=np.array([[-0.0, 0.0], [-0.0, -0.0], [1e-300, -1e150], [1e150, 1e-300]]))
+    @settings(max_examples=300, deadline=None)
+    def test_radial_metric_equals_the_einsum_form(self, z):
+        zm, q = costs._metric(z, None)
+        assert zm is z
+        assert same_bits(q, einsum_metric(z))
+
+    # (h, 1, 2) against (w, 2) takes cdist, the other shapes the unrolled form
+    @given(yz=st.sampled_from([((9, 2), (9, 2)), ((9, 2), (2,)), ((3, 4, 2), (4, 2)),
+                               ((5, 1, 2), (6, 2))]).flatmap(
+        lambda s: st.tuples(planar_stack(s[0]), planar_stack(s[1]))))
+    @example(yz=(np.array([[-0.0, 0.0], [1e150, -1e150], [1e-300, 3.0]]),
+                 np.array([[0.0, -0.0], [-1e150, 1e150], [-1e-300, 3.0]])))
+    @settings(max_examples=300, deadline=None)
+    def test_distance_equals_the_coordinate_form(self, yz):
+        assert same_bits(costs._distance(*yz), coordinate_distance(*yz))
 
 
 SCAN_COST = CostSpec.anisotropic(3.0, np.diag([1.0, 4.0]), 64.0)

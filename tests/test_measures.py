@@ -282,6 +282,10 @@ class TestValidation:
          "need at least one angular bin"),
         (lambda: projection_lemma_check(DiscreteMeasure([[1.0, 0.0]], [1.0]), 1.0, 16, p=1.0),
          ValueError, r"exponent must satisfy p > 1"),
+        # nan failed in int(), 0 divided by zero before its refusal
+        *[(lambda r=r: projection_lemma_check(DiscreteMeasure([[1.0, 0.0]], [1.0]), r, 16),
+           ValueError, "radius must be finite and positive") for r in
+          (math.nan, math.inf, 0.0, -1.0)],
         # a ring count that is not an integer
         (lambda: lebesgue_quadrature(Ball.at_origin(1.0), 6.5), TypeError,
          "cannot be interpreted as an integer"),

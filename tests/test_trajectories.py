@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dot_oracle import einsum_windows, planar_stack, same_bits
 from otlab import trajectories, transport
 from otlab.costs import CostSpec
 from otlab.measures import (
@@ -132,6 +133,21 @@ def test_window_radius_must_be_finite_and_positive(radius):
             call(plan, radius)
     with pytest.raises(ValueError, match="radius must be finite and positive"):
         crossing_times(traj, radius)
+
+
+@given(xy=st.integers(1, 9).flatmap(lambda n: st.tuples(planar_stack((n, 2)), planar_stack((n, 2)))),
+       radius=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(1e-300, 1e150)))
+# x . d sums two negative zeros in the first row, a still segment sits on the
+# origin in the second, and 1e150 coordinates overflow b * b in the third
+@example(xy=(np.array([[-0.0, 0.0], [0.0, -0.0], [1e150, -1e150]]),
+             np.array([[1.0, -0.0], [0.0, -0.0], [-1e150, 1e-300]])), radius=1.0)
+@settings(max_examples=300, deadline=None)
+def test_windows_equal_the_einsum_form(xy, radius):
+    # overflow and inf - inf happen alike in both forms
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = trajectories._windows(*xy, radius)
+        want = einsum_windows(*xy, radius)
+    assert all(map(same_bits, got, want))
 
 
 @settings(max_examples=60, deadline=None)

@@ -531,6 +531,12 @@ def _two_atoms():
      r"scan radii must stay within \[2, 3\]"),
     (lambda: data_restriction_check(_two_atoms(), P2, [2.5, 3.5], resolution=8),
      r"scan radii must stay within \[2, 3\]"),
+    # delta = inf passed the check, a nan read rhs = nan, a negative delta or tau shrank rhs
+    *[(lambda d=d, t=t: localisation_check(solve_exact(_two_atoms(), _two_atoms(), P2), 1.0,
+                                           P2, delta=d, tau=t, resolution=6),
+       "delta and tau must be finite and >= 0")
+      for d, t in [(math.inf, 10.0), (math.nan, 10.0), (-0.25, 10.0),
+                   (0.25, math.inf), (0.25, math.nan), (0.25, -1.0)]],
 ])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
